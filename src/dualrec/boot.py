@@ -36,10 +36,9 @@ from .core import (
 )
 from .mle import FitConfig
 from .model import cell_probabilities
-from .sim import apply_method
+from .sim import ESTIMATORS, apply_method
 
 _SCHEMES = ("parametric", "nonparametric")
-_BBM_METHODS = ("MME-I", "MLE-I", "MME-II", "MLE-II")
 
 
 def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
@@ -47,8 +46,9 @@ def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
     est, diag = point.estimates, point.diagnostics
     n_a = float(diag.get("n_a_unrounded", est["n_a"]))
     n_b = float(diag.get("n_b_unrounded", est["n_b"]))
-    if method in _BBM_METHODS:
-        alpha_b = est["alpha"] if method.endswith("-II") else 0.0
+    model = ESTIMATORS[method].model
+    if model is not None:
+        alpha_b = est["alpha"] if model == "II" else 0.0
         cells_a = cell_probabilities(
             BbmParams(p1=est["p1"], p2=est["p2a"], alpha=est["alpha"], n=n_a)
         )

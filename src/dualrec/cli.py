@@ -28,20 +28,9 @@ from .boot import bootstrap
 from .core import DomainError, DualrecError
 from .datasets import load_stratum_pair, pair_to_csv
 from .mle import FitConfig
-from .sim import PRESETS, DesignPoint, apply_method, design_from_preset, run_study
+from .sim import ESTIMATORS, PRESETS, DesignPoint, apply_method, design_from_preset, run_study
 
-METHOD_TOKENS = {
-    "lp": "LP",
-    "nour": "NOUR",
-    "mme1": "MME-I",
-    "mle1": "MLE-I",
-    "mme2": "MME-II",
-    "mle2": "MLE-II",
-    "wolter1": "WOLTER-1",
-    "wolter2": "WOLTER-2",
-}
-
-_RATIO_REQUIRED = ("WOLTER-1", "WOLTER-2")
+METHOD_TOKENS = {spec.token: name for name, spec in ESTIMATORS.items()}
 
 
 class _CliError(Exception):
@@ -79,11 +68,13 @@ def _fmt_p(x: float) -> str:
 
 def _estimate_rows(args, pair) -> tuple[list[dict], bool]:
     """Run every requested method; rows carry results or inline errors."""
+    methods = _parse_methods(args.method)
+    for method in methods:
+        if ESTIMATORS[method].needs_ratio and args.ratio is None:
+            raise _CliError(f"{method} requires --ratio")
     rows = []
     any_infeasible = False
-    for method in _parse_methods(args.method):
-        if method in _RATIO_REQUIRED and args.ratio is None:
-            raise _CliError(f"{method} requires --ratio")
+    for method in methods:
         try:
             if args.bootstrap > 0:
                 result = bootstrap(
@@ -181,18 +172,23 @@ def _estimate_csv(rows) -> str:
     return out.getvalue()
 
 
-def _write_out(path: str, rows, to_csv) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    elif suffix == ".csv":
-        text = to_csv(rows)
-    else:
+def _check_out(path: str | None) -> None:
+    if path is not None and Path(path).suffix.lower() not in (".json", ".csv"):
         raise _CliError(f"--out must end in .json or .csv, got {path!r}")
+
+
+def _write_out(path: str, rows, to_csv) -> None:
+    if Path(path).suffix.lower() == ".json":
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    else:
+        text = to_csv(rows)
     Path(path).write_text(text, encoding="utf-8")
 
 
 def cmd_estimate(args) -> int:
+    _check_out(args.out)
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise _CliError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
     try:
         pair = load_stratum_pair(args.data, dependent=args.dependent)
     except OSError as e:
@@ -294,6 +290,7 @@ def _load_config(path: str, default_estimators: list[str]):
 
 
 def cmd_simulate(args) -> int:
+    _check_out(args.out)
     default_methods = _parse_methods(args.estimators)
     if (args.preset is None) == (args.config is None):
         raise _CliError("exactly one of --preset or --config is required")

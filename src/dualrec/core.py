@@ -97,8 +97,11 @@ class DrsTable:
     def __post_init__(self) -> None:
         for name in ("x11", "x10", "x01"):
             value = getattr(self, name)
-            count = int(value)
-            if count != value:
+            try:
+                count = int(value)
+            except (TypeError, ValueError, OverflowError):
+                count = None  # non-numeric, NaN or infinite
+            if count is None or count != value:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             if count < 0:
                 raise NegativeCount(f"{name} must be nonnegative, got {count}")
@@ -250,11 +253,6 @@ class EstimateResult:
 # Numeric helpers
 # ---------------------------------------------------------------------------
 
-_EXACT_FACTORIAL_MAX = 20
-
-LOGFAC_MODES = ("exact", "stirling1", "stirling3")
-
-
 def log_factorial(n: float, mode: str = "exact") -> float:
     """Natural log of ``n!`` for real ``n >= 0``.
 
@@ -264,9 +262,8 @@ def log_factorial(n: float, mode: str = "exact") -> float:
         Argument; need not be an integer (the factorial is read as
         ``gamma(n + 1)``).
     mode : str
-        ``"exact"`` uses the true factorial for integers up to 20 and a
-        log-gamma evaluation otherwise; ``"stirling1"`` is the first-order
-        approximation ``n ln n - n``; ``"stirling3"`` adds the
+        ``"exact"`` evaluates ``lgamma(n + 1)``; ``"stirling1"`` is the
+        first-order approximation ``n ln n - n``; ``"stirling3"`` adds the
         ``0.5 ln(2 pi n)`` correction term.  ``n = 0`` returns 0.0 in every
         mode.
 
@@ -277,8 +274,6 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     if n < 0:
         raise DomainError(f"log_factorial requires n >= 0, got {n}")
     if mode == "exact":
-        if n <= _EXACT_FACTORIAL_MAX and float(n).is_integer():
-            return math.log(math.factorial(int(n)))
         return math.lgamma(n + 1.0)
     if n == 0:
         return 0.0

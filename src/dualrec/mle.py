@@ -31,7 +31,7 @@ stops there instead of sliding away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -201,6 +201,14 @@ def _start_model_ii(pair: StratumPair) -> tuple[float, ...]:
     return (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5)
 
 
+# per model: parameter type, public log-likelihood, raw objective and
+# gradient, first start
+_MODELS = {
+    "I": (ModelIParams, loglik_model_i, _loglik_i_raw, _grad_i_raw, _start_model_i),
+    "II": (ModelIIParams, loglik_model_ii, _loglik_ii_raw, _grad_ii_raw, _start_model_ii),
+}
+
+
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.a)
     validate_table(pair.b)
@@ -212,8 +220,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             f"fitting supports logfac 'exact' or 'stirling1', got {config.logfac!r}"
         )
     space = _Space(pair, config.known_ratio)
-    raw = _loglik_i_raw if model == "I" else _loglik_ii_raw
-    raw_grad = _grad_i_raw if model == "I" else _grad_ii_raw
+    _, _, raw, raw_grad, first_start = _MODELS[model]
 
     def objective(u) -> float:
         n_a, n_b, alpha, p1, p2a, p2b = space.to_natural(u)
@@ -242,7 +249,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             clamp(s_p2b, inner, 1.0 - inner),
         )
     else:
-        base = _start_model_i(pair) if model == "I" else _start_model_ii(pair)
+        base = first_start(pair)
     rng = np.random.default_rng(config.seed)
     starts = [space.from_natural(*base)]
     for _ in range(max(config.multistart, 1) - 1):
@@ -296,7 +303,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     n_a, n_b, alpha, p1, p2a, p2b = space.to_natural(u_opt)
     grad_norm = float(np.linalg.norm(objective_grad(u_opt)))
     return EstimateResult(
-        method="MLE-I" if model == "I" else "MLE-II",
+        method=f"MLE-{model}",
         estimates={
             "n_a": float(round_half_even(n_a)),
             "n_b": float(round_half_even(n_b)),
@@ -335,10 +342,6 @@ def mle_model_ii(data: StratumPair, config: FitConfig | None = None) -> Estimate
     return _fit("II", data, config or FitConfig())
 
 
-_COMPONENTS_I = ("n_a", "n_b", "alpha_a", "p1", "p2a", "p2b")
-_COMPONENTS_II = ("n_a", "n_b", "alpha0", "p1", "p2a", "p2b")
-
-
 def profile_objective(
     model: str,
     data: StratumPair,
@@ -353,15 +356,13 @@ def profile_objective(
     the named component, holding the rest of ``theta`` fixed.  Infeasible
     sizes on the grid raise rather than being skipped.
     """
-    if model == "I":
-        allowed, fn = _COMPONENTS_I, loglik_model_i
-    elif model == "II":
-        allowed, fn = _COMPONENTS_II, loglik_model_ii
-    else:
+    if model not in _MODELS:
         raise DomainError(f"model must be 'I' or 'II', got {model!r}")
+    params, loglik = _MODELS[model][:2]
+    allowed = tuple(f.name for f in fields(params))
     if component not in allowed:
         raise DomainError(f"unknown component {component!r}; expected one of {allowed}")
     out = []
     for value in grid:
-        out.append((float(value), fn(replace(theta, **{component: float(value)}), data, logfac)))
+        out.append((float(value), loglik(replace(theta, **{component: float(value)}), data, logfac)))
     return out

@@ -116,10 +116,14 @@ def p2_from_marginal(p_dot1: float, p1: float, alpha: float) -> float:
     """Recover the latent List 2 probability from a target List 2 marginal.
 
     Inverts ``p_dot1 = alpha*p1 + (1-alpha)*p2`` (positive dependence).
-    Raises :class:`OutOfRange` when the implied ``p2`` is not in ``(0, 1]``,
-    which signals an infeasible (marginal, alpha) combination.
+    Raises :class:`DomainError` for ``alpha`` outside ``[0, 1]``,
+    :class:`DegenerateDependence` at ``alpha = 1``, and :class:`OutOfRange`
+    when the implied ``p2`` is not in ``(0, 1]``, which signals an
+    infeasible (marginal, alpha) combination.
     """
-    if alpha >= 1.0:
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must be in [0,1], got {alpha}")
+    if alpha == 1.0:
         raise DegenerateDependence("alpha = 1 leaves p2 unidentified")
     p2 = (p_dot1 - alpha * p1) / (1.0 - alpha)
     if p2 > 1.0 and p2 <= 1.0 + 1e-12:  # float fuzz on an exact boundary
@@ -137,6 +141,18 @@ def p2_from_marginal(p_dot1: float, p1: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _validate_joint(theta, alpha_name: str) -> None:
+    for name in ("p1", "p2a", "p2b"):
+        p = getattr(theta, name)
+        if not 0.0 < p < 1.0:
+            raise DomainError(f"{name} must be in (0,1), got {p}")
+    alpha = getattr(theta, alpha_name)
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"{alpha_name} must be in [0,1], got {alpha}")
+    if theta.n_a <= 0 or theta.n_b <= 0:
+        raise DomainError("population sizes must be positive")
+
+
 @dataclass(frozen=True)
 class ModelIParams:
     """Model I parameters: dependent stratum A, independent stratum B."""
@@ -149,14 +165,7 @@ class ModelIParams:
     p2b: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2a", "p2b"):
-            p = getattr(self, name)
-            if not 0.0 < p < 1.0:
-                raise DomainError(f"{name} must be in (0,1), got {p}")
-        if not 0.0 <= self.alpha_a <= 1.0:
-            raise DomainError(f"alpha_a must be in [0,1], got {self.alpha_a}")
-        if self.n_a <= 0 or self.n_b <= 0:
-            raise DomainError("population sizes must be positive")
+        _validate_joint(self, "alpha_a")
 
 
 @dataclass(frozen=True)
@@ -171,14 +180,7 @@ class ModelIIParams:
     p2b: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2a", "p2b"):
-            p = getattr(self, name)
-            if not 0.0 < p < 1.0:
-                raise DomainError(f"{name} must be in (0,1), got {p}")
-        if not 0.0 <= self.alpha0 <= 1.0:
-            raise DomainError(f"alpha0 must be in [0,1], got {self.alpha0}")
-        if self.n_a <= 0 or self.n_b <= 0:
-            raise DomainError("population sizes must be positive")
+        _validate_joint(self, "alpha0")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ worker processes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +49,26 @@ PRESETS: dict[str, tuple[float, float]] = {
     "P6": (0.50, 0.60),
 }
 
-ESTIMATORS = (
-    "LP",
-    "NOUR",
-    "MME-I",
-    "MLE-I",
-    "MME-II",
-    "MLE-II",
-    "WOLTER-1",
-    "WOLTER-2",
-)
+
+class Estimator(NamedTuple):
+    """An estimator's CLI token, whether it needs the size ratio n_a / n_b,
+    and the model it fits ("I" or "II"; None for classical comparators)."""
+
+    token: str
+    needs_ratio: bool
+    model: str | None
+
+
+ESTIMATORS: dict[str, Estimator] = {
+    "LP": Estimator("lp", False, None),
+    "NOUR": Estimator("nour", False, None),
+    "MME-I": Estimator("mme1", False, "I"),
+    "MLE-I": Estimator("mle1", False, "I"),
+    "MME-II": Estimator("mme2", False, "II"),
+    "MLE-II": Estimator("mle2", False, "II"),
+    "WOLTER-1": Estimator("wolter1", True, None),
+    "WOLTER-2": Estimator("wolter2", True, None),
+}
 
 
 @dataclass(frozen=True)
@@ -177,27 +189,23 @@ def apply_method(
     ratio: float | None = None,
     fit_config: FitConfig | None = None,
 ) -> EstimateResult:
-    """Apply one named estimator to a stratum pair.
+    """Apply one estimator, named as in :data:`ESTIMATORS`, to a stratum pair.
 
     Single-stratum methods (LP, NOUR) are applied to each stratum and
     reported as ``n_a`` / ``n_b``.  Ratio-linked methods require ``ratio``.
     A likelihood fit that stops short of its tolerance raises
     :class:`DidNotConverge` so callers can count it as a failure.
     """
-    if method == "LP":
-        ra, rb = lincoln_petersen(pair.a), lincoln_petersen(pair.b)
+    spec = ESTIMATORS.get(method)
+    if spec is None:
+        raise DomainError(f"unknown estimator {method!r}; valid: {', '.join(ESTIMATORS)}")
+    if spec.needs_ratio and ratio is None:
+        raise DomainError(f"{method} requires a known size ratio")
+    if method in ("LP", "NOUR"):
+        fn = lincoln_petersen if method == "LP" else nour
+        ra, rb = fn(pair.a), fn(pair.b)
         return EstimateResult(
-            method="LP",
-            estimates={"n_a": ra.estimates["n"], "n_b": rb.estimates["n"]},
-            diagnostics={
-                "n_a_unrounded": ra.diagnostics["n_unrounded"],
-                "n_b_unrounded": rb.diagnostics["n_unrounded"],
-            },
-        )
-    if method == "NOUR":
-        ra, rb = nour(pair.a), nour(pair.b)
-        return EstimateResult(
-            method="NOUR",
+            method=method,
             estimates={"n_a": ra.estimates["n"], "n_b": rb.estimates["n"]},
             diagnostics={
                 "n_a_unrounded": ra.diagnostics["n_unrounded"],
@@ -217,11 +225,9 @@ def apply_method(
             raise DidNotConverge(f"{method} stopped before meeting tolerance")
         return fit
     if method in ("WOLTER-1", "WOLTER-2"):
-        if ratio is None:
-            raise DomainError(f"{method} requires a known size ratio")
         fn = wolter_model1 if method == "WOLTER-1" else wolter_model2
         return fn(pair, ratio)
-    raise DomainError(f"unknown estimator {method!r}; valid: {', '.join(ESTIMATORS)}")
+    raise NotImplementedError(f"{method} is registered but has no dispatch branch")
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +265,14 @@ def _replicate_values(
     root = np.random.SeedSequence(design.seed)
     streams = root.spawn(design.replicates)
     ratio = design.n_a / design.n_b
+    ratios = {m: ratio if ESTIMATORS[m].needs_ratio else None for m in methods}
     out = {m: [] for m in methods}
     for i in range(lo, hi):
         rng = np.random.default_rng(streams[i])
         pair = generate_pair(design, rng)
         for m in methods:
             try:
-                fit = apply_method(m, pair, ratio=ratio if m.startswith("WOLTER") else None,
-                                   fit_config=fit_config)
+                fit = apply_method(m, pair, ratio=ratios[m], fit_config=fit_config)
             except DualrecError:
                 out[m].append((i, math.nan, math.nan, math.nan))
                 continue
@@ -291,17 +297,19 @@ def run_study(
     intervals, the mean dependence estimate where the method produces one,
     and the count of failed replicates (infeasible, condition-violating, or
     non-converged fits), which are excluded from all aggregates.
+
+    ``threads`` caps the worker processes, at most one per CPU and replicate.
     """
     methods = tuple(estimators)
     for m in methods:
         if m not in ESTIMATORS:
             raise DomainError(f"unknown estimator {m!r}; valid: {', '.join(ESTIMATORS)}")
     reps = design.replicates
-    if threads > 1:
-        chunk = max(1, math.ceil(reps / threads))
+    workers = min(threads, os.cpu_count() or 1, reps)
+    if workers > 1:
+        chunk = math.ceil(reps / workers)
         ranges = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        parts = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_replicate_values, design, methods, fit_config, lo, hi)
                 for lo, hi in ranges

@@ -114,18 +114,24 @@ def test_estimate_out_files_rerun_identically(capsys, tmp_path):
 
 
 def test_estimate_out_extension_checked(capsys, tmp_path):
-    code, _, err = run(
-        capsys,
-        "estimate",
-        "--data",
-        VOLES,
-        "--method",
-        "lp",
-        "--out",
-        str(tmp_path / "report.txt"),
+    # checked before any estimate runs, for both subcommands
+    simulate = ("simulate", "--preset", "P1", "--na", "240", "--nb", "200", "--alpha", "0.4")
+    for argv in (("estimate", "--data", VOLES, "--method", "lp"), simulate):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "report.txt"))
+        assert code == 1
+        assert out == ""
+        assert "--out must end in .json or .csv" in err
+        assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("b", ["1", "-3"])
+def test_estimate_bootstrap_count_checked(capsys, b):
+    code, out, err = run(
+        capsys, "estimate", "--data", VOLES, "--method", "lp", "--bootstrap", b
     )
     assert code == 1
-    assert "--out must end in .json or .csv" in err
+    assert out == ""
+    assert f"--bootstrap must be 0 or at least 2, got {b}" in err
 
 
 def test_estimate_missing_file(capsys, tmp_path):
@@ -152,6 +158,11 @@ def test_ratio_methods_require_ratio_flag(capsys):
     code, _, err = run(capsys, "estimate", "--data", VOLES, "--method", "wolter1")
     assert code == 1
     assert "WOLTER-1 requires --ratio" in err
+    # checked before any method runs
+    code, out, err = run(capsys, "estimate", "--data", VOLES, "--method", "lp,wolter2")
+    assert code == 1
+    assert out == ""
+    assert "WOLTER-2 requires --ratio" in err
 
 
 def test_simulate_preset_study_row(capsys):

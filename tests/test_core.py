@@ -47,6 +47,13 @@ def test_table_rejects_negative_and_fractional_counts():
         DrsTable(5, 1.5, 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "many", None, [1]])
+def test_table_rejects_non_finite_and_non_numeric_counts(bad):
+    with pytest.raises(DomainError) as err:
+        DrsTable(bad, 1, 1)
+    assert str(err.value) == f"x11 must be an integer, got {bad!r}"
+
+
 def test_validate_table_accepts_nonempty_and_rejects_empty():
     t = DrsTable(46, 20, 11)
     assert validate_table(t) is t

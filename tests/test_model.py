@@ -146,6 +146,13 @@ def test_to_mtb_rejects_full_dependence():
         to_mtb(BbmParams(p1=0.6, p2=0.8, alpha=1.0, n=100))
 
 
+@pytest.mark.parametrize("alpha", [1.5, 1.0 + 1e-9, -0.1, math.nan])
+def test_p2_from_marginal_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(DomainError) as err:
+        p2_from_marginal(0.8, 0.6, alpha)
+    assert str(err.value) == f"alpha must be in [0,1], got {alpha}"
+
+
 def test_p2_from_marginal_inverts_and_rejects():
     assert p2_from_marginal(0.72, 0.6, 0.4) == pytest.approx(0.8, abs=1e-12)
     with pytest.raises(OutOfRange):

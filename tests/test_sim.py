@@ -1,11 +1,15 @@
 """Tests for data generation, method dispatch, and replicate studies."""
 
+import inspect
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dualrec.sim as sim
+from dualrec.cli import _parse_methods
 from dualrec.core import (
     AllReplicatesFailed,
     BbmParams,
@@ -265,3 +269,82 @@ def test_estimator_registry_is_complete():
         "WOLTER-1",
         "WOLTER-2",
     }
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_registry_token_parses_to_name(name):
+    assert _parse_methods(ESTIMATORS[name].token) == [name]
+
+
+class _Reached(Exception):
+    """Raised by a stand-in estimator to show that dispatch reached it."""
+
+
+@pytest.fixture
+def estimator_spies(monkeypatch):
+    """Replace every estimator function that dualrec.sim imports, under its
+    own name, with a stand-in that records the name and raises; return the
+    records."""
+    reached = []
+
+    def spy(attr):
+        def stand_in(*args, **kwargs):
+            reached.append(attr)
+            raise _Reached(attr)
+
+        return stand_in
+
+    for attr, value in list(vars(sim).items()):
+        if (
+            inspect.isfunction(value)
+            and value.__name__ == attr
+            and value.__module__ in ("dualrec.classical", "dualrec.mme", "dualrec.mle")
+        ):
+            monkeypatch.setattr(sim, attr, spy(attr))
+    return reached
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_registry_ratio_requirement(name, estimator_spies):
+    expected = DomainError if ESTIMATORS[name].needs_ratio else _Reached
+    with pytest.raises(expected):
+        apply_method(name, MEADOW_VOLES)
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_apply_method_calls_estimator_through_module_attribute(name, estimator_spies):
+    # bench/tracing.py times each layer by wrapping these module attributes,
+    # so dispatch must look them up at call time, not hold function objects
+    with pytest.raises(_Reached):
+        apply_method(name, MEADOW_VOLES, ratio=1.147)
+    assert len(estimator_spies) == 1
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, reps, expected",
+    [(4, 2, 40, [2]), (8, 16, 3, [3]), (3, 16, 40, [3]), (4, None, 40, []), (1, 16, 40, [])],
+)
+def test_study_caps_worker_processes(monkeypatch, threads, cpus, reps, expected):
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=reps, seed=2)
+    parallel = run_study(d, estimators=("LP",), threads=threads)
+    assert pools == expected
+    assert parallel == run_study(d, estimators=("LP",))
