@@ -21,6 +21,8 @@ error and interval; if every resample fails the bootstrap itself fails.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import (
@@ -28,7 +30,6 @@ from .core import (
     BbmParams,
     DomainError,
     DrsTable,
-    DualrecError,
     EstimateResult,
     StratumPair,
     empirical_ci,
@@ -36,16 +37,15 @@ from .core import (
 )
 from .mle import FitConfig
 from .model import cell_probabilities
-from .sim import ESTIMATORS, apply_method
+from .sim import ESTIMATORS, _fit_values, _replicate_values, _successes, apply_method
 
 _SCHEMES = ("parametric", "nonparametric")
 
 
 def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
     """Per-stratum (cell probabilities, size) of the parametric generator."""
-    est, diag = point.estimates, point.diagnostics
-    n_a = float(diag.get("n_a_unrounded", est["n_a"]))
-    n_b = float(diag.get("n_b_unrounded", est["n_b"]))
+    est = point.estimates
+    n_a, n_b, _ = map(float, _fit_values(point))
     model = ESTIMATORS[method].model
     if model is not None:
         alpha_b = est["alpha"] if model == "II" else 0.0
@@ -83,11 +83,19 @@ def _draw_table(cells, n: int, rng: np.random.Generator) -> DrsTable:
     return DrsTable(int(x11), int(x10), int(x01))
 
 
+def _draw_parametric(gen_a, gen_b, rng: np.random.Generator) -> StratumPair:
+    return StratumPair(_draw_table(*gen_a, rng), _draw_table(*gen_b, rng))
+
+
 def _resample_observed(table: DrsTable, rng: np.random.Generator) -> DrsTable:
     t = validate_table(table)
     props = (t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0)
     x11, x10, x01 = rng.multinomial(t.x0, props)
     return DrsTable(int(x11), int(x10), int(x01))
+
+
+def _resample_pair(data: StratumPair, rng: np.random.Generator) -> StratumPair:
+    return StratumPair(_resample_observed(data.a, rng), _resample_observed(data.b, rng))
 
 
 def bootstrap(
@@ -114,44 +122,19 @@ def bootstrap(
         raise DomainError(f"need at least 2 resamples for a standard error, got {b}")
     point = apply_method(method, data, ratio=ratio, fit_config=fit_config)
     if scheme == "parametric":
-        gen_a, gen_b = _generating_cells(method, data, point)
-
-    keys = [k for k in ("n_a", "n_b", "alpha") if k in point.estimates]
-    draws: dict[str, list[float]] = {k: [] for k in keys}
-    failures = 0
-    streams = np.random.SeedSequence(seed).spawn(b)
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        if scheme == "parametric":
-            resample = StratumPair(
-                _draw_table(*gen_a, rng), _draw_table(*gen_b, rng)
-            )
-        else:
-            resample = StratumPair(
-                _resample_observed(data.a, rng), _resample_observed(data.b, rng)
-            )
-        try:
-            refit = apply_method(method, resample, ratio=ratio, fit_config=fit_config)
-        except DualrecError:
-            failures += 1
-            continue
-        for k in keys:
-            if k in ("n_a", "n_b"):
-                draws[k].append(
-                    float(refit.diagnostics.get(f"{k}_unrounded", refit.estimates[k]))
-                )
-            else:
-                draws[k].append(float(refit.estimates[k]))
-
-    used = b - failures
-    if used == 0:
+        draw = partial(_draw_parametric, *_generating_cells(method, data, point))
+    else:
+        draw = partial(_resample_pair, data)
+    recs = _replicate_values(draw, seed, b, {method: ratio}, fit_config, 0, b)[method]
+    *columns, failures = _successes(recs)
+    if failures == b:
         raise AllResamplesFailed(f"{method} failed on all {b} resamples")
     se = {}
     ci = {}
-    for k in keys:
-        vals = np.asarray(draws[k], dtype=float)
-        se[k] = float(np.std(vals, ddof=1)) if used > 1 else float("nan")
-        ci[k] = empirical_ci(vals)
+    for k, vals in zip(("n_a", "n_b", "alpha"), columns):
+        if k in point.estimates:
+            se[k] = float(np.std(vals, ddof=1)) if b - failures > 1 else float("nan")
+            ci[k] = empirical_ci(vals)
 
     diagnostics = dict(point.diagnostics)
     diagnostics.update(

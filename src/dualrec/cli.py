@@ -28,7 +28,7 @@ from .boot import bootstrap
 from .core import DomainError, DualrecError
 from .datasets import load_stratum_pair, pair_to_csv
 from .mle import FitConfig
-from .sim import ESTIMATORS, PRESETS, DesignPoint, apply_method, design_from_preset, run_study
+from .sim import ESTIMATORS, DesignPoint, apply_method, design_from_preset, run_study
 
 METHOD_TOKENS = {spec.token: name for name, spec in ESTIMATORS.items()}
 
@@ -231,32 +231,30 @@ def _study_csv(rows) -> str:
     return out.getvalue()
 
 
+# JSON design field -> converter
+_DESIGN_FIELDS = {
+    "p1dot_a": float,
+    "pdot1_a": float,
+    "p1dot_b": float,
+    "pdot1_b": float,
+    "alpha": float,
+    "n_a": int,
+    "n_b": int,
+    "model": str,
+    "replicates": int,
+    "seed": int,
+}
+# fields a design may omit, taking DesignPoint's defaults
+_OPTIONAL_FIELDS = ("model", "replicates")
+
+
 def _design_fields(doc: dict, where: str) -> DesignPoint:
-    required = (
-        "p1dot_a",
-        "pdot1_a",
-        "p1dot_b",
-        "pdot1_b",
-        "alpha",
-        "n_a",
-        "n_b",
-        "seed",
-    )
-    missing = [f for f in required if f not in doc]
+    missing = [f for f in _DESIGN_FIELDS if f not in doc and f not in _OPTIONAL_FIELDS]
     if missing:
         raise _CliError(f"{where}: missing field(s) {', '.join(missing)}")
     try:
         return DesignPoint(
-            p1dot_a=float(doc["p1dot_a"]),
-            pdot1_a=float(doc["pdot1_a"]),
-            p1dot_b=float(doc["p1dot_b"]),
-            pdot1_b=float(doc["pdot1_b"]),
-            alpha=float(doc["alpha"]),
-            n_a=int(doc["n_a"]),
-            n_b=int(doc["n_b"]),
-            model=str(doc.get("model", "I")),
-            replicates=int(doc.get("replicates", 5000)),
-            seed=int(doc["seed"]),
+            **{f: convert(doc[f]) for f, convert in _DESIGN_FIELDS.items() if f in doc}
         )
     except (TypeError, ValueError, DualrecError) as e:
         raise _CliError(f"{where}: {e}")
@@ -295,11 +293,6 @@ def cmd_simulate(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise _CliError("exactly one of --preset or --config is required")
     if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise _CliError(
-                f"unknown preset {args.preset!r}; valid presets: "
-                f"{', '.join(sorted(PRESETS))}"
-            )
         if args.na is None or args.nb is None or args.alpha is None:
             raise _CliError("--preset requires --na, --nb and --alpha")
         try:

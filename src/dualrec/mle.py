@@ -142,7 +142,7 @@ class _Space:
         else:
             n_b = n_a / self.r
             k = 1
-        alpha = clamp(_expit(clamp(u[k], -_LOGIT_BOUND, _LOGIT_BOUND)), _PROB_CLIP, 1.0 - _PROB_CLIP)
+        alpha = _prob(clamp(u[k], -_LOGIT_BOUND, _LOGIT_BOUND))
         p1 = _prob(clamp(u[k + 1], -_LOGIT_BOUND, _LOGIT_BOUND))
         p2a = _prob(clamp(u[k + 2], -_LOGIT_BOUND, _LOGIT_BOUND))
         p2b = _prob(clamp(u[k + 3], -_LOGIT_BOUND, _LOGIT_BOUND))
@@ -174,31 +174,35 @@ class _Space:
         return np.asarray(out, dtype=float)
 
 
+def _interior(pair: StratumPair, start) -> tuple[float, ...]:
+    """``start`` with sizes raised to the observed counts and probabilities
+    clamped into [1e-4, 1 - 1e-4], so every start lies inside the space."""
+    n_a, n_b, *probs = start
+    inner = 1e-4
+    return (
+        max(n_a, pair.a.x0),
+        max(n_b, pair.b.x0),
+        *(clamp(p, inner, 1.0 - inner) for p in probs),
+    )
+
+
 def _start_model_i(pair: StratumPair) -> tuple[float, ...]:
     try:
         fit = mme_model_i(pair)
     except DivisionByZero:
         return (2.0 * pair.a.x0, 2.0 * pair.b.x0, 0.1, 0.5, 0.5, 0.5)
     e, d = fit.estimates, fit.diagnostics
-    inner = 1e-4
-    return (
-        max(d["n_a_unrounded"], pair.a.x0),
-        max(d["n_b_unrounded"], pair.b.x0),
-        clamp(e["alpha"], inner, 1.0 - inner),
-        clamp(e["p1"], inner, 1.0 - inner),
-        clamp(e["p2a"], inner, 1.0 - inner),
-        clamp(e["p2b"], inner, 1.0 - inner),
+    return _interior(
+        pair, (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
     )
 
 
 def _start_model_ii(pair: StratumPair) -> tuple[float, ...]:
     def lp_or_double(t: DrsTable) -> float:
-        if t.x11 == 0:
-            return 2.0 * t.x0
-        return max(t.x1dot * t.xdot1 / t.x11, float(t.x0))
+        return t.x1dot * t.xdot1 / t.x11 if t.x11 else 2.0 * t.x0
 
-    p1 = clamp(pair.b.x11 / pair.b.xdot1 if pair.b.xdot1 else 0.5, 1e-4, 1.0 - 1e-4)
-    return (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5)
+    p1 = pair.b.x11 / pair.b.xdot1 if pair.b.xdot1 else 0.5
+    return _interior(pair, (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5))
 
 
 # per model: parameter type, public log-likelihood, raw objective and
@@ -236,18 +240,10 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             raise DomainError(
                 f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(config.start)} values"
             )
-        s_na, s_nb, s_al, s_p1, s_p2a, s_p2b = (float(v) for v in config.start)
-        if not all(math.isfinite(v) for v in (s_na, s_nb, s_al, s_p1, s_p2a, s_p2b)):
+        start = tuple(float(v) for v in config.start)
+        if not all(math.isfinite(v) for v in start):
             raise DomainError("start values must be finite")
-        inner = 1e-4
-        base = (
-            max(s_na, float(pair.a.x0)),
-            max(s_nb, float(pair.b.x0)),
-            clamp(s_al, inner, 1.0 - inner),
-            clamp(s_p1, inner, 1.0 - inner),
-            clamp(s_p2a, inner, 1.0 - inner),
-            clamp(s_p2b, inner, 1.0 - inner),
-        )
+        base = _interior(pair, start)
     else:
         base = first_start(pair)
     rng = np.random.default_rng(config.seed)

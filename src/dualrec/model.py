@@ -229,11 +229,15 @@ def _dlfac_ratio(n: float, x0: int, mode: str) -> float:
     raise DomainError(f"unknown log-factorial mode {mode!r}")
 
 
-def _check_feasible(n_a: float, n_b: float, pair: StratumPair) -> None:
-    if n_a < pair.a.x0:
-        raise InfeasibleN(f"n_a = {n_a} < observed x0A = {pair.a.x0}")
-    if n_b < pair.b.x0:
-        raise InfeasibleN(f"n_b = {n_b} < observed x0B = {pair.b.x0}")
+def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> tuple:
+    """``theta``'s fields in declaration order, which is the raw functions'
+    argument order (n_a, n_b, alpha, p1, p2a, p2b), once its sizes are
+    checked against the observed counts."""
+    if theta.n_a < data.a.x0:
+        raise InfeasibleN(f"n_a = {theta.n_a} < observed x0A = {data.a.x0}")
+    if theta.n_b < data.b.x0:
+        raise InfeasibleN(f"n_b = {theta.n_b} < observed x0B = {data.b.x0}")
+    return tuple(vars(theta).values())
 
 
 def _loglik_i_raw(
@@ -273,11 +277,7 @@ def loglik_model_i(
     ``logfac`` mode selects exact, first-order or three-term approximations
     of the log-factorial terms.
     """
-    _check_feasible(theta.n_a, theta.n_b, data)
-    return _loglik_i_raw(
-        theta.n_a, theta.n_b, theta.alpha_a, theta.p1, theta.p2a, theta.p2b,
-        data, logfac,
-    )
+    return _loglik_i_raw(*_checked_fields(theta, data), data, logfac)
 
 
 def _loglik_ii_raw(
@@ -311,11 +311,7 @@ def loglik_model_ii(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> float:
     """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
-    _check_feasible(theta.n_a, theta.n_b, data)
-    return _loglik_ii_raw(
-        theta.n_a, theta.n_b, theta.alpha0, theta.p1, theta.p2a, theta.p2b,
-        data, logfac,
-    )
+    return _loglik_ii_raw(*_checked_fields(theta, data), data, logfac)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +365,7 @@ def loglik_model_i_grad(
     natural parameter scale; the size derivatives match the ``logfac`` mode
     used for the objective.
     """
-    _check_feasible(theta.n_a, theta.n_b, data)
-    return _grad_i_raw(
-        theta.n_a, theta.n_b, theta.alpha_a, theta.p1, theta.p2a, theta.p2b,
-        data, logfac,
-    )
+    return _grad_i_raw(*_checked_fields(theta, data), data, logfac)
 
 
 def _grad_ii_raw(
@@ -422,8 +414,4 @@ def loglik_model_ii_grad(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> list[float]:
     """Gradient of the Model II log-likelihood, ordered like Model I's."""
-    _check_feasible(theta.n_a, theta.n_b, data)
-    return _grad_ii_raw(
-        theta.n_a, theta.n_b, theta.alpha0, theta.p1, theta.p2a, theta.p2b,
-        data, logfac,
-    )
+    return _grad_ii_raw(*_checked_fields(theta, data), data, logfac)

@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -258,30 +259,44 @@ class StudySummary:
     estimators: dict[str, EstimatorStudy]
 
 
-def _replicate_values(
-    design: DesignPoint, methods: tuple[str, ...], fit_config, lo: int, hi: int
-):
-    """Run replicates [lo, hi) and return per-method value triples."""
-    root = np.random.SeedSequence(design.seed)
-    streams = root.spawn(design.replicates)
-    ratio = design.n_a / design.n_b
-    ratios = {m: ratio if ESTIMATORS[m].needs_ratio else None for m in methods}
-    out = {m: [] for m in methods}
+def _fit_values(fit: EstimateResult) -> tuple[float, float, float]:
+    """A fit's unrounded sizes and its dependence estimate (NaN if it has none)."""
+    d, e = fit.diagnostics, fit.estimates
+    return (
+        d.get("n_a_unrounded", e.get("n_a", math.nan)),
+        d.get("n_b_unrounded", e.get("n_b", math.nan)),
+        e.get("alpha", math.nan),
+    )
+
+
+def _replicate_values(draw, seed: int, count: int, ratios: dict, fit_config, lo: int, hi: int):
+    """Refit each method on the pairs drawn from streams [lo, hi) of the
+    ``count`` streams spawned from ``seed``.
+
+    ``draw(rng)`` returns one stratum pair; ``ratios`` maps each method to the
+    ratio it is applied with.  Returns per-method ``(n_a, n_b, alpha)``
+    records in stream order, all NaN where the refit failed.
+    """
+    streams = np.random.SeedSequence(seed).spawn(count)
+    out = {m: [] for m in ratios}
     for i in range(lo, hi):
-        rng = np.random.default_rng(streams[i])
-        pair = generate_pair(design, rng)
-        for m in methods:
+        pair = draw(np.random.default_rng(streams[i]))
+        for m, ratio in ratios.items():
             try:
-                fit = apply_method(m, pair, ratio=ratios[m], fit_config=fit_config)
+                fit = apply_method(m, pair, ratio=ratio, fit_config=fit_config)
             except DualrecError:
-                out[m].append((i, math.nan, math.nan, math.nan))
+                out[m].append((math.nan, math.nan, math.nan))
                 continue
-            d, e = fit.diagnostics, fit.estimates
-            na = d.get("n_a_unrounded", e.get("n_a", math.nan))
-            nb = d.get("n_b_unrounded", e.get("n_b", math.nan))
-            alpha = e.get("alpha", math.nan)
-            out[m].append((i, na, nb, alpha))
+            out[m].append(_fit_values(fit))
     return out
+
+
+def _successes(recs):
+    """The n_a, n_b and alpha columns of the successful records, and the
+    number of failed ones."""
+    na, nb, al = np.array(recs, dtype=float).T
+    ok = ~np.isnan(na)
+    return na[ok], nb[ok], al[ok], int(len(recs) - ok.sum())
 
 
 def run_study(
@@ -305,36 +320,28 @@ def run_study(
         if m not in ESTIMATORS:
             raise DomainError(f"unknown estimator {m!r}; valid: {', '.join(ESTIMATORS)}")
     reps = design.replicates
+    ratio = design.n_a / design.n_b
+    ratios = {m: ratio if ESTIMATORS[m].needs_ratio else None for m in methods}
+    # generate_pair is read from the module on each call, so that a wrapper
+    # installed on the module attribute (a tracer, say) sees every draw
+    job = (partial(generate_pair, design), design.seed, reps, ratios, fit_config)
     workers = min(threads, os.cpu_count() or 1, reps)
     if workers > 1:
         chunk = math.ceil(reps / workers)
         ranges = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replicate_values, design, methods, fit_config, lo, hi)
-                for lo, hi in ranges
-            ]
+            futures = [pool.submit(_replicate_values, *job, lo, hi) for lo, hi in ranges]
             parts = [f.result() for f in futures]
-        rows = {m: [] for m in methods}
-        for part in parts:
-            for m in methods:
-                rows[m].extend(part[m])
-        for m in methods:
-            rows[m].sort(key=lambda rec: rec[0])
+        # ranges are ascending, so the parts concatenate in replicate order
+        rows = {m: [rec for part in parts for rec in part[m]] for m in methods}
     else:
-        rows = _replicate_values(design, methods, fit_config, 0, reps)
+        rows = _replicate_values(*job, 0, reps)
 
     summaries = {}
     for m in methods:
-        recs = rows[m]
-        na = np.array([r[1] for r in recs])
-        nb = np.array([r[2] for r in recs])
-        al = np.array([r[3] for r in recs])
-        ok = ~np.isnan(na)
-        failures = int(reps - ok.sum())
+        na, nb, al, failures = _successes(rows[m])
         if failures == reps:
             raise AllReplicatesFailed(f"{m} failed on all {reps} replicates")
-        na, nb, al = na[ok], nb[ok], al[ok]
         has_alpha = not bool(np.isnan(al).all())
 
         def agg(values: np.ndarray, truth: float):
@@ -353,6 +360,6 @@ def run_study(
             ci_n_b=ci_b,
             mean_alpha=float(math.fsum(al) / len(al)) if has_alpha else None,
             failures=failures,
-            used=int(ok.sum()),
+            used=reps - failures,
         )
     return StudySummary(design=design, estimators=summaries)

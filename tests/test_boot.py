@@ -1,5 +1,6 @@
 """Tests for bootstrap standard errors and percentile intervals."""
 
+import numpy as np
 import pytest
 
 from dualrec.boot import bootstrap
@@ -8,9 +9,12 @@ from dualrec.core import (
     ConditionViolated,
     DomainError,
     DrsTable,
+    DualrecError,
     StratumPair,
+    empirical_ci,
 )
 from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES
+from dualrec.sim import apply_method
 
 
 def test_parametric_children_moment_se_band():
@@ -80,6 +84,35 @@ def test_all_resamples_failed():
     # collapses on resamples drawn from its own fit
     with pytest.raises(AllResamplesFailed):
         bootstrap(MEADOW_VOLES, "MME-II", scheme="parametric", b=3, seed=0)
+
+
+def test_failed_resamples_are_excluded_from_se_and_ci():
+    # many nonparametric resamples of the voles pair have no feasible Model II
+    # moment solution; the rest must give the standard error and interval
+    b, seed = 200, 0
+    draws = {"n_a": [], "n_b": [], "alpha": []}
+    failures = 0
+    for stream in np.random.SeedSequence(seed).spawn(b):
+        rng = np.random.default_rng(stream)
+        tables = []
+        for t in (MEADOW_VOLES.a, MEADOW_VOLES.b):
+            x11, x10, x01 = rng.multinomial(t.x0, (t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0))
+            tables.append(DrsTable(int(x11), int(x10), int(x01)))
+        try:
+            fit = apply_method("MME-II", StratumPair(*tables))
+        except DualrecError:
+            failures += 1
+            continue
+        draws["n_a"].append(fit.diagnostics["n_a_unrounded"])
+        draws["n_b"].append(fit.diagnostics["n_b_unrounded"])
+        draws["alpha"].append(fit.estimates["alpha"])
+    assert 0 < failures < b
+
+    res = bootstrap(MEADOW_VOLES, "MME-II", scheme="nonparametric", b=b, seed=seed)
+    assert res.diagnostics["failures"] == failures
+    for k, values in draws.items():
+        assert res.se[k] == float(np.std(values, ddof=1))
+        assert res.ci[k] == empirical_ci(values)
 
 
 def test_point_estimate_preconditions_propagate():

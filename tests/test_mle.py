@@ -141,6 +141,16 @@ def test_unconverged_fit_is_flagged():
     assert fit.diagnostics["converged"] is False
 
 
+@pytest.mark.parametrize("pair", [CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES])
+def test_explicit_moment_start_matches_default_start(pair):
+    # the default Model I start is the moment solution, moved to the interior
+    # the same way as an explicit start
+    mm = mme_model_i(pair)
+    e, d = mm.estimates, mm.diagnostics
+    start = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
+    assert mle_model_i(pair, FitConfig(start=start)) == mle_model_i(pair)
+
+
 def test_seed_swap_leaves_fit_invariant():
     for pair in (CHILDREN_DEATH, MEADOW_VOLES, ENCEPHALITIS):
         a = mle_model_i(pair, FitConfig(multistart=5, seed=0))
