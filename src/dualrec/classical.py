@@ -84,8 +84,8 @@ def wolter_model1(data: StratumPair, r: float) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    if r <= 0:
-        raise Infeasible(f"r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise Infeasible(f"r must be finite and positive, got {r}")
     den = A.x11 * (B.x1dot - B.x11) * (B.xdot1 - B.x11)
     if den == 0:
         raise DivisionByZero("x11A*(x1dotB - x11B)*(xdot1B - x11B) is zero")
@@ -110,8 +110,8 @@ def wolter_model2(data: StratumPair, r: float) -> EstimateResult:
     """
     validate_table(data.a)
     B = validate_table(data.b)
-    if r <= 0:
-        raise Infeasible(f"r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise Infeasible(f"r must be finite and positive, got {r}")
     if B.x11 == 0:
         raise DivisionByZero("x11B is zero")
     n_b = B.x1dot * B.xdot1 / B.x11

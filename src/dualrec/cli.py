@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -189,6 +190,8 @@ def cmd_estimate(args) -> int:
     _check_out(args.out)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise _CliError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
+    if args.ratio is not None and not math.isfinite(args.ratio):
+        raise _CliError(f"--ratio must be finite, got {args.ratio}")
     try:
         pair = load_stratum_pair(args.data, dependent=args.dependent)
     except OSError as e:

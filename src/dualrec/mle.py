@@ -50,10 +50,8 @@ from .mme import mme_model_i
 from .model import (
     ModelIIParams,
     ModelIParams,
-    _grad_i_raw,
-    _grad_ii_raw,
-    _loglik_i_raw,
-    _loglik_ii_raw,
+    _grad_raw,
+    _loglik_raw,
     loglik_model_i,
     loglik_model_ii,
 )
@@ -81,6 +79,9 @@ class FitConfig:
     step after each simplex run; disabling it gives pure simplex
     semantics, which on flat objectives stop near their start instead of
     drifting along the plateau.
+
+    ``objective_tolerance`` is floored per start at four float spacings of
+    the starting objective, which changes it only above ~2e6 in magnitude.
     """
 
     max_iterations: int = 2000
@@ -126,8 +127,8 @@ class _Space:
             self.lo_b = x0b - 1.0
             self.size = 6
         else:
-            if known_ratio <= 0:
-                raise DomainError(f"known_ratio must be positive, got {known_ratio}")
+            if not 0 < known_ratio < math.inf:
+                raise DomainError(f"known_ratio must be finite and positive, got {known_ratio}")
             self.lo_a = max(x0a - 1.0, known_ratio * (x0b - 1.0))
             self.lo_b = None
             self.size = 5
@@ -157,9 +158,9 @@ class _Space:
         u.extend([_logit(alpha), _logit(p1), _logit(p2a), _logit(p2b)])
         return np.asarray(u, dtype=float)
 
-    def chain_grad(self, u, natural_grad) -> np.ndarray:
-        # natural_grad ordered (n_a, n_b, alpha, p1, p2a, p2b)
-        n_a, n_b, alpha, p1, p2a, p2b = self.to_natural(u)
+    def chain_grad(self, natural, natural_grad) -> np.ndarray:
+        # the decoded u and its gradient, ordered (n_a, n_b, alpha, p1, p2a, p2b)
+        n_a, n_b, alpha, p1, p2a, p2b = natural
         g_na, g_nb, g_al, g_p1, g_p2a, g_p2b = natural_grad
         out = []
         if self.r is None:
@@ -205,11 +206,11 @@ def _start_model_ii(pair: StratumPair) -> tuple[float, ...]:
     return _interior(pair, (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5))
 
 
-# per model: parameter type, public log-likelihood, raw objective and
-# gradient, first start
+# per model: parameter type, public log-likelihood, whether alpha is tied
+# across strata (the kernel's ``tied``), first start
 _MODELS = {
-    "I": (ModelIParams, loglik_model_i, _loglik_i_raw, _grad_i_raw, _start_model_i),
-    "II": (ModelIIParams, loglik_model_ii, _loglik_ii_raw, _grad_ii_raw, _start_model_ii),
+    "I": (ModelIParams, loglik_model_i, False, _start_model_i),
+    "II": (ModelIIParams, loglik_model_ii, True, _start_model_ii),
 }
 
 
@@ -224,16 +225,15 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             f"fitting supports logfac 'exact' or 'stirling1', got {config.logfac!r}"
         )
     space = _Space(pair, config.known_ratio)
-    _, _, raw, raw_grad, first_start = _MODELS[model]
+    _, _, tied, first_start = _MODELS[model]
 
     def objective(u) -> float:
-        n_a, n_b, alpha, p1, p2a, p2b = space.to_natural(u)
-        return -raw(n_a, n_b, alpha, p1, p2a, p2b, pair, config.logfac)
+        return -_loglik_raw(*space.to_natural(u), pair, config.logfac, tied)
 
     def objective_grad(u) -> np.ndarray:
-        n_a, n_b, alpha, p1, p2a, p2b = space.to_natural(u)
-        g = raw_grad(n_a, n_b, alpha, p1, p2a, p2b, pair, config.logfac)
-        return -space.chain_grad(u, g)
+        natural = space.to_natural(u)
+        g = _grad_raw(*natural, pair, config.logfac, tied)
+        return -space.chain_grad(natural, g)
 
     if config.start is not None:
         if len(config.start) != 6:
@@ -256,8 +256,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         jittered = space.from_natural(
             n_a * fn_a, n_b * fn_b, alpha, p1, p2a, p2b
         )
-        k = 1 if config.known_ratio is not None else 2
-        jittered[k : k + 4] += dv
+        jittered[space.size - 4 :] += dv
         starts.append(jittered)
 
     bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [
@@ -268,6 +267,11 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     # inf-arithmetic warnings inside the simplex bookkeeping
     with np.errstate(invalid="ignore", over="ignore"):
         for u0 in starts:
+            # below the objective's float spacing only bit-equal values meet fatol
+            f0 = objective(u0)
+            fatol = config.objective_tolerance
+            if math.isfinite(f0):
+                fatol = max(fatol, 4.0 * float(np.spacing(abs(f0))))
             res = minimize(
                 objective,
                 u0,
@@ -275,7 +279,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 options={
                     "maxiter": config.max_iterations,
                     "maxfev": 4 * config.max_iterations,
-                    "fatol": config.objective_tolerance,
+                    "fatol": fatol,
                     "xatol": config.parameter_tolerance,
                 },
             )
@@ -326,9 +330,10 @@ def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateR
 
     Reports integerised sizes (half-to-even) with the continuous optima in
     diagnostics, the achieved log-likelihood under ``objective``, and a
-    convergence flag meaning the simplex met its objective tolerance within
-    the iteration budget.  With ``config.known_ratio = r`` the fit is over
-    five free parameters with ``n_b = n_a / r`` held exactly.
+    convergence flag meaning the simplex met its tolerances (floored, see
+    :class:`FitConfig`) within the iteration budget, not stationarity.  With
+    ``config.known_ratio = r`` the fit is over five free parameters with
+    ``n_b = n_a / r`` held exactly.
     """
     return _fit("I", data, config or FitConfig())
 

@@ -27,7 +27,9 @@ Two-stratum structures
   shared dependence parameter ``alpha0``; the List 2 probabilities ``p2a``,
   ``p2b`` remain stratum-specific.
 
-The log-likelihoods below treat the population sizes as continuous via
+Model I is Model II with stratum B's dependence fixed at 0, so one kernel,
+``_loglik_raw``/``_grad_raw``, serves both: ``tied=False`` is Model I.
+The log-likelihoods treat the population sizes as continuous via
 log-gamma, which is what the fitting routines optimise.
 """
 
@@ -240,7 +242,7 @@ def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> t
     return tuple(vars(theta).values())
 
 
-def _loglik_i_raw(
+def _loglik_raw(
     n_a: float,
     n_b: float,
     alpha: float,
@@ -249,22 +251,25 @@ def _loglik_i_raw(
     p2b: float,
     pair: StratumPair,
     mode: str,
+    tied: bool,
 ) -> float:
-    # Continuous extension used by the optimiser; callers guarantee
-    # n_k > x0k - 1 so the log-gamma arguments stay positive.
+    # Model II term for term; tied=False (Model I) sets alpha_b = 0.0 and w = 0.
+    # Adding 0.0 and multiplying by 1 are exact, so Model II keeps its bits.
     A, B = pair.a, pair.b
-    q11 = alpha + (1.0 - alpha) * p2a          # p11A = p1 * q11
-    q00 = alpha + (1.0 - alpha) * (1.0 - p2a)  # p00A = (1-p1) * q00
+    w, alpha_b = (1, alpha) if tied else (0, 0.0)
+    r11a = alpha + (1.0 - alpha) * p2a
+    r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
+    r11b = alpha_b + (1.0 - alpha_b) * p2b
+    r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
     out = _lfac_ratio(n_a, A.x0, mode) + _lfac_ratio(n_b, B.x0, mode)
-    out += _xlog(A.x11, p1 * q11)
-    out += _xlog(A.x10 + B.x11 + B.x10, p1)
-    out += _xlog(A.x01 + n_b - B.x11 - B.x10, 1.0 - p1)
-    out += _xlog(A.x01, p2a)
-    out += _xlog(B.x11 + B.x01, p2b)
-    out += _xlog(A.x10, 1.0 - p2a)
-    out += _xlog(n_b - B.x11 - B.x01, 1.0 - p2b)
-    out += _xlog(A.x10 + A.x01, 1.0 - alpha)
-    out += _xlog(n_a - A.x0, (1.0 - p1) * q00)
+    out += _xlog(A.x11, p1 * r11a) + _xlog(B.x11, p1 * r11b)
+    out += _xlog(A.x10 + B.x10, p1)
+    out += _xlog(A.x01 + B.x01, 1.0 - p1)
+    out += _xlog(A.x01, p2a) + _xlog(B.x01, p2b)
+    out += _xlog(A.x10, 1.0 - p2a) + _xlog(B.x10, 1.0 - p2b)
+    out += _xlog(A.x10 + A.x01 + w * (B.x10 + B.x01), 1.0 - alpha)
+    out += _xlog(n_a - A.x0, (1.0 - p1) * r00a)
+    out += _xlog(n_b - B.x0, (1.0 - p1) * r00b)
     return out
 
 
@@ -277,10 +282,22 @@ def loglik_model_i(
     ``logfac`` mode selects exact, first-order or three-term approximations
     of the log-factorial terms.
     """
-    return _loglik_i_raw(*_checked_fields(theta, data), data, logfac)
+    return _loglik_raw(*_checked_fields(theta, data), data, logfac, False)
 
 
-def _loglik_ii_raw(
+def loglik_model_ii(
+    theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
+) -> float:
+    """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
+    return _loglik_raw(*_checked_fields(theta, data), data, logfac, True)
+
+
+# ---------------------------------------------------------------------------
+# Analytic gradients (exact log-gamma mode), natural parameter scale
+# ---------------------------------------------------------------------------
+
+
+def _grad_raw(
     n_a: float,
     n_b: float,
     alpha: float,
@@ -289,70 +306,39 @@ def _loglik_ii_raw(
     p2b: float,
     pair: StratumPair,
     mode: str,
-) -> float:
+    tied: bool,
+) -> list[float]:
+    # gradient of _loglik_raw, with the same weight w on B's alpha terms
     A, B = pair.a, pair.b
+    w, alpha_b = (1, alpha) if tied else (0, 0.0)
     r11a = alpha + (1.0 - alpha) * p2a
     r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
-    r11b = alpha + (1.0 - alpha) * p2b
-    r00b = alpha + (1.0 - alpha) * (1.0 - p2b)
-    out = _lfac_ratio(n_a, A.x0, mode) + _lfac_ratio(n_b, B.x0, mode)
-    out += _xlog(A.x11, p1 * r11a) + _xlog(B.x11, p1 * r11b)
-    out += _xlog(A.x10 + B.x10, p1)
-    out += _xlog(A.x01 + B.x01, 1.0 - p1)
-    out += _xlog(A.x01, p2a) + _xlog(B.x01, p2b)
-    out += _xlog(A.x10, 1.0 - p2a) + _xlog(B.x10, 1.0 - p2b)
-    out += _xlog(A.x10 + A.x01 + B.x10 + B.x01, 1.0 - alpha)
-    out += _xlog(n_a - A.x0, (1.0 - p1) * r00a)
-    out += _xlog(n_b - B.x0, (1.0 - p1) * r00b)
-    return out
-
-
-def loglik_model_ii(
-    theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
-) -> float:
-    """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
-    return _loglik_ii_raw(*_checked_fields(theta, data), data, logfac)
-
-
-# ---------------------------------------------------------------------------
-# Analytic gradients (exact log-gamma mode), natural parameter scale
-# ---------------------------------------------------------------------------
-
-
-def _grad_i_raw(
-    n_a: float,
-    n_b: float,
-    alpha: float,
-    p1: float,
-    p2a: float,
-    p2b: float,
-    pair: StratumPair,
-    mode: str = "exact",
-) -> list[float]:
-    A, B = pair.a, pair.b
-    q11 = alpha + (1.0 - alpha) * p2a
-    q00 = alpha + (1.0 - alpha) * (1.0 - p2a)
-    d_na = _dlfac_ratio(n_a, A.x0, mode) + math.log((1.0 - p1) * q00)
-    d_nb = (
-        _dlfac_ratio(n_b, B.x0, mode)
-        + math.log(1.0 - p1)
-        + math.log(1.0 - p2b)
-    )
+    r11b = alpha_b + (1.0 - alpha_b) * p2b
+    r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
+    d_na = _dlfac_ratio(n_a, A.x0, mode) + math.log((1.0 - p1) * r00a)
+    d_nb = _dlfac_ratio(n_b, B.x0, mode) + math.log((1.0 - p1) * r00b)
     d_alpha = (
-        A.x11 * (1.0 - p2a) / q11
-        - (A.x10 + A.x01) / (1.0 - alpha)
-        + (n_a - A.x0) * p2a / q00
+        A.x11 * (1.0 - p2a) / r11a
+        + w * B.x11 * (1.0 - p2b) / r11b
+        - (A.x10 + A.x01 + w * (B.x10 + B.x01)) / (1.0 - alpha)
+        + (n_a - A.x0) * p2a / r00a
+        + w * (n_b - B.x0) * p2b / r00b
     )
-    d_p1 = (A.x11 + A.x10 + B.x11 + B.x10) / p1 - (
-        A.x01 + n_b - B.x11 - B.x10 + n_a - A.x0
+    d_p1 = (A.x11 + B.x11 + A.x10 + B.x10) / p1 - (
+        A.x01 + B.x01 + n_a - A.x0 + n_b - B.x0
     ) / (1.0 - p1)
     d_p2a = (
-        A.x11 * (1.0 - alpha) / q11
+        A.x11 * (1.0 - alpha) / r11a
         + A.x01 / p2a
         - A.x10 / (1.0 - p2a)
-        - (n_a - A.x0) * (1.0 - alpha) / q00
+        - (n_a - A.x0) * (1.0 - alpha) / r00a
     )
-    d_p2b = (B.x11 + B.x01) / p2b - (n_b - B.x11 - B.x01) / (1.0 - p2b)
+    d_p2b = (
+        B.x11 * (1.0 - alpha_b) / r11b
+        + B.x01 / p2b
+        - B.x10 / (1.0 - p2b)
+        - (n_b - B.x0) * (1.0 - alpha_b) / r00b
+    )
     return [float(d_na), float(d_nb), float(d_alpha), float(d_p1), float(d_p2a), float(d_p2b)]
 
 
@@ -365,53 +351,11 @@ def loglik_model_i_grad(
     natural parameter scale; the size derivatives match the ``logfac`` mode
     used for the objective.
     """
-    return _grad_i_raw(*_checked_fields(theta, data), data, logfac)
-
-
-def _grad_ii_raw(
-    n_a: float,
-    n_b: float,
-    alpha: float,
-    p1: float,
-    p2a: float,
-    p2b: float,
-    pair: StratumPair,
-    mode: str = "exact",
-) -> list[float]:
-    A, B = pair.a, pair.b
-    r11a = alpha + (1.0 - alpha) * p2a
-    r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
-    r11b = alpha + (1.0 - alpha) * p2b
-    r00b = alpha + (1.0 - alpha) * (1.0 - p2b)
-    d_na = _dlfac_ratio(n_a, A.x0, mode) + math.log((1.0 - p1) * r00a)
-    d_nb = _dlfac_ratio(n_b, B.x0, mode) + math.log((1.0 - p1) * r00b)
-    d_alpha = (
-        A.x11 * (1.0 - p2a) / r11a
-        + B.x11 * (1.0 - p2b) / r11b
-        - (A.x10 + A.x01 + B.x10 + B.x01) / (1.0 - alpha)
-        + (n_a - A.x0) * p2a / r00a
-        + (n_b - B.x0) * p2b / r00b
-    )
-    d_p1 = (A.x11 + B.x11 + A.x10 + B.x10) / p1 - (
-        A.x01 + B.x01 + n_a - A.x0 + n_b - B.x0
-    ) / (1.0 - p1)
-    d_p2a = (
-        A.x11 * (1.0 - alpha) / r11a
-        + A.x01 / p2a
-        - A.x10 / (1.0 - p2a)
-        - (n_a - A.x0) * (1.0 - alpha) / r00a
-    )
-    d_p2b = (
-        B.x11 * (1.0 - alpha) / r11b
-        + B.x01 / p2b
-        - B.x10 / (1.0 - p2b)
-        - (n_b - B.x0) * (1.0 - alpha) / r00b
-    )
-    return [float(d_na), float(d_nb), float(d_alpha), float(d_p1), float(d_p2a), float(d_p2b)]
+    return _grad_raw(*_checked_fields(theta, data), data, logfac, False)
 
 
 def loglik_model_ii_grad(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> list[float]:
     """Gradient of the Model II log-likelihood, ordered like Model I's."""
-    return _grad_ii_raw(*_checked_fields(theta, data), data, logfac)
+    return _grad_raw(*_checked_fields(theta, data), data, logfac, True)

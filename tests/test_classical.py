@@ -92,6 +92,9 @@ def test_wolter_model1_infeasible_cases():
         wolter_model1(MEADOW_VOLES, 4.5)  # K ~ 3.97 <= r
     with pytest.raises(Infeasible):
         wolter_model1(MEADOW_VOLES, -2.0)
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(Infeasible):
+            wolter_model1(MEADOW_VOLES, r)
     with pytest.raises(DivisionByZero):
         wolter_model1(StratumPair(DrsTable(5, 4, 3), DrsTable(5, 0, 3)), 1.2)
 
@@ -116,5 +119,8 @@ def test_wolter_model2_ratio_behaviour():
 def test_wolter_model2_errors():
     with pytest.raises(Infeasible):
         wolter_model2(MEADOW_VOLES, 0.0)
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(Infeasible):
+            wolter_model2(MEADOW_VOLES, r)
     with pytest.raises(DivisionByZero):
         wolter_model2(StratumPair(DrsTable(5, 4, 3), DrsTable(0, 4, 3)), 1.2)

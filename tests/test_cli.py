@@ -163,6 +163,14 @@ def test_ratio_methods_require_ratio_flag(capsys):
     assert code == 1
     assert out == ""
     assert "WOLTER-2 requires --ratio" in err
+    # a non-finite ratio is a usage error, also checked before any method runs
+    for ratio in ("nan", "inf"):
+        code, out, err = run(
+            capsys, "estimate", "--data", VOLES, "--method", "lp,wolter2", "--ratio", ratio
+        )
+        assert code == 1
+        assert out == ""
+        assert f"--ratio must be finite, got {ratio}" in err
 
 
 def test_simulate_preset_study_row(capsys):

@@ -166,6 +166,9 @@ def test_config_validation():
         mle_model_i(MEADOW_VOLES, FitConfig(logfac="stirling3"))
     with pytest.raises(DomainError):
         mle_model_i(MEADOW_VOLES, FitConfig(known_ratio=-1.0))
+    for ratio in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            mle_model_i(MEADOW_VOLES, FitConfig(known_ratio=ratio))
     with pytest.raises(DomainError):
         mle_model_i(MEADOW_VOLES, FitConfig(start=(100.0, 100.0, 0.3)))
     with pytest.raises(DomainError):
@@ -173,6 +176,24 @@ def test_config_validation():
             MEADOW_VOLES,
             FitConfig(start=(float("nan"), 100.0, 0.3, 0.5, 0.5, 0.5)),
         )
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ((690693, 28640, 269061), (480494, 119741, 319145)),
+        ((690762, 28865, 268184), (480616, 120373, 319639)),
+    ],
+)
+def test_large_table_fit_converges_at_float_spacing(a, b):
+    # Model I draws at n_b = 10^6: the objective is ~2e7, where doubles are
+    # 3.7e-9 apart, so an unfloored 1e-9 simplex tolerance is met only by
+    # seven bit-equal values and both fits would report non-convergence
+    pair = StratumPair(DrsTable(*a), DrsTable(*b))
+    fit = mle_model_i(pair)
+    assert fit.diagnostics["converged"] is True
+    mme = mme_model_i(pair).diagnostics["n_a_unrounded"]
+    assert fit.diagnostics["n_a_unrounded"] == pytest.approx(mme, rel=1e-6)
 
 
 def test_infeasible_start_is_clamped_to_feasibility():
