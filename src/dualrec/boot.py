@@ -33,11 +33,10 @@ from .core import (
     EstimateResult,
     StratumPair,
     empirical_ci,
-    validate_table,
 )
 from .mle import FitConfig
 from .model import cell_probabilities
-from .sim import ESTIMATORS, _fit_values, _replicate_values, _successes, apply_method
+from .sim import ESTIMATORS, _draw_pair, _fit_values, _replicate_values, _successes, apply_method
 
 _SCHEMES = ("parametric", "nonparametric")
 
@@ -78,26 +77,6 @@ def _independence_cells(table: DrsTable, n_hat: float):
     return cells, n
 
 
-def _draw_table(cells, n: int, rng: np.random.Generator) -> DrsTable:
-    x11, x10, x01, _ = rng.multinomial(n, cells)
-    return DrsTable(int(x11), int(x10), int(x01))
-
-
-def _draw_parametric(gen_a, gen_b, rng: np.random.Generator) -> StratumPair:
-    return StratumPair(_draw_table(*gen_a, rng), _draw_table(*gen_b, rng))
-
-
-def _resample_observed(table: DrsTable, rng: np.random.Generator) -> DrsTable:
-    t = validate_table(table)
-    props = (t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0)
-    x11, x10, x01 = rng.multinomial(t.x0, props)
-    return DrsTable(int(x11), int(x10), int(x01))
-
-
-def _resample_pair(data: StratumPair, rng: np.random.Generator) -> StratumPair:
-    return StratumPair(_resample_observed(data.a, rng), _resample_observed(data.b, rng))
-
-
 def bootstrap(
     data: StratumPair,
     method: str,
@@ -120,11 +99,15 @@ def bootstrap(
         raise DomainError(f"unknown scheme {scheme!r}; valid: {', '.join(_SCHEMES)}")
     if b < 2:
         raise DomainError(f"need at least 2 resamples for a standard error, got {b}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     point = apply_method(method, data, ratio=ratio, fit_config=fit_config)
     if scheme == "parametric":
-        draw = partial(_draw_parametric, *_generating_cells(method, data, point))
+        gens = _generating_cells(method, data, point)
     else:
-        draw = partial(_resample_pair, data)
+        # observed proportions; the point fit has checked that neither x0 is 0
+        gens = [((t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0), t.x0) for t in (data.a, data.b)]
+    draw = partial(_draw_pair, *gens)
     recs = _replicate_values(draw, seed, b, {method: ratio}, fit_config, 0, b)[method]
     *columns, failures = _successes(recs)
     if failures == b:

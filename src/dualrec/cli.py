@@ -18,16 +18,14 @@ inline without aborting the others).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from pathlib import Path
 
-from .boot import bootstrap
+from .boot import _SCHEMES, bootstrap
 from .core import DomainError, DualrecError
-from .datasets import load_stratum_pair, pair_to_csv
+from .datasets import csv_text, load_stratum_pair, pair_to_csv
 from .mle import FitConfig
 from .sim import ESTIMATORS, DesignPoint, apply_method, design_from_preset, run_study
 
@@ -67,14 +65,13 @@ def _fmt_p(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _estimate_rows(args, pair) -> tuple[list[dict], bool]:
+def _estimate_rows(args, pair) -> list[dict]:
     """Run every requested method; rows carry results or inline errors."""
     methods = _parse_methods(args.method)
     for method in methods:
         if ESTIMATORS[method].needs_ratio and args.ratio is None:
             raise _CliError(f"{method} requires --ratio")
     rows = []
-    any_infeasible = False
     for method in methods:
         try:
             if args.bootstrap > 0:
@@ -98,7 +95,6 @@ def _estimate_rows(args, pair) -> tuple[list[dict], bool]:
                 }
             )
         except DualrecError as e:
-            any_infeasible = True
             rows.append(
                 {
                     "method": method,
@@ -108,7 +104,7 @@ def _estimate_rows(args, pair) -> tuple[list[dict], bool]:
                     "error": f"{type(e).__name__}: {e}",
                 }
             )
-    return rows, any_infeasible
+    return rows
 
 
 def _print_estimate_report(pair, rows) -> None:
@@ -119,7 +115,7 @@ def _print_estimate_report(pair, rows) -> None:
             continue
         est = row["estimates"]
         parts = []
-        for key in ("n_a", "n_b", "n"):
+        for key in ("n_a", "n_b"):
             if key in est:
                 cell = f"{key} = {_fmt_n(est[key])}"
                 if row["se"] and key in row["se"]:
@@ -151,9 +147,7 @@ _ESTIMATE_CSV_COLUMNS = (
 
 
 def _estimate_csv(rows) -> str:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_ESTIMATE_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    recs = []
     for row in rows:
         rec = {"method": row["method"], "error": row["error"] or ""}
         est, se, ci = row["estimates"] or {}, row["se"] or {}, row["ci"] or {}
@@ -169,25 +163,27 @@ def _estimate_csv(rows) -> str:
                 )
         if "alpha" in est:
             rec["alpha"] = round(est["alpha"], 6)
-        writer.writerow(rec)
-    return out.getvalue()
+        recs.append(rec)
+    return csv_text(_ESTIMATE_CSV_COLUMNS, recs)
 
 
-def _check_out(path: str | None) -> None:
-    if path is not None and Path(path).suffix.lower() not in (".json", ".csv"):
-        raise _CliError(f"--out must end in .json or .csv, got {path!r}")
+def _check_shared_flags(args) -> None:
+    """Check the flags both subcommands take, before any work runs."""
+    if args.out is not None and Path(args.out).suffix.lower() not in (".json", ".csv"):
+        raise _CliError(f"--out must end in .json or .csv, got {args.out!r}")
+    if args.seed < 0:
+        raise _CliError(f"--seed must be nonnegative, got {args.seed}")
 
 
-def _write_out(path: str, rows, to_csv) -> None:
-    if Path(path).suffix.lower() == ".json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        text = to_csv(rows)
+def _write_out(path: str, rows, csv_table: str) -> None:
+    """Write ``rows`` to ``path`` as JSON, or as their ``csv_table``, by its suffix."""
+    is_json = Path(path).suffix.lower() == ".json"
+    text = json.dumps(rows, indent=2, sort_keys=True) + "\n" if is_json else csv_table
     Path(path).write_text(text, encoding="utf-8")
 
 
 def cmd_estimate(args) -> int:
-    _check_out(args.out)
+    _check_shared_flags(args)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise _CliError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
     if args.ratio is not None and not math.isfinite(args.ratio):
@@ -195,22 +191,20 @@ def cmd_estimate(args) -> int:
     try:
         pair = load_stratum_pair(args.data, dependent=args.dependent)
     except OSError as e:
-        print(f"error: cannot read {args.data}: {e}", file=sys.stderr)
-        return 1
+        raise _CliError(f"cannot read {args.data}: {e}")
     except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise _CliError(str(e))
     if args.dump:
         sys.stdout.write(pair_to_csv(pair))
         if args.method is None:
             return 0
     if args.method is None:
         raise _CliError("--method is required unless --dump is given")
-    rows, any_infeasible = _estimate_rows(args, pair)
+    rows = _estimate_rows(args, pair)
     _print_estimate_report(pair, rows)
     if args.out:
-        _write_out(args.out, rows, _estimate_csv)
-    return 2 if any_infeasible else 0
+        _write_out(args.out, rows, _estimate_csv(rows))
+    return 2 if any(row["error"] for row in rows) else 0
 
 
 _STUDY_CSV_COLUMNS = (
@@ -225,13 +219,12 @@ _STUDY_CSV_COLUMNS = (
 )
 
 
-def _study_csv(rows) -> str:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_STUDY_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in _STUDY_CSV_COLUMNS})
-    return out.getvalue()
+def _integer(value) -> int:
+    """An integer field's value; a fractional or non-finite number is refused
+    rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 # JSON design field -> converter
@@ -241,11 +234,11 @@ _DESIGN_FIELDS = {
     "p1dot_b": float,
     "pdot1_b": float,
     "alpha": float,
-    "n_a": int,
-    "n_b": int,
+    "n_a": _integer,
+    "n_b": _integer,
     "model": str,
-    "replicates": int,
-    "seed": int,
+    "replicates": _integer,
+    "seed": _integer,
 }
 # fields a design may omit, taking DesignPoint's defaults
 _OPTIONAL_FIELDS = ("model", "replicates")
@@ -255,11 +248,16 @@ def _design_fields(doc: dict, where: str) -> DesignPoint:
     missing = [f for f in _DESIGN_FIELDS if f not in doc and f not in _OPTIONAL_FIELDS]
     if missing:
         raise _CliError(f"{where}: missing field(s) {', '.join(missing)}")
+    values = {}
+    for f, convert in _DESIGN_FIELDS.items():
+        if f in doc:
+            try:
+                values[f] = convert(doc[f])
+            except (TypeError, ValueError) as e:
+                raise _CliError(f"{where}: {f}: {e}")
     try:
-        return DesignPoint(
-            **{f: convert(doc[f]) for f, convert in _DESIGN_FIELDS.items() if f in doc}
-        )
-    except (TypeError, ValueError, DualrecError) as e:
+        return DesignPoint(**values)
+    except DualrecError as e:
         raise _CliError(f"{where}: {e}")
 
 
@@ -268,6 +266,8 @@ def _load_config(path: str, default_estimators: list[str]):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise _CliError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise _CliError(f"{path}: not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise _CliError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
     designs = doc.get("designs") if isinstance(doc, dict) else doc
@@ -291,7 +291,7 @@ def _load_config(path: str, default_estimators: list[str]):
 
 
 def cmd_simulate(args) -> int:
-    _check_out(args.out)
+    _check_shared_flags(args)
     default_methods = _parse_methods(args.estimators)
     if (args.preset is None) == (args.config is None):
         raise _CliError("exactly one of --preset or --config is required")
@@ -316,7 +316,6 @@ def cmd_simulate(args) -> int:
 
     fit_config = FitConfig(multistart=args.multistart, seed=args.seed)
     rows = []
-    any_failed = False
     for name, design, methods in jobs:
         for method in methods:
             try:
@@ -324,7 +323,6 @@ def cmd_simulate(args) -> int:
                     design, [method], fit_config=fit_config, threads=args.threads
                 )
             except DualrecError as e:
-                any_failed = True
                 rows.append(
                     {
                         "design": name,
@@ -349,13 +347,14 @@ def cmd_simulate(args) -> int:
                     "failures": study.failures,
                 }
             )
-    sys.stdout.write(_study_csv(rows))
-    for row in rows:
-        if "error" in row:
-            print(f"# {row['design']}/{row['estimator']}: {row['error']}")
+    table = csv_text(_STUDY_CSV_COLUMNS, rows)
+    sys.stdout.write(table)
+    failed = [row for row in rows if "error" in row]
+    for row in failed:
+        print(f"# {row['design']}/{row['estimator']}: {row['error']}")
     if args.out:
-        _write_out(args.out, rows, _study_csv)
-    return 2 if any_failed else 0
+        _write_out(args.out, rows, table)
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument(
         "--scheme",
-        choices=("parametric", "nonparametric"),
+        choices=_SCHEMES,
         default="parametric",
         help="bootstrap resampling scheme",
     )

@@ -178,8 +178,8 @@ class BbmParams:
             raise DomainError(f"p2 must be in (0,1], got {self.p2}")
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must be in [0,1], got {self.alpha}")
-        if not self.n > 0:
-            raise DomainError(f"n must be positive, got {self.n}")
+        if not 0.0 < self.n < math.inf:
+            raise DomainError(f"n must be finite and positive, got {self.n}")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ files under ``data/``:
 * ``MEADOW_VOLES`` — two trapping lists over a small-mammal population,
   stratified by sex.
 
-Dataset files are CSV with header ``stratum,x11,x10,x01`` and exactly two
-rows, or an equivalent JSON document with the same keys.  The stratum
-named by ``dependent`` becomes stratum A (default: the first row).
+Dataset files are UTF-8 CSV with header ``stratum,x11,x10,x01`` and exactly
+two rows, or an equivalent JSON document with the same keys.  The stratum
+named by ``dependent`` becomes stratum A (default: the first row).  Stratum
+labels are one-line report names.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ def _row_to_entry(row: dict, where: str) -> tuple[str, DrsTable]:
             counts.append(int(str(row[c]).strip()))
         except (TypeError, ValueError):
             raise DomainError(f"{where}: column {c} is not an integer: {row[c]!r}")
-    return str(row["stratum"]).strip(), DrsTable(*counts)
+    label = str(row["stratum"])
+    if "\r" in label or "\n" in label:
+        raise DomainError(f"{where}: stratum label {label!r} spans more than one line")
+    return label.strip(), DrsTable(*counts)
 
 
 def _pair_from_entries(
@@ -82,7 +86,10 @@ def load_stratum_pair(path: str | Path, dependent: str | None = None) -> Stratum
     :class:`DomainError` with the offending row or field named.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path}: not UTF-8 text: {e}")
     if path.suffix.lower() == ".json":
         try:
             doc = json.loads(text)
@@ -122,8 +129,14 @@ def pair_to_rows(pair: StratumPair) -> list[dict]:
 
 def pair_to_csv(pair: StratumPair) -> str:
     """Canonical CSV encoding of a stratum pair, matching the input format."""
+    return csv_text(_COLUMNS, pair_to_rows(pair))
+
+
+def csv_text(columns, rows) -> str:
+    """CSV text of ``rows`` (dicts) under the header ``columns``, each line
+    ending in a bare newline; a missing key is written empty, an extra one ignored."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
-    writer.writerows(pair_to_rows(pair))
+    writer.writerows(rows)
     return out.getvalue()

@@ -119,7 +119,6 @@ class _Space:
     """
 
     def __init__(self, pair: StratumPair, known_ratio: float | None):
-        self.pair = pair
         self.r = known_ratio
         x0a, x0b = pair.a.x0, pair.b.x0
         if known_ratio is None:
@@ -224,6 +223,8 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         raise DomainError(
             f"fitting supports logfac 'exact' or 'stirling1', got {config.logfac!r}"
         )
+    if config.seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {config.seed}")
     space = _Space(pair, config.known_ratio)
     _, _, tied, first_start = _MODELS[model]
 

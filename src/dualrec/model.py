@@ -151,8 +151,10 @@ def _validate_joint(theta, alpha_name: str) -> None:
     alpha = getattr(theta, alpha_name)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"{alpha_name} must be in [0,1], got {alpha}")
-    if theta.n_a <= 0 or theta.n_b <= 0:
-        raise DomainError("population sizes must be positive")
+    if not (0.0 < theta.n_a < math.inf and 0.0 < theta.n_b < math.inf):
+        raise DomainError(
+            f"population sizes must be finite and positive, got {theta.n_a}, {theta.n_b}"
+        )
 
 
 @dataclass(frozen=True)

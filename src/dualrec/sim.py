@@ -94,6 +94,8 @@ class DesignPoint:
             raise DomainError("population sizes must be positive")
         if self.replicates <= 0:
             raise DomainError("replicates must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         # force the feasibility check: p2 of each stratum must exist
         self.params_a()
         self.params_b()
@@ -153,9 +155,7 @@ def generate_stratum(
         rng = np.random.default_rng()
     n = int(round(params.n))
     if mode == "multinomial":
-        cells = cell_probabilities(params, sign)
-        x11, x10, x01, _ = rng.multinomial(n, cells.as_tuple())
-        return DrsTable(int(x11), int(x10), int(x01))
+        return _draw_table(cell_probabilities(params, sign).as_tuple(), n, rng)
     if mode == "individual":
         tied = rng.random(n) < params.alpha
         x1 = rng.random(n) < params.p1
@@ -177,6 +177,18 @@ def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:
     a = generate_stratum(design.params_a(), rng=rng)
     b = generate_stratum(design.params_b(), rng=rng)
     return StratumPair(a, b)
+
+
+def _draw_table(cells, size: int, rng: np.random.Generator) -> DrsTable:
+    """One stratum's observed table: ``size`` individuals spread over
+    ``cells`` (x11, x10, x01 and, if given, the unobserved x00)."""
+    x11, x10, x01 = rng.multinomial(size, cells)[:3]
+    return DrsTable(x11, x10, x01)
+
+
+def _draw_pair(gen_a, gen_b, rng: np.random.Generator) -> StratumPair:
+    """Stratum A then stratum B, each from its ``(cells, size)`` generator."""
+    return StratumPair(_draw_table(*gen_a, rng), _draw_table(*gen_b, rng))
 
 
 # ---------------------------------------------------------------------------

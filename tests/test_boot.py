@@ -115,6 +115,63 @@ def test_failed_resamples_are_excluded_from_se_and_ci():
         assert res.ci[k] == empirical_ci(values)
 
 
+def _hand_parametric_bootstrap(method, gens, b, seed, keys):
+    """se and ci over the ``keys`` of ``method`` refitted on pairs drawn A then
+    B, each by one multinomial over its ``(cells, size)``, from the child
+    streams of ``seed``; failed refits are left out."""
+    values = {k: [] for k in keys}
+    for stream in np.random.SeedSequence(seed).spawn(b):
+        rng = np.random.default_rng(stream)
+        tables = []
+        for cells, size in gens:
+            x11, x10, x01, _ = rng.multinomial(size, cells)
+            tables.append(DrsTable(int(x11), int(x10), int(x01)))
+        try:
+            fit = apply_method(method, StratumPair(*tables))
+        except DualrecError:
+            continue
+        for k in keys:
+            values[k].append(
+                fit.estimates[k] if k == "alpha" else fit.diagnostics[f"{k}_unrounded"]
+            )
+    se = {k: float(np.std(v, ddof=1)) for k, v in values.items()}
+    ci = {k: empirical_ci(v) for k, v in values.items()}
+    return se, ci
+
+
+def test_parametric_resamples_follow_the_fitted_model():
+    b, seed = 300, 5
+    # Model I moment fit: stratum A dependent, stratum B with independent lists
+    point = apply_method("MME-I", CHILDREN_DEATH)
+    e, d = point.estimates, point.diagnostics
+    p1, p2a, p2b, a = e["p1"], e["p2a"], e["p2b"], e["alpha"]
+    cells_a = (
+        a * p1 + (1.0 - a) * p1 * p2a,
+        (1.0 - a) * p1 * (1.0 - p2a),
+        (1.0 - a) * (1.0 - p1) * p2a,
+        a * (1.0 - p1) + (1.0 - a) * (1.0 - p1) * (1.0 - p2a),
+    )
+    cells_b = (p1 * p2b, p1 * (1.0 - p2b), (1.0 - p1) * p2b, (1.0 - p1) * (1.0 - p2b))
+    gens = ((cells_a, round(d["n_a_unrounded"])), (cells_b, round(d["n_b_unrounded"])))
+    se, ci = _hand_parametric_bootstrap("MME-I", gens, b, seed, ("n_a", "n_b", "alpha"))
+    res = bootstrap(CHILDREN_DEATH, "MME-I", scheme="parametric", b=b, seed=seed)
+    assert res.se == se
+    assert res.ci == ci
+
+    # a classical method: each stratum with independent lists, at its fitted
+    # size and observed list totals
+    point = apply_method("LP", MEADOW_VOLES)
+    gens = []
+    for t, k in ((MEADOW_VOLES.a, "n_a"), (MEADOW_VOLES.b, "n_b")):
+        n = max(round(point.diagnostics[f"{k}_unrounded"]), t.x0)
+        q1, q2 = (t.x11 + t.x10) / n, (t.x11 + t.x01) / n
+        gens.append(((q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)), n))
+    se, ci = _hand_parametric_bootstrap("LP", gens, b, seed, ("n_a", "n_b"))
+    res = bootstrap(MEADOW_VOLES, "LP", scheme="parametric", b=b, seed=seed)
+    assert res.se == se
+    assert res.ci == ci
+
+
 def test_point_estimate_preconditions_propagate():
     with pytest.raises(ConditionViolated):
         bootstrap(ENCEPHALITIS, "NOUR", scheme="parametric", b=10, seed=0)
@@ -125,3 +182,5 @@ def test_bootstrap_argument_validation():
         bootstrap(MEADOW_VOLES, "LP", scheme="jackknife", b=10, seed=0)
     with pytest.raises(DomainError):
         bootstrap(MEADOW_VOLES, "LP", scheme="parametric", b=1, seed=0)
+    with pytest.raises(DomainError):
+        bootstrap(MEADOW_VOLES, "LP", scheme="parametric", b=10, seed=-1)

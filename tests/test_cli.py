@@ -122,6 +122,13 @@ def test_estimate_out_extension_checked(capsys, tmp_path):
         assert out == ""
         assert "--out must end in .json or .csv" in err
         assert not (tmp_path / "report.txt").exists()
+    # so is a negative seed
+    estimate = ("estimate", "--data", VOLES, "--method", "lp", "--bootstrap", "10")
+    for argv in (estimate, simulate):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed must be nonnegative, got -1" in err
 
 
 @pytest.mark.parametrize("b", ["1", "-3"])
@@ -140,6 +147,19 @@ def test_estimate_missing_file(capsys, tmp_path):
     )
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("estimate", "--method", "lp", "--data"), ("simulate", "--config")]
+)
+def test_non_utf8_input_file_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"stratum,x11,x10,x01\nA\xff,1,2,3\nB,4,5,6\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert err.count("\n") == 1
 
 
 def test_estimate_unknown_method(capsys):
@@ -319,6 +339,17 @@ def test_simulate_config_errors(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1
     assert "estimators must be a list" in err
+
+    # integer fields refuse overflowing and fractional numbers
+    bad = (("n_a", "1e400"), ("replicates", "1e400"), ("seed", "1e400"), ("n_a", "12.7"))
+    for field, value in bad:
+        design = _base_design()
+        design[field] = "@"
+        cfg.write_text(json.dumps([design]).replace('"@"', value), encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert f"design 1: {field}: expected an integer" in err
 
 
 def test_simulate_out_rerun_identical(capsys, tmp_path):

@@ -76,6 +76,9 @@ def test_model_params_domains():
         BbmParams(p1=0.5, p2=0.5, alpha=1.1, n=10)
     with pytest.raises(DomainError):
         BbmParams(p1=0.5, p2=0.5, alpha=0.3, n=0)
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            BbmParams(p1=0.5, p2=0.5, alpha=0.3, n=n)
 
 
 def test_cell_probabilities_must_sum_to_one():

@@ -172,6 +172,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         mle_model_i(MEADOW_VOLES, FitConfig(start=(100.0, 100.0, 0.3)))
     with pytest.raises(DomainError):
+        mle_model_i(MEADOW_VOLES, FitConfig(seed=-1))
+    with pytest.raises(DomainError):
         mle_model_i(
             MEADOW_VOLES,
             FitConfig(start=(float("nan"), 100.0, 0.3, 0.5, 0.5, 0.5)),
@@ -248,6 +250,9 @@ def test_profile_edge_cases():
         profile_objective("III", MEADOW_VOLES, theta, "n_a", [300.0])
     with pytest.raises(InfeasibleN):
         profile_objective("I", MEADOW_VOLES, theta, "n_a", [10.0])
+    for size in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            profile_objective("I", MEADOW_VOLES, theta, "n_a", [size])
 
 
 def test_model_ii_replicate_band_with_local_start():

@@ -176,6 +176,11 @@ def test_param_types_validate_domains():
         ModelIParams(n_a=100, n_b=100, alpha_a=1.2, p1=0.5, p2a=0.5, p2b=0.5)
     with pytest.raises(DomainError):
         ModelIParams(n_a=-5, n_b=100, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
+    for size in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ModelIParams(n_a=size, n_b=100, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
+        with pytest.raises(DomainError):
+            ModelIIParams(n_a=100, n_b=size, alpha0=0.2, p1=0.5, p2a=0.5, p2b=0.5)
     with pytest.raises(DomainError):
         ModelIIParams(n_a=100, n_b=100, alpha0=0.2, p1=1.0, p2a=0.5, p2b=0.5)
 

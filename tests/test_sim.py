@@ -73,6 +73,13 @@ def test_design_validation():
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, -1, 200)
     with pytest.raises(DomainError):
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, replicates=0)
+    with pytest.raises(DomainError):
+        design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, seed=-1)
+    for size in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            design_from_preset("P1", model="I", n_a=size, n_b=200, alpha=0.4)
+        with pytest.raises(DomainError):
+            design_from_preset("P1", model="II", n_a=240, n_b=size, alpha=0.4)
     # infeasible (marginal, alpha) combination caught at construction
     with pytest.raises(OutOfRange):
         design_from_preset("P6", model="I", n_a=240, n_b=200, alpha=0.9)
