@@ -32,6 +32,7 @@ from .core import (
     DrsTable,
     EstimateResult,
     StratumPair,
+    check_integer,
     empirical_ci,
 )
 from .mle import FitConfig
@@ -97,9 +98,9 @@ def bootstrap(
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; valid: {', '.join(_SCHEMES)}")
-    if b < 2:
+    if check_integer("b", b) < 2:
         raise DomainError(f"need at least 2 resamples for a standard error, got {b}")
-    if seed < 0:
+    if check_integer("seed", seed) < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     point = apply_method(method, data, ratio=ratio, fit_config=fit_config)
     if scheme == "parametric":

@@ -26,7 +26,6 @@ from pathlib import Path
 from .boot import _SCHEMES, bootstrap
 from .core import DomainError, DualrecError
 from .datasets import csv_text, load_stratum_pair, pair_to_csv
-from .mle import FitConfig
 from .sim import ESTIMATORS, DesignPoint, apply_method, design_from_preset, run_study
 
 METHOD_TOKENS = {spec.token: name for name, spec in ESTIMATORS.items()}
@@ -314,14 +313,11 @@ def cmd_simulate(args) -> int:
     else:
         jobs = _load_config(args.config, default_methods)
 
-    fit_config = FitConfig(multistart=args.multistart, seed=args.seed)
     rows = []
     for name, design, methods in jobs:
         for method in methods:
             try:
-                summary = run_study(
-                    design, [method], fit_config=fit_config, threads=args.threads
-                )
+                summary = run_study(design, [method], threads=args.threads)
             except DualrecError as e:
                 rows.append(
                     {
@@ -399,9 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimators",
         default="mme1",
         help="comma-separated method tokens applied to each design",
-    )
-    simp.add_argument(
-        "--multistart", type=int, default=3, help="likelihood fit multistart count"
     )
     simp.add_argument("--threads", type=int, default=1, help="worker process cap")
     simp.add_argument("--out", default=None, help="write rows to .json or .csv")

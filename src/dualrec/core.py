@@ -21,6 +21,7 @@ package consumes these tables, one per stratum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -178,8 +179,9 @@ class BbmParams:
             raise DomainError(f"p2 must be in (0,1], got {self.p2}")
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must be in [0,1], got {self.alpha}")
-        if not 0.0 < self.n < math.inf:
-            raise DomainError(f"n must be finite and positive, got {self.n}")
+        # the multinomial draw takes sizes as int64
+        if not 0.0 < self.n < 2.0**63:
+            raise DomainError(f"n must be positive and below 2**63, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -282,6 +284,14 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     if mode == "stirling3":
         return n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
     raise DomainError(f"unknown log-factorial mode {mode!r}")
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; a DomainError naming ``name`` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def clamp(x: float, lo: float, hi: float) -> float:

@@ -9,11 +9,12 @@ polish:
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
-Fits are multistarted: the first start sits at the moment estimate (Model I),
-at a neutral interior point seeded from the reference stratum (Model II), or
-at user-supplied values (``FitConfig.start``); the remaining starts jitter it
-by up to 20% on sizes and 0.15 logit units on probabilities, using a seeded
-generator so fits are pure functions of their configuration.
+A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
+solution under the default objective and no known ratio: that is the
+maximiser, or lies next to it on the ``alpha = 0`` face.  Any other start is
+a guess (Model II's neutral point, Model I's fallback, or the moment solution
+under a known ratio or the exact objective) and is followed by four copies
+jittered by up to 20% on sizes and 0.15 logit units on probabilities, seed 0.
 
 The default objective approximates the size factorials to first Stirling
 order, matching the method being implemented; its stationary points coincide
@@ -72,13 +73,16 @@ class FitConfig:
     maximiser can sit well away from the moment solution and, on
     equal-strata designs, away from the truth — see the module notes).
 
-    ``start`` optionally replaces the model's default first start with
-    explicit natural-scale values ``(n_a, n_b, alpha, p1, p2a, p2b)``;
-    simulation studies of locally-identified fits typically pass the
-    design parameters here.  ``polish`` enables the gradient refinement
-    step after each simplex run; disabling it gives pure simplex
-    semantics, which on flat objectives stop near their start instead of
-    drifting along the plateau.
+    ``start`` optionally replaces the model's default starts (see the
+    module notes) with one explicit natural-scale start
+    ``(n_a, n_b, alpha, p1, p2a, p2b)``, which is used alone; simulation
+    studies of locally-identified fits typically pass the design parameters
+    here.  ``polish`` enables the gradient refinement step after each
+    simplex run; disabling it gives pure simplex semantics, which on flat
+    objectives stop near their start instead of drifting along the plateau.
+
+    ``logfac``, ``known_ratio`` and ``start`` are checked when the config is
+    built, so a bad value raises ``DomainError`` before any fit runs.
 
     ``objective_tolerance`` is floored per start at four float spacings of
     the starting objective, which changes it only above ~2e6 in magnitude.
@@ -87,12 +91,28 @@ class FitConfig:
     max_iterations: int = 2000
     objective_tolerance: float = 1e-9
     parameter_tolerance: float = 1e-8
-    multistart: int = 5
     known_ratio: float | None = None
-    seed: int = 0
     logfac: str = "stirling1"
     start: tuple[float, float, float, float, float, float] | None = None
     polish: bool = True
+
+    def __post_init__(self) -> None:
+        if self.logfac not in ("exact", "stirling1"):
+            # the three-term form diverges as n approaches the observed count,
+            # so it is usable for likelihood evaluation but not as a fitting
+            # objective
+            raise DomainError(
+                f"fitting supports logfac 'exact' or 'stirling1', got {self.logfac!r}"
+            )
+        if self.known_ratio is not None and not 0 < self.known_ratio < math.inf:
+            raise DomainError(f"known_ratio must be finite and positive, got {self.known_ratio}")
+        if self.start is not None:
+            if len(self.start) != 6:
+                raise DomainError(
+                    f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(self.start)} values"
+                )
+            if not all(math.isfinite(v) for v in self.start):
+                raise DomainError("start values must be finite")
 
 
 def _expit(v: float) -> float:
@@ -126,8 +146,6 @@ class _Space:
             self.lo_b = x0b - 1.0
             self.size = 6
         else:
-            if not 0 < known_ratio < math.inf:
-                raise DomainError(f"known_ratio must be finite and positive, got {known_ratio}")
             self.lo_a = max(x0a - 1.0, known_ratio * (x0b - 1.0))
             self.lo_b = None
             self.size = 5
@@ -186,47 +204,58 @@ def _interior(pair: StratumPair, start) -> tuple[float, ...]:
     )
 
 
-def _start_model_i(pair: StratumPair) -> tuple[float, ...]:
+def _guessed(space: _Space, base) -> list[np.ndarray]:
+    """A guessed start ``base`` and four jittered copies of it."""
+    rng = np.random.default_rng(0)
+    starts = [space.from_natural(*base)]
+    for _ in range(4):
+        fn_a = 1.0 + rng.uniform(-0.2, 0.2)
+        fn_b = 1.0 + rng.uniform(-0.2, 0.2)
+        dv = rng.uniform(-0.15, 0.15, size=4)
+        jittered = space.from_natural(base[0] * fn_a, base[1] * fn_b, *base[2:])
+        jittered[space.size - 4 :] += dv
+        starts.append(jittered)
+    return starts
+
+
+def _starts_model_i(pair: StratumPair, space: _Space, logfac: str) -> list[np.ndarray]:
     try:
         fit = mme_model_i(pair)
     except DivisionByZero:
-        return (2.0 * pair.a.x0, 2.0 * pair.b.x0, 0.1, 0.5, 0.5, 0.5)
+        return _guessed(space, (2.0 * pair.a.x0, 2.0 * pair.b.x0, 0.1, 0.5, 0.5, 0.5))
     e, d = fit.estimates, fit.diagnostics
-    return _interior(
+    base = _interior(
         pair, (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
     )
+    # the moment solution maximises only the first-order objective, and
+    # ignores a known ratio; elsewhere it is a guess
+    if space.r is None and logfac == "stirling1":
+        return [space.from_natural(*base)]
+    return _guessed(space, base)
 
 
-def _start_model_ii(pair: StratumPair) -> tuple[float, ...]:
+def _starts_model_ii(pair: StratumPair, space: _Space, logfac: str) -> list[np.ndarray]:
     def lp_or_double(t: DrsTable) -> float:
         return t.x1dot * t.xdot1 / t.x11 if t.x11 else 2.0 * t.x0
 
     p1 = pair.b.x11 / pair.b.xdot1 if pair.b.xdot1 else 0.5
-    return _interior(pair, (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5))
+    base = _interior(pair, (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5))
+    return _guessed(space, base)
 
 
 # per model: parameter type, public log-likelihood, whether alpha is tied
-# across strata (the kernel's ``tied``), first start
+# across strata (the kernel's ``tied``), default starts
 _MODELS = {
-    "I": (ModelIParams, loglik_model_i, False, _start_model_i),
-    "II": (ModelIIParams, loglik_model_ii, True, _start_model_ii),
+    "I": (ModelIParams, loglik_model_i, False, _starts_model_i),
+    "II": (ModelIIParams, loglik_model_ii, True, _starts_model_ii),
 }
 
 
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.a)
     validate_table(pair.b)
-    if config.logfac not in ("exact", "stirling1"):
-        # the three-term form diverges as n approaches the observed count,
-        # so it is usable for likelihood evaluation but not as a fitting
-        # objective
-        raise DomainError(
-            f"fitting supports logfac 'exact' or 'stirling1', got {config.logfac!r}"
-        )
-    if config.seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {config.seed}")
     space = _Space(pair, config.known_ratio)
-    _, _, tied, first_start = _MODELS[model]
+    _, _, tied, model_starts = _MODELS[model]
 
     def objective(u) -> float:
         return -_loglik_raw(*space.to_natural(u), pair, config.logfac, tied)
@@ -237,28 +266,9 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         return -space.chain_grad(natural, g)
 
     if config.start is not None:
-        if len(config.start) != 6:
-            raise DomainError(
-                f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(config.start)} values"
-            )
-        start = tuple(float(v) for v in config.start)
-        if not all(math.isfinite(v) for v in start):
-            raise DomainError("start values must be finite")
-        base = _interior(pair, start)
+        starts = [space.from_natural(*_interior(pair, config.start))]
     else:
-        base = first_start(pair)
-    rng = np.random.default_rng(config.seed)
-    starts = [space.from_natural(*base)]
-    for _ in range(max(config.multistart, 1) - 1):
-        fn_a = 1.0 + rng.uniform(-0.2, 0.2)
-        fn_b = 1.0 + rng.uniform(-0.2, 0.2)
-        dv = rng.uniform(-0.15, 0.15, size=4)
-        n_a, n_b, alpha, p1, p2a, p2b = base
-        jittered = space.from_natural(
-            n_a * fn_a, n_b * fn_b, alpha, p1, p2a, p2b
-        )
-        jittered[space.size - 4 :] += dv
-        starts.append(jittered)
+        starts = model_starts(pair, space, config.logfac)
 
     bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [
         (-_LOGIT_BOUND, _LOGIT_BOUND)

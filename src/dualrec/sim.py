@@ -35,6 +35,7 @@ from .core import (
     DualrecError,
     EstimateResult,
     StratumPair,
+    check_integer,
     empirical_ci,
 )
 from .mle import FitConfig, mle_model_i, mle_model_ii
@@ -92,9 +93,9 @@ class DesignPoint:
             raise DomainError(f"model must be 'I' or 'II', got {self.model!r}")
         if self.n_a <= 0 or self.n_b <= 0:
             raise DomainError("population sizes must be positive")
-        if self.replicates <= 0:
+        if check_integer("replicates", self.replicates) <= 0:
             raise DomainError("replicates must be positive")
-        if self.seed < 0:
+        if check_integer("seed", self.seed) < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         # force the feasibility check: p2 of each stratum must exist
         self.params_a()

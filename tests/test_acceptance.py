@@ -149,7 +149,6 @@ def test_likelihood_study_reproduces_published_row():
     )
     pa, pb = design.params_a(), design.params_b()
     config = FitConfig(
-        multistart=1,
         max_iterations=500,
         objective_tolerance=1e-3,
         parameter_tolerance=10.0,

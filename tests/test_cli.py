@@ -289,6 +289,15 @@ def test_simulate_flag_validation(capsys, tmp_path):
     assert code == 1
     assert "valid presets: P1, P2, P3, P4, P5, P6" in err
 
+    # a size the multinomial draw cannot take is refused before any replicate
+    code, out, err = run(
+        capsys, "simulate", "--preset", "P1", "--na", "100000000000000000000",
+        "--nb", "100", "--alpha", "0.3", "--replicates", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "below 2**63" in err
+
 
 def _base_design():
     return {

@@ -76,9 +76,10 @@ def test_model_params_domains():
         BbmParams(p1=0.5, p2=0.5, alpha=1.1, n=10)
     with pytest.raises(DomainError):
         BbmParams(p1=0.5, p2=0.5, alpha=0.3, n=0)
-    for n in (math.nan, math.inf):
+    for n in (math.nan, math.inf, 2.0**63, 10**20):
         with pytest.raises(DomainError):
             BbmParams(p1=0.5, p2=0.5, alpha=0.3, n=n)
+    BbmParams(p1=0.5, p2=0.5, alpha=0.3, n=2**63 - 1024)
 
 
 def test_cell_probabilities_must_sum_to_one():

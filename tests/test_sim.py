@@ -73,6 +73,15 @@ def test_design_validation():
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, -1, 200)
     with pytest.raises(DomainError):
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, replicates=0)
+    with pytest.raises(DomainError, match="replicates must be an integer"):
+        DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, replicates=2.5)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, seed=1.5)
+    # the multinomial draw takes sizes as int64
+    with pytest.raises(DomainError):
+        design_from_preset("P1", model="I", n_a=10**20, n_b=100, alpha=0.3)
+    with pytest.raises(DomainError):
+        generate_stratum(BbmParams(p1=0.6, p2=0.8, alpha=0.4, n=1e20))
     with pytest.raises(DomainError):
         design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, seed=-1)
     for size in (float("nan"), float("inf")):
@@ -168,7 +177,7 @@ def test_apply_method_argument_errors():
 
 
 def test_apply_method_raises_on_unconverged_fit():
-    cfg = FitConfig(max_iterations=2, multistart=1, polish=False)
+    cfg = FitConfig(max_iterations=2, polish=False)
     with pytest.raises(DidNotConverge):
         apply_method("MLE-I", MEADOW_VOLES, fit_config=cfg)
 
