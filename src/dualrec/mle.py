@@ -1,8 +1,18 @@
 """Maximum-likelihood fitting of the two-stratum dependent-capture models.
 
-Both models are fitted by derivative-free simplex search on an unconstrained
-transform of the parameter space, optionally followed by a short gradient
-polish:
+Under the default first-order objective, with no known ratio and no supplied
+start, Model I's maximiser is returned in closed form (``diagnostics["solver"]``):
+``"interior"`` is the unrounded moment solution, used when its dependence does
+not clamp and ``p1``, ``p2a``, ``p2b`` lie in (0, 1); it reproduces all six
+cells, so it attains the saturated bound ``sum(x log x) - x0``.  ``"face"``,
+used when the dependence clamps low, is the ``alpha = 0`` solution
+``p1 = (x11A + x11B)/(x.1A + x.1B)``, ``n_k = x10k/p1 + x.1k``,
+``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1) and the
+likelihood does not rise in ``alpha`` there (the KKT condition).
+
+Every other fit is ``"numeric"``: a derivative-free simplex search (scipy,
+imported on first use) on an unconstrained transform of the parameter space,
+optionally followed by a short gradient polish:
 
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
   feasibility boundary open while letting the optimiser roam freely;
@@ -10,11 +20,10 @@ polish:
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
-solution under the default objective and no known ratio: that is the
-maximiser, or lies next to it on the ``alpha = 0`` face.  Any other start is
-a guess (Model II's neutral point, Model I's fallback, or the moment solution
-under a known ratio or the exact objective) and is followed by four copies
-jittered by up to 20% on sizes and 0.15 logit units on probabilities, seed 0.
+solution where no closed form holds.  Any other start is a guess (Model II's
+neutral point, Model I's fallback, or the moment solution under a known ratio
+or the exact objective) and is followed by four copies jittered by up to 20%
+on sizes and 0.15 logit units on probabilities, seed 0.
 
 The default objective approximates the size factorials to first Stirling
 order, matching the method being implemented; its stationary points coincide
@@ -35,7 +44,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     DivisionByZero,
@@ -56,6 +64,13 @@ from .model import (
     loglik_model_i,
     loglik_model_ii,
 )
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first numeric fit."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
 
 _PROB_CLIP = 1e-8
 _LOGIT_BOUND = 25.0
@@ -80,6 +95,8 @@ class FitConfig:
     here.  ``polish`` enables the gradient refinement step after each
     simplex run; disabling it gives pure simplex semantics, which on flat
     objectives stop near their start instead of drifting along the plateau.
+    ``max_iterations``, the tolerances and ``polish`` govern only numeric
+    fits, not Model I's closed forms (see the module notes).
 
     ``logfac``, ``known_ratio`` and ``start`` are checked when the config is
     built, so a bad value raises ``DomainError`` before any fit runs.
@@ -218,6 +235,29 @@ def _guessed(space: _Space, base) -> list[np.ndarray]:
     return starts
 
 
+def _closed_model_i(pair: StratumPair) -> tuple[str, tuple] | None:
+    """``(solver, natural parameters)`` of Model I's first-order maximiser
+    (see the module notes), or None where neither closed form holds."""
+    try:
+        mm = mme_model_i(pair)
+    except DivisionByZero:
+        return None
+    e, d, A, B = mm.estimates, mm.diagnostics, pair.a, pair.b
+    if d["alpha_clamped"] is None:
+        natural = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
+        solver = "interior"
+    elif d["alpha_clamped"] == "low":
+        p1 = (A.x11 + B.x11) / (A.xdot1 + B.xdot1)
+        n_a, n_b = A.x10 / p1 + A.xdot1, B.x10 / p1 + B.xdot1
+        natural, solver = (n_a, n_b, 0.0, p1, A.xdot1 / n_a, B.xdot1 / n_b), "face"
+    else:
+        return None
+    inside = all(0.0 < p < 1.0 for p in natural[3:])
+    if inside and (solver == "interior" or _grad_raw(*natural, pair, "stirling1", False)[2] <= 0):
+        return solver, natural
+    return None
+
+
 def _starts_model_i(pair: StratumPair, space: _Space, logfac: str) -> list[np.ndarray]:
     try:
         fit = mme_model_i(pair)
@@ -251,11 +291,31 @@ _MODELS = {
 }
 
 
+def _result(model, pair, config, space, natural, objective, solver, converged, iterations, starts):
+    """The fit at ``natural``, with ``grad_norm`` taken on the free scale."""
+    n_a, n_b, alpha, p1, p2a, p2b = natural
+    g = _grad_raw(*natural, pair, config.logfac, _MODELS[model][2])
+    return EstimateResult(
+        method=f"MLE-{model}",
+        estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
+                   "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
+        diagnostics={"converged": converged, "iterations": iterations, "objective": objective,
+                     "grad_norm": float(np.linalg.norm(space.chain_grad(natural, g))),
+                     "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": starts,
+                     "logfac": config.logfac, "solver": solver},
+    )
+
+
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.a)
     validate_table(pair.b)
     space = _Space(pair, config.known_ratio)
     _, _, tied, model_starts = _MODELS[model]
+    if config.start is None and space.r is None and config.logfac == "stirling1" and model == "I":
+        closed = _closed_model_i(pair)
+        if closed is not None:
+            value = _loglik_raw(*closed[1], pair, config.logfac, tied)
+            return _result(model, pair, config, space, closed[1], value, closed[0], True, 0, 0)
 
     def objective(u) -> float:
         return -_loglik_raw(*space.to_natural(u), pair, config.logfac, tied)
@@ -311,37 +371,18 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 best = record
 
     fun, u_opt, converged, iterations = best
-    n_a, n_b, alpha, p1, p2a, p2b = space.to_natural(u_opt)
-    grad_norm = float(np.linalg.norm(objective_grad(u_opt)))
-    return EstimateResult(
-        method=f"MLE-{model}",
-        estimates={
-            "n_a": float(round_half_even(n_a)),
-            "n_b": float(round_half_even(n_b)),
-            "p1": p1,
-            "p2a": p2a,
-            "p2b": p2b,
-            "alpha": alpha,
-        },
-        diagnostics={
-            "converged": converged,
-            "iterations": iterations,
-            "objective": -fun,
-            "grad_norm": grad_norm,
-            "n_a_unrounded": n_a,
-            "n_b_unrounded": n_b,
-            "multistart": len(starts),
-            "logfac": config.logfac,
-        },
-    )
+    return _result(model, pair, config, space, space.to_natural(u_opt), -fun, "numeric",
+                   converged, iterations, len(starts))
 
 
 def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateResult:
     """Maximum-likelihood fit of Model I.
 
     Reports integerised sizes (half-to-even) with the continuous optima in
-    diagnostics, the achieved log-likelihood under ``objective``, and a
-    convergence flag meaning the simplex met its tolerances (floored, see
+    diagnostics, the achieved log-likelihood under ``objective``, the
+    ``solver`` path and a convergence flag.  For a closed form the flag means
+    its optimality condition holds exactly (the saturated bound, or KKT on the
+    face); for a numeric fit, that the simplex met its tolerances (floored, see
     :class:`FitConfig`) within the iteration budget, not stationarity.  With
     ``config.known_ratio = r`` the fit is over five free parameters with
     ``n_b = n_a / r`` held exactly.

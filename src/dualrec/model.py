@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from scipy.special import digamma
-
 from .core import (
     BbmParams,
     CellProbabilities,
@@ -224,6 +222,7 @@ def _dlfac_ratio(n: float, x0: int, mode: str) -> float:
     # Stirling branches floor n - x0 away from zero so the derivative keeps
     # pointing away from the wall instead of overflowing.
     if mode == "exact":
+        from scipy.special import digamma
         return float(digamma(n + 1.0) - digamma(max(n - x0 + 1.0, 1e-12)))
     v = max(n - x0, 1e-12)
     if mode == "stirling1":

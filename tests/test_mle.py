@@ -1,6 +1,11 @@
 """Tests for the likelihood fits of both two-stratum models."""
 
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from dualrec.model import (
     ModelIIParams,
     ModelIParams,
     loglik_model_i,
+    loglik_model_i_grad,
     loglik_model_ii,
 )
 import dualrec.sim as sim
@@ -137,7 +143,7 @@ def test_fit_never_worse_than_default_moment_start():
 
 
 def test_unconverged_fit_is_flagged():
-    fit = mle_model_i(
+    fit = mle_model_ii(
         MEADOW_VOLES, FitConfig(max_iterations=2, polish=False)
     )
     assert fit.diagnostics["converged"] is False
@@ -145,12 +151,18 @@ def test_unconverged_fit_is_flagged():
 
 @pytest.mark.parametrize("pair", [CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES])
 def test_explicit_moment_start_matches_default_start(pair):
-    # the default Model I start is the moment solution, moved to the interior
-    # the same way as an explicit start
+    # a simplex from the moment solution ends where the default closed form
+    # is, and never above it
     mm = mme_model_i(pair)
     e, d = mm.estimates, mm.diagnostics
     start = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
-    assert mle_model_i(pair, FitConfig(start=start)) == mle_model_i(pair)
+    numeric = mle_model_i(pair, FitConfig(start=start)).diagnostics
+    closed = mle_model_i(pair).diagnostics
+    assert numeric["solver"] == "numeric" and numeric["converged"] is True
+    bound = closed["objective"]
+    assert numeric["objective"] <= bound + 4 * np.spacing(abs(bound))
+    for key in ("n_a_unrounded", "n_b_unrounded"):
+        assert numeric[key] == pytest.approx(closed[key], rel=1e-6)
 
 
 def test_model_i_default_fit_is_its_closed_form():
@@ -185,14 +197,114 @@ def test_model_i_default_fit_is_its_closed_form():
     assert faces >= 1  # encephalitis
 
 
+def _moment_start(pair):
+    mm = mme_model_i(pair)
+    e, d = mm.estimates, mm.diagnostics
+    return (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
+
+
+def _face(pair):
+    a, b = pair.a, pair.b
+    p1 = (a.x11 + b.x11) / (a.xdot1 + b.xdot1)
+    return a.x10 / p1 + a.xdot1, b.x10 / p1 + b.xdot1
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        # P3 Model II draws where a single simplex from the moment solution
+        # stopped 2.9e-5 short of the face with grad_norm ~1e-3, yet
+        # reported converged
+        ((62, 32, 4), (52, 30, 1)),
+        ((61, 31, 6), (44, 39, 1)),
+        # MME-I clamps alpha here and leaves its own domain (p2a > 1)
+        ((30, 2, 21), (23, 7, 14)),
+    ],
+)
+def test_clamped_fit_lands_on_the_face(a, b):
+    pair = StratumPair(DrsTable(*a), DrsTable(*b))
+    fit = mle_model_i(pair)
+    d = fit.diagnostics
+    assert d["solver"] == "face" and d["converged"] is True
+    assert fit.estimates["alpha"] == 0.0
+    n_a, n_b = _face(pair)
+    assert d["n_a_unrounded"] == pytest.approx(n_a, rel=1e-12)
+    assert d["n_b_unrounded"] == pytest.approx(n_b, rel=1e-12)
+    assert d["grad_norm"] < 1e-10
+
+
+def test_closed_form_agrees_with_numeric_fits():
+    # 1056 seeded tables: six presets, both generating models, n_b 50 to
+    # 10^4 and alpha 0.1 and 0.4, so the moment dependence clamps on some
+    pairs = []
+    for preset in sorted(sim.PRESETS):
+        for model in ("I", "II"):
+            for n_b in (50, 100, 1000, 10_000):
+                for alpha in (0.1, 0.4):
+                    design = sim.design_from_preset(
+                        preset, model=model, n_a=round(1.2 * n_b), n_b=n_b, alpha=alpha
+                    )
+                    rng = np.random.default_rng([int(preset[1]), n_b, int(10 * alpha), len(model)])
+                    pairs += [sim.generate_pair(design, rng) for _ in range(11)]
+    solvers = {"interior": 0, "face": 0, "numeric": 0}
+    for pair in pairs:
+        fit = mle_model_i(pair)
+        d = fit.diagnostics
+        solvers[d["solver"]] += 1
+        if d["solver"] == "interior":
+            # the moment solution reproduces every cell: the saturated bound
+            cells = [x for t in (pair.a, pair.b) for x in (t.x11, t.x10, t.x01)]
+            bound = sum(x * math.log(x) for x in cells if x) - pair.a.x0 - pair.b.x0
+            assert d["objective"] == pytest.approx(bound, rel=1e-12)
+            continue
+        numeric = mle_model_i(pair, FitConfig(start=_moment_start(pair)))
+        if d["solver"] == "numeric":
+            # the fallback is the single simplex from the moment solution
+            assert fit == numeric
+            continue
+        e = fit.estimates
+        theta = ModelIParams(d["n_a_unrounded"], d["n_b_unrounded"], 0.0, e["p1"], e["p2a"], e["p2b"])
+        assert loglik_model_i_grad(theta, pair, logfac="stirling1")[2] <= 0.0
+        n = numeric.diagnostics
+        assert d["objective"] >= n["objective"] - 4 * np.spacing(abs(d["objective"]))
+        if n["converged"]:
+            assert d["n_a_unrounded"] == pytest.approx(n["n_a_unrounded"], rel=1e-6)
+            assert d["n_b_unrounded"] == pytest.approx(n["n_b_unrounded"], rel=1e-6)
+    assert len(pairs) == 1056
+    assert min(solvers.values()) >= 10
+
+
+def test_scipy_is_imported_only_for_a_numeric_fit():
+    code = (
+        "import sys\n"
+        "import dualrec\n"
+        "from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS\n"
+        "from dualrec.mle import mle_model_i, mle_model_ii\n"
+        "mle_model_i(CHILDREN_DEATH)\n"
+        "mle_model_i(ENCEPHALITIS)\n"
+        "print('scipy' in sys.modules)\n"
+        "mle_model_ii(CHILDREN_DEATH)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_start_count_follows_where_the_start_came_from():
-    # a supplied start and Model I's first-order moment solution run alone;
-    # a guessed start is jittered into five
+    # a supplied start runs alone, Model I's first-order closed form runs
+    # none, and a guessed start is jittered into five
     def starts(fit, config=FitConfig(), pair=MEADOW_VOLES):
         return fit(pair, config).diagnostics["multistart"]
 
     supplied = FitConfig(start=(100.0, 90.0, 0.1, 0.5, 0.5, 0.5))
-    assert starts(mle_model_i) == 1
+    assert starts(mle_model_i) == 0
+    assert mle_model_i(MEADOW_VOLES).diagnostics["solver"] == "interior"
     assert starts(mle_model_i, supplied) == starts(mle_model_ii, supplied) == 1
     assert starts(mle_model_ii) == 5
     assert starts(mle_model_i, FitConfig(known_ratio=1.2)) == 5

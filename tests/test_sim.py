@@ -179,7 +179,7 @@ def test_apply_method_argument_errors():
 def test_apply_method_raises_on_unconverged_fit():
     cfg = FitConfig(max_iterations=2, polish=False)
     with pytest.raises(DidNotConverge):
-        apply_method("MLE-I", MEADOW_VOLES, fit_config=cfg)
+        apply_method("MLE-II", MEADOW_VOLES, fit_config=cfg)
 
 
 def test_study_reruns_bit_identically():
