@@ -10,14 +10,18 @@ used when the dependence clamps low, is the ``alpha = 0`` solution
 ``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1) and the
 likelihood does not rise in ``alpha`` there (the KKT condition).
 
-Every other fit is ``"numeric"``: a derivative-free simplex search (scipy,
-imported on first use) on an unconstrained transform of the parameter space,
-optionally followed by a short gradient polish:
+Every other fit is ``"numeric"``: a derivative-free Nelder-Mead simplex on an
+unconstrained transform of the parameter space, optionally followed by a
+short L-BFGS-B gradient polish:
 
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
   feasibility boundary open while letting the optimiser roam freely;
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
+
+The simplex is in-package, scipy's bit for bit; scipy is imported only for
+the polish (and ``digamma`` under ``exact``).  ``diagnostics["evaluations"]``
+counts both steps' objective evaluations over all starts (0 in closed form).
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
 solution where no closed form holds.  Any other start is a guess (Model II's
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,16 +65,93 @@ from .model import (
     ModelIIParams,
     ModelIParams,
     _grad_raw,
-    _loglik_raw,
+    _loglik_kernel,
     loglik_model_i,
     loglik_model_ii,
 )
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first numeric fit."""
+def minimize(fun, x0, method, **kwargs):
+    """Nelder-Mead runs in-package (:func:`_nelder_mead`); any other method
+    is ``scipy.optimize.minimize``, imported on first use."""
+    if method == "Nelder-Mead":
+        return _nelder_mead(fun, x0, **kwargs["options"])
     from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+    return scipy_minimize(fun, x0, method=method, **kwargs)
+
+
+class _OutOfEvaluations(Exception):
+    """The simplex's evaluation budget is spent (scipy's _MaxFuncCallError)."""
+
+
+def _nelder_mead(fun, x0, maxiter: int, maxfev: int, xatol: float, fatol: float):
+    """scipy's Nelder-Mead (``adaptive=False``, no bounds) on lists of floats:
+    the same steps in the same float order, so the same result, bit for bit."""
+    n = len(x0)
+    sim = [[float(v) for v in x0]]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim, keys, nfev = [math.inf] * (n + 1), np.empty(n + 1), 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return fun(x)
+
+    def reorder() -> None:
+        # numpy's argsort, as in scipy: it is not stable on ties (such as
+        # +inf plateaus) and puts NaN last, so Python's sort would diverge
+        keys[:] = fsim
+        order = keys.argsort().tolist()
+        sim[:], fsim[:] = [sim[i] for i in order], [fsim[i] for i in order]
+
+    def point(c: float) -> list[float]:
+        # (1 + c) * xbar - c * worst: reflect c = 1, expand 2, contract 0.5
+        # outside and -0.5 inside (x - (-y) is x + y exactly)
+        return [(1 + c) * a - c * w for a, w in zip(xbar, worst)]
+
+    for k in range(min(n + 1, maxfev)):  # as in scipy, maxfev <= n stops these early
+        fsim[k] = f(sim[k])
+    reorder()
+    reorder()  # scipy sorts twice before its first iteration
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best, worst = sim[0], sim[-1]
+            # scipy's max(...) <= tol, which NaN fails; the cheaper half first
+            if all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:]) and all(
+                abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)
+            ):
+                break
+            xbar = best  # numpy sums the rows in order, from the first
+            for row in sim[1:-1]:
+                xbar = [a + v for a, v in zip(xbar, row)]
+            xbar = [a / n for a in xbar]
+            fxr = f(xr := point(1))
+            if fxr < fsim[0]:
+                fxe = f(xe := point(2))
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                inside = not fxr < fsim[-1]
+                fxc = f(xc := point(-0.5 if inside else 0.5))
+                if fxc < fsim[-1] if inside else fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _OutOfEvaluations:
+            pass
+        reorder()
+    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
+                           success=nfev < maxfev and nit < maxiter)
 
 
 _PROB_CLIP = 1e-8
@@ -96,7 +178,8 @@ class FitConfig:
     simplex run; disabling it gives pure simplex semantics, which on flat
     objectives stop near their start instead of drifting along the plateau.
     ``max_iterations``, the tolerances and ``polish`` govern only numeric
-    fits, not Model I's closed forms (see the module notes).
+    fits, not Model I's closed forms (see the module notes).  The simplex is
+    in-package: only ``polish`` (and ``"exact"``'s ``digamma``) imports scipy.
 
     ``logfac``, ``known_ratio`` and ``start`` are checked when the config is
     built, so a bad value raises ``DomainError`` before any fit runs.
@@ -132,20 +215,20 @@ class FitConfig:
                 raise DomainError("start values must be finite")
 
 
-def _expit(v: float) -> float:
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
-
-
 def _logit(p: float) -> float:
     p = clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
     return math.log(p / (1.0 - p))
 
 
 def _prob(v: float) -> float:
-    return clamp(_expit(v), _PROB_CLIP, 1.0 - _PROB_CLIP)
+    # the inverse of _logit, from v clamped to the logit bound
+    v = clamp(v, -_LOGIT_BOUND, _LOGIT_BOUND)
+    if v >= 0.0:
+        p = 1.0 / (1.0 + math.exp(-v))
+    else:
+        e = math.exp(v)
+        p = e / (1.0 + e)
+    return clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
 class _Space:
@@ -168,20 +251,12 @@ class _Space:
             self.size = 5
 
     def to_natural(self, u) -> tuple[float, float, float, float, float, float]:
-        ua = clamp(u[0], -_U_BOUND, _U_BOUND)
-        n_a = self.lo_a + math.exp(ua)
+        n_a = self.lo_a + math.exp(clamp(u[0], -_U_BOUND, _U_BOUND))
         if self.r is None:
-            ub = clamp(u[1], -_U_BOUND, _U_BOUND)
-            n_b = self.lo_b + math.exp(ub)
-            k = 2
+            n_b = self.lo_b + math.exp(clamp(u[1], -_U_BOUND, _U_BOUND))
         else:
             n_b = n_a / self.r
-            k = 1
-        alpha = _prob(clamp(u[k], -_LOGIT_BOUND, _LOGIT_BOUND))
-        p1 = _prob(clamp(u[k + 1], -_LOGIT_BOUND, _LOGIT_BOUND))
-        p2a = _prob(clamp(u[k + 2], -_LOGIT_BOUND, _LOGIT_BOUND))
-        p2b = _prob(clamp(u[k + 3], -_LOGIT_BOUND, _LOGIT_BOUND))
-        return n_a, n_b, alpha, p1, p2a, p2b
+        return (n_a, n_b, *map(_prob, u[self.size - 4 :]))
 
     def from_natural(self, n_a, n_b, alpha, p1, p2a, p2b) -> np.ndarray:
         n_a = max(n_a, self.lo_a + 1e-6)
@@ -291,7 +366,8 @@ _MODELS = {
 }
 
 
-def _result(model, pair, config, space, natural, objective, solver, converged, iterations, starts):
+def _result(model, pair, config, space, natural, objective, solver, converged, iterations, starts,
+            evaluations):
     """The fit at ``natural``, with ``grad_norm`` taken on the free scale."""
     n_a, n_b, alpha, p1, p2a, p2b = natural
     g = _grad_raw(*natural, pair, config.logfac, _MODELS[model][2])
@@ -302,7 +378,7 @@ def _result(model, pair, config, space, natural, objective, solver, converged, i
         diagnostics={"converged": converged, "iterations": iterations, "objective": objective,
                      "grad_norm": float(np.linalg.norm(space.chain_grad(natural, g))),
                      "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": starts,
-                     "logfac": config.logfac, "solver": solver},
+                     "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
     )
 
 
@@ -311,14 +387,15 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.b)
     space = _Space(pair, config.known_ratio)
     _, _, tied, model_starts = _MODELS[model]
+    loglik = _loglik_kernel(pair, config.logfac, tied)
     if config.start is None and space.r is None and config.logfac == "stirling1" and model == "I":
         closed = _closed_model_i(pair)
         if closed is not None:
-            value = _loglik_raw(*closed[1], pair, config.logfac, tied)
-            return _result(model, pair, config, space, closed[1], value, closed[0], True, 0, 0)
+            value = loglik(*closed[1])
+            return _result(model, pair, config, space, closed[1], value, closed[0], True, 0, 0, 0)
 
     def objective(u) -> float:
-        return -_loglik_raw(*space.to_natural(u), pair, config.logfac, tied)
+        return -loglik(*space.to_natural(u))
 
     def objective_grad(u) -> np.ndarray:
         natural = space.to_natural(u)
@@ -333,46 +410,45 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [
         (-_LOGIT_BOUND, _LOGIT_BOUND)
     ] * 4
-    best = None
-    # infeasible sizes probe as -inf log-likelihood; silence the resulting
-    # inf-arithmetic warnings inside the simplex bookkeeping
-    with np.errstate(invalid="ignore", over="ignore"):
-        for u0 in starts:
-            # below the objective's float spacing only bit-equal values meet fatol
-            f0 = objective(u0)
-            fatol = config.objective_tolerance
-            if math.isfinite(f0):
-                fatol = max(fatol, 4.0 * float(np.spacing(abs(f0))))
-            res = minimize(
+    best, evaluations = None, 0
+    for u0 in starts:
+        # below the objective's float spacing only bit-equal values meet fatol
+        f0 = objective(u0)
+        fatol = config.objective_tolerance
+        if math.isfinite(f0):
+            fatol = max(fatol, 4.0 * float(np.spacing(abs(f0))))
+        res = minimize(
+            objective,
+            u0,
+            method="Nelder-Mead",
+            options={
+                "maxiter": config.max_iterations,
+                "maxfev": 4 * config.max_iterations,
+                "fatol": fatol,
+                "xatol": config.parameter_tolerance,
+            },
+        )
+        cand_fun, cand_x = res.fun, res.x
+        evaluations += res.nfev
+        if config.polish:
+            polish = minimize(
                 objective,
-                u0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": config.max_iterations,
-                    "maxfev": 4 * config.max_iterations,
-                    "fatol": fatol,
-                    "xatol": config.parameter_tolerance,
-                },
+                res.x,
+                jac=objective_grad,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"maxiter": 200},
             )
-            cand_fun, cand_x = res.fun, res.x
-            if config.polish:
-                polish = minimize(
-                    objective,
-                    res.x,
-                    jac=objective_grad,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxiter": 200},
-                )
-                if polish.fun <= cand_fun:
-                    cand_fun, cand_x = polish.fun, polish.x
-            record = (cand_fun, cand_x, bool(res.success), int(res.nit))
-            if best is None or cand_fun < best[0]:
-                best = record
+            evaluations += int(polish.nfev)
+            if polish.fun <= cand_fun:
+                cand_fun, cand_x = polish.fun, polish.x
+        record = (cand_fun, cand_x, bool(res.success), int(res.nit))
+        if best is None or cand_fun < best[0]:
+            best = record
 
     fun, u_opt, converged, iterations = best
     return _result(model, pair, config, space, space.to_natural(u_opt), -fun, "numeric",
-                   converged, iterations, len(starts))
+                   converged, iterations, len(starts), evaluations)
 
 
 def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateResult:

@@ -28,7 +28,7 @@ Two-stratum structures
   ``p2b`` remain stratum-specific.
 
 Model I is Model II with stratum B's dependence fixed at 0, so one kernel,
-``_loglik_raw``/``_grad_raw``, serves both: ``tied=False`` is Model I.
+``_loglik_kernel``/``_grad_raw``, serves both: ``tied=False`` is Model I.
 The log-likelihoods treat the population sizes as continuous via
 log-gamma, which is what the fitting routines optimise.
 """
@@ -243,35 +243,35 @@ def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> t
     return tuple(vars(theta).values())
 
 
-def _loglik_raw(
-    n_a: float,
-    n_b: float,
-    alpha: float,
-    p1: float,
-    p2a: float,
-    p2b: float,
-    pair: StratumPair,
-    mode: str,
-    tied: bool,
-) -> float:
-    # Model II term for term; tied=False (Model I) sets alpha_b = 0.0 and w = 0.
-    # Adding 0.0 and multiplying by 1 are exact, so Model II keeps its bits.
+def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
+    # pair's log-likelihood as a function of (n_a, n_b, alpha, p1, p2a, p2b),
+    # counts bound once.  Model II term for term; tied=False (Model I) sets
+    # alpha_b = 0.0 and w = 0, which are exact, so Model II keeps its bits.
     A, B = pair.a, pair.b
-    w, alpha_b = (1, alpha) if tied else (0, 0.0)
-    r11a = alpha + (1.0 - alpha) * p2a
-    r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
-    r11b = alpha_b + (1.0 - alpha_b) * p2b
-    r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
-    out = _lfac_ratio(n_a, A.x0, mode) + _lfac_ratio(n_b, B.x0, mode)
-    out += _xlog(A.x11, p1 * r11a) + _xlog(B.x11, p1 * r11b)
-    out += _xlog(A.x10 + B.x10, p1)
-    out += _xlog(A.x01 + B.x01, 1.0 - p1)
-    out += _xlog(A.x01, p2a) + _xlog(B.x01, p2b)
-    out += _xlog(A.x10, 1.0 - p2a) + _xlog(B.x10, 1.0 - p2b)
-    out += _xlog(A.x10 + A.x01 + w * (B.x10 + B.x01), 1.0 - alpha)
-    out += _xlog(n_a - A.x0, (1.0 - p1) * r00a)
-    out += _xlog(n_b - B.x0, (1.0 - p1) * r00b)
-    return out
+    a11, a10, a01, x0a = A.x11, A.x10, A.x01, A.x0
+    b11, b10, b01, x0b = B.x11, B.x10, B.x01, B.x0
+    w = 1 if tied else 0
+    c10, c01, c_alpha = a10 + b10, a01 + b01, a10 + a01 + w * (b10 + b01)
+    lfac, xlog = _lfac_ratio, _xlog
+
+    def loglik(n_a: float, n_b: float, alpha: float, p1: float, p2a: float, p2b: float) -> float:
+        alpha_b = alpha if tied else 0.0
+        r11a = alpha + (1.0 - alpha) * p2a
+        r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
+        r11b = alpha_b + (1.0 - alpha_b) * p2b
+        r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
+        out = lfac(n_a, x0a, mode) + lfac(n_b, x0b, mode)
+        out += xlog(a11, p1 * r11a) + xlog(b11, p1 * r11b)
+        out += xlog(c10, p1)
+        out += xlog(c01, 1.0 - p1)
+        out += xlog(a01, p2a) + xlog(b01, p2b)
+        out += xlog(a10, 1.0 - p2a) + xlog(b10, 1.0 - p2b)
+        out += xlog(c_alpha, 1.0 - alpha)
+        out += xlog(n_a - x0a, (1.0 - p1) * r00a)
+        out += xlog(n_b - x0b, (1.0 - p1) * r00b)
+        return out
+
+    return loglik
 
 
 def loglik_model_i(
@@ -283,14 +283,14 @@ def loglik_model_i(
     ``logfac`` mode selects exact, first-order or three-term approximations
     of the log-factorial terms.
     """
-    return _loglik_raw(*_checked_fields(theta, data), data, logfac, False)
+    return _loglik_kernel(data, logfac, False)(*_checked_fields(theta, data))
 
 
 def loglik_model_ii(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> float:
     """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
-    return _loglik_raw(*_checked_fields(theta, data), data, logfac, True)
+    return _loglik_kernel(data, logfac, True)(*_checked_fields(theta, data))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def _grad_raw(
     mode: str,
     tied: bool,
 ) -> list[float]:
-    # gradient of _loglik_raw, with the same weight w on B's alpha terms
+    # gradient of _loglik_kernel's log-likelihood, with the same weight w on B's alpha terms
     A, B = pair.a, pair.b
     w, alpha_b = (1, alpha) if tied else (0, 0.0)
     r11a = alpha + (1.0 - alpha) * p2a

@@ -9,14 +9,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from dualrec.core import DomainError, DrsTable, InfeasibleN, StratumPair
 from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES
-from dualrec.mle import FitConfig, mle_model_i, mle_model_ii, profile_objective
+import dualrec.mle
+from dualrec.mle import (
+    FitConfig,
+    _nelder_mead,
+    _Space,
+    _starts_model_ii,
+    mle_model_i,
+    mle_model_ii,
+    profile_objective,
+)
 from dualrec.mme import mme_model_i, mme_model_ii
 from dualrec.model import (
     ModelIIParams,
     ModelIParams,
+    _loglik_kernel,
     loglik_model_i,
     loglik_model_i_grad,
     loglik_model_ii,
@@ -294,6 +305,126 @@ def test_scipy_is_imported_only_for_a_numeric_fit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+    # the simplex is in-package: scipy is imported only for the polish
+    code = (
+        "import sys\n"
+        "from dualrec.datasets import CHILDREN_DEATH\n"
+        "from dualrec.mle import FitConfig, mle_model_ii\n"
+        "fit = mle_model_ii(CHILDREN_DEATH, FitConfig(polish=False))\n"
+        "print(fit.diagnostics['solver'], 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numeric", "False"]
+
+
+def _simplex_twins(fun, x0, **options):
+    # the in-package simplex and scipy's, on the same objective and options
+    options = {"maxiter": 2000, "maxfev": 8000, "xatol": 1e-8, "fatol": 1e-9, **options}
+    ours = _nelder_mead(fun, x0, **options)
+    with np.errstate(invalid="ignore", over="ignore"):
+        theirs = scipy_minimize(fun, x0, method="Nelder-Mead", options=options)
+    return ours, theirs
+
+
+def _voles_model_ii_objective():
+    space = _Space(MEADOW_VOLES, None)
+    loglik = _loglik_kernel(MEADOW_VOLES, "stirling1", True)
+    return space, lambda u: -loglik(*space.to_natural(u))
+
+
+def _outside_the_wall(u):
+    # a convex bowl whose minimiser lies beyond an infinite wall
+    if u[0] + u[1] > 1.0:
+        return math.inf
+    return (u[0] - 3.0) ** 2 + (u[1] - 2.0) ** 2 + u[2] ** 2
+
+
+@pytest.mark.parametrize(
+    "case, options",
+    [
+        ("converges", {}),
+        ("wall", {}),
+        ("below the size floor", {}),
+        # every iteration below the floor reflects, contracts and then
+        # shrinks six vertices: evaluation 7 + 8*5 + 4 is a shrink's fourth
+        ("below the size floor", {"maxfev": 7 + 8 * 5 + 4}),
+        # the first shrink of the converging run follows evaluation 2156
+        ("converges", {"maxfev": 2159}),
+        ("converges", {"maxiter": 2}),
+        ("converges", {"maxfev": 3}),
+    ],
+)
+def test_simplex_mirrors_scipy_bit_for_bit(case, options):
+    space, objective = _voles_model_ii_objective()
+    if case == "converges":
+        x0 = _starts_model_ii(MEADOW_VOLES, space, "stirling1")[0]
+    elif case == "wall":
+        objective, x0 = _outside_the_wall, np.array([0.4, 0.5, 0.3])
+    else:
+        # sizes below the observed counts: every vertex is +inf, so the
+        # simplex's values tie throughout
+        x0 = space.from_natural(50.0, 40.0, 0.1, 0.5, 0.5, 0.5)
+        assert objective(x0) == math.inf
+    ours, theirs = _simplex_twins(objective, x0, **options)
+    assert ours.x.tobytes() == theirs.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+    assert (ours.nit, ours.nfev, ours.success) == (theirs.nit, theirs.nfev, theirs.success)
+    if case == "converges" and not options:
+        assert ours.success
+    if "maxfev" in options:
+        assert ours.nfev == options["maxfev"] and not ours.success
+
+
+def test_fit_counts_its_objective_evaluations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        res = mle_minimize(*args, **kwargs)
+        calls.append((kwargs["method"], res.nfev))
+        return res
+
+    mle_minimize = dualrec.mle.minimize
+    monkeypatch.setattr(dualrec.mle, "minimize", counted)
+    assert mle_model_i(CHILDREN_DEATH).diagnostics["evaluations"] == 0
+    assert calls == []
+    for config, methods in ((FitConfig(), {"Nelder-Mead", "L-BFGS-B"}),
+                            (FitConfig(polish=False), {"Nelder-Mead"})):
+        calls.clear()
+        fit = mle_model_ii(MEADOW_VOLES, config)
+        assert {m for m, _ in calls} == methods
+        assert len(calls) == len(methods) * fit.diagnostics["multistart"]
+        assert fit.diagnostics["evaluations"] == sum(n for _, n in calls) > 0
+
+
+# Model II fits of Model II draws (presets P1, P3, P5, n_b = 10^2, 10^4 and
+# 10^6, alpha 0.4, n_a = 1.2 n_b), as recorded when the simplex was scipy's;
+# five stop unconverged.  (A cells, B cells, n_a, n_b, objective, converged)
+_MODEL_II_BITS = [
+    ((68, 3, 29), (52, 4, 27), "0x1.959974db1af75p+6", "0x1.53778b5359d60p+6", "0x1.f8b018eae18f3p+8", False),
+    ((6804, 277, 2738), (5770, 257, 2211), "0x1.0db1c16c9804cp+16", "0x1.cb9bcfa9530f9p+15", "0x1.0505a181fbeffp+17", True),
+    ((690840, 28647, 269356), (575590, 24249, 223522), "0x1.9028dd3528c38p+20", "0x1.4d68a82b46484p+20", "0x1.4c31d0f1e8098p+24", True),
+    ((61, 36, 7), (54, 23, 4), "0x1.adc61f47fa544p+6", "0x1.4ccccccb95fc6p+6", "0x1.f53a506eab8eap+8", True),
+    ((75, 31, 1), (55, 28, 7), "0x1.03d5052f27bd8p+27", "0x1.96ea6db58e203p+26", "0x1.182fd4fe8cfddp+9", False),
+    ((5939, 3662, 568), (5050, 2938, 472), "0x1.489c94d4c63c1p+13", "0x1.11106c6492b5fp+13", "0x1.09bd031a86c71p+17", False),
+    ((604436, 355819, 54981), (503585, 295727, 46499), "0x1.0ec47ed3460c5p+20", "0x1.c3184d28313bdp+19", "0x1.524afd20655f8p+24", True),
+    ((58, 3, 34), (53, 3, 26), "0x1.528cba71e0a2fp+10", "0x1.36ccbd490f2c8p+10", "0x1.e0212df67d837p+8", True),
+    ((42, 2, 42), (57, 0, 21), "0x1.1f41e4151d128p+29", "0x1.742c4f33308f8p+29", "0x1.bc0d258adb9f8p+8", False),
+    ((5809, 277, 3235), (4740, 268, 2731), "0x1.2925720b83508p+13", "0x1.eecc10fe8e50dp+12", "0x1.e53704a954bc1p+16", False),
+    ((5775, 310, 3198), (4769, 292, 2745), "0x1.a27612a3b602bp+30", "0x1.5c0d56c6b9079p+30", "0x1.e58c004a2e548p+16", True),
+    ((570363, 29804, 330210), (475414, 25211, 274020), "0x1.b6a39830fe55cp+22", "0x1.6e08a7516c47fp+22", "0x1.352032942c118p+24", True),
+]
+
+
+@pytest.mark.parametrize("a, b, n_a, n_b, objective, converged", _MODEL_II_BITS)
+def test_model_ii_fits_are_pinned_to_the_bit(a, b, n_a, n_b, objective, converged):
+    d = mle_model_ii(StratumPair(DrsTable(*a), DrsTable(*b))).diagnostics
+    assert d["n_a_unrounded"].hex() == n_a
+    assert d["n_b_unrounded"].hex() == n_b
+    assert float(d["objective"]).hex() == objective
+    assert d["converged"] is converged
 
 
 def test_start_count_follows_where_the_start_came_from():
