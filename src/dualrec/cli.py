@@ -187,6 +187,8 @@ def cmd_estimate(args) -> int:
         raise _CliError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
     if args.ratio is not None and not math.isfinite(args.ratio):
         raise _CliError(f"--ratio must be finite, got {args.ratio}")
+    if args.ratio is not None and args.ratio <= 0:
+        raise _CliError(f"--ratio must be positive, got {args.ratio}")
     try:
         pair = load_stratum_pair(args.data, dependent=args.dependent)
     except OSError as e:
@@ -292,6 +294,8 @@ def _load_config(path: str, default_estimators: list[str]):
 def cmd_simulate(args) -> int:
     _check_shared_flags(args)
     default_methods = _parse_methods(args.estimators)
+    if args.threads < 1:
+        raise _CliError(f"--threads must be at least 1, got {args.threads}")
     if (args.preset is None) == (args.config is None):
         raise _CliError("exactly one of --preset or --config is required")
     if args.preset is not None:

@@ -24,10 +24,10 @@ the polish (and ``digamma`` under ``exact``).  ``diagnostics["evaluations"]``
 counts both steps' objective evaluations over all starts (0 in closed form).
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
-solution where no closed form holds.  Any other start is a guess (Model II's
-neutral point, Model I's fallback, or the moment solution under a known ratio
-or the exact objective) and is followed by four copies jittered by up to 20%
-on sizes and 0.15 logit units on probabilities, seed 0.
+solution where no closed form holds.  Any other start is a guess, jittered
+into five (up to 20% on sizes, 0.15 logit units on probabilities, seed 0):
+Model II's neutral point, Model I's ``2 x0`` where the moment equations
+divide by zero, or the moment solution under a known ratio or ``exact``.
 
 The default objective approximates the size factorials to first Stirling
 order, matching the method being implemented; its stationary points coincide
@@ -296,32 +296,15 @@ def _interior(pair: StratumPair, start) -> tuple[float, ...]:
     )
 
 
-def _guessed(space: _Space, base) -> list[np.ndarray]:
-    """A guessed start ``base`` and four jittered copies of it."""
-    rng = np.random.default_rng(0)
-    starts = [space.from_natural(*base)]
-    for _ in range(4):
-        fn_a = 1.0 + rng.uniform(-0.2, 0.2)
-        fn_b = 1.0 + rng.uniform(-0.2, 0.2)
-        dv = rng.uniform(-0.15, 0.15, size=4)
-        jittered = space.from_natural(base[0] * fn_a, base[1] * fn_b, *base[2:])
-        jittered[space.size - 4 :] += dv
-        starts.append(jittered)
-    return starts
-
-
-def _closed_model_i(pair: StratumPair) -> tuple[str, tuple] | None:
-    """``(solver, natural parameters)`` of Model I's first-order maximiser
-    (see the module notes), or None where neither closed form holds."""
-    try:
-        mm = mme_model_i(pair)
-    except DivisionByZero:
-        return None
-    e, d, A, B = mm.estimates, mm.diagnostics, pair.a, pair.b
-    if d["alpha_clamped"] is None:
-        natural = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
-        solver = "interior"
-    elif d["alpha_clamped"] == "low":
+def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None) -> tuple | None:
+    """``(solver, natural parameters)`` of Model I's first-order maximiser,
+    from its unrounded ``moment`` solution and where that solution's
+    dependence ``clamped`` (see the module notes), or None where neither
+    closed form holds."""
+    A, B = pair.a, pair.b
+    if clamped is None:
+        natural, solver = moment, "interior"
+    elif clamped == "low":
         p1 = (A.x11 + B.x11) / (A.xdot1 + B.xdot1)
         n_a, n_b = A.x10 / p1 + A.xdot1, B.x10 / p1 + B.xdot1
         natural, solver = (n_a, n_b, 0.0, p1, A.xdot1 / n_a, B.xdot1 / n_b), "face"
@@ -333,122 +316,127 @@ def _closed_model_i(pair: StratumPair) -> tuple[str, tuple] | None:
     return None
 
 
-def _starts_model_i(pair: StratumPair, space: _Space, logfac: str) -> list[np.ndarray]:
+def _start(model: str, pair: StratumPair, config: FitConfig) -> tuple[tuple, bool, tuple | None]:
+    """Where a fit starts: ``(base, guessed, closed)``.
+
+    ``base`` is the natural-scale start: a supplied ``config.start``, Model
+    II's neutral guess, Model I's moment solution, or Model I's ``2 x0``
+    fallback where the moment equations divide by zero.
+    ``guessed`` says it is jittered into five starts.  ``closed`` is Model
+    I's closed form ``(solver, natural)`` where one holds, else None.
+    """
+    if config.start is not None:
+        return config.start, False, None
+    A, B = pair.a, pair.b
+    if model == "II":
+        def lp_or_double(t: DrsTable) -> float:
+            return t.x1dot * t.xdot1 / t.x11 if t.x11 else 2.0 * t.x0
+
+        p1 = B.x11 / B.xdot1 if B.xdot1 else 0.5
+        return (lp_or_double(A), lp_or_double(B), 0.1, p1, 0.5, 0.5), True, None
     try:
-        fit = mme_model_i(pair)
+        mm = mme_model_i(pair)
     except DivisionByZero:
-        return _guessed(space, (2.0 * pair.a.x0, 2.0 * pair.b.x0, 0.1, 0.5, 0.5, 0.5))
-    e, d = fit.estimates, fit.diagnostics
-    base = _interior(
-        pair, (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
-    )
+        return (2.0 * A.x0, 2.0 * B.x0, 0.1, 0.5, 0.5, 0.5), True, None
+    e, d = mm.estimates, mm.diagnostics
+    moment = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
     # the moment solution maximises only the first-order objective, and
     # ignores a known ratio; elsewhere it is a guess
-    if space.r is None and logfac == "stirling1":
-        return [space.from_natural(*base)]
-    return _guessed(space, base)
-
-
-def _starts_model_ii(pair: StratumPair, space: _Space, logfac: str) -> list[np.ndarray]:
-    def lp_or_double(t: DrsTable) -> float:
-        return t.x1dot * t.xdot1 / t.x11 if t.x11 else 2.0 * t.x0
-
-    p1 = pair.b.x11 / pair.b.xdot1 if pair.b.xdot1 else 0.5
-    base = _interior(pair, (lp_or_double(pair.a), lp_or_double(pair.b), 0.1, p1, 0.5, 0.5))
-    return _guessed(space, base)
+    if config.known_ratio is None and config.logfac == "stirling1":
+        return moment, False, _closed_model_i(pair, moment, d["alpha_clamped"])
+    return moment, True, None
 
 
 # per model: parameter type, public log-likelihood, whether alpha is tied
-# across strata (the kernel's ``tied``), default starts
+# across strata (the kernel's ``tied``)
 _MODELS = {
-    "I": (ModelIParams, loglik_model_i, False, _starts_model_i),
-    "II": (ModelIIParams, loglik_model_ii, True, _starts_model_ii),
+    "I": (ModelIParams, loglik_model_i, False),
+    "II": (ModelIIParams, loglik_model_ii, True),
 }
-
-
-def _result(model, pair, config, space, natural, objective, solver, converged, iterations, starts,
-            evaluations):
-    """The fit at ``natural``, with ``grad_norm`` taken on the free scale."""
-    n_a, n_b, alpha, p1, p2a, p2b = natural
-    g = _grad_raw(*natural, pair, config.logfac, _MODELS[model][2])
-    return EstimateResult(
-        method=f"MLE-{model}",
-        estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
-                   "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
-        diagnostics={"converged": converged, "iterations": iterations, "objective": objective,
-                     "grad_norm": float(np.linalg.norm(space.chain_grad(natural, g))),
-                     "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": starts,
-                     "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
-    )
 
 
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.a)
     validate_table(pair.b)
     space = _Space(pair, config.known_ratio)
-    _, _, tied, model_starts = _MODELS[model]
+    tied = _MODELS[model][2]
     loglik = _loglik_kernel(pair, config.logfac, tied)
-    if config.start is None and space.r is None and config.logfac == "stirling1" and model == "I":
-        closed = _closed_model_i(pair)
-        if closed is not None:
-            value = loglik(*closed[1])
-            return _result(model, pair, config, space, closed[1], value, closed[0], True, 0, 0, 0)
-
-    def objective(u) -> float:
-        return -loglik(*space.to_natural(u))
-
-    def objective_grad(u) -> np.ndarray:
-        natural = space.to_natural(u)
-        g = _grad_raw(*natural, pair, config.logfac, tied)
-        return -space.chain_grad(natural, g)
-
-    if config.start is not None:
-        starts = [space.from_natural(*_interior(pair, config.start))]
+    base, guessed, closed = _start(model, pair, config)
+    if closed is not None:
+        solver, natural = closed
+        value, converged, iterations, starts, evaluations = loglik(*natural), True, 0, [], 0
     else:
-        starts = model_starts(pair, space, config.logfac)
 
-    bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [
-        (-_LOGIT_BOUND, _LOGIT_BOUND)
-    ] * 4
-    best, evaluations = None, 0
-    for u0 in starts:
-        # below the objective's float spacing only bit-equal values meet fatol
-        f0 = objective(u0)
-        fatol = config.objective_tolerance
-        if math.isfinite(f0):
-            fatol = max(fatol, 4.0 * float(np.spacing(abs(f0))))
-        res = minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "maxfev": 4 * config.max_iterations,
-                "fatol": fatol,
-                "xatol": config.parameter_tolerance,
-            },
-        )
-        cand_fun, cand_x = res.fun, res.x
-        evaluations += res.nfev
-        if config.polish:
-            polish = minimize(
+        def objective(u) -> float:
+            return -loglik(*space.to_natural(u))
+
+        def objective_grad(u) -> np.ndarray:
+            natural = space.to_natural(u)
+            g = _grad_raw(*natural, pair, config.logfac, tied)
+            return -space.chain_grad(natural, g)
+
+        base = _interior(pair, base)
+        starts = [space.from_natural(*base)]
+        if guessed:  # four copies jittered by up to 20% on sizes, 0.15 logit units
+            rng = np.random.default_rng(0)
+            for _ in range(4):
+                fn_a = 1.0 + rng.uniform(-0.2, 0.2)
+                fn_b = 1.0 + rng.uniform(-0.2, 0.2)
+                dv = rng.uniform(-0.15, 0.15, size=4)
+                jittered = space.from_natural(base[0] * fn_a, base[1] * fn_b, *base[2:])
+                jittered[space.size - 4 :] += dv
+                starts.append(jittered)
+        bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [(-_LOGIT_BOUND, _LOGIT_BOUND)] * 4
+        best, evaluations = None, 0
+        for u0 in starts:
+            # below the objective's float spacing only bit-equal values meet fatol
+            f0 = objective(u0)
+            fatol = config.objective_tolerance
+            if math.isfinite(f0):
+                fatol = max(fatol, 4.0 * float(np.spacing(abs(f0))))
+            res = minimize(
                 objective,
-                res.x,
-                jac=objective_grad,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 200},
+                u0,
+                method="Nelder-Mead",
+                options={
+                    "maxiter": config.max_iterations,
+                    "maxfev": 4 * config.max_iterations,
+                    "fatol": fatol,
+                    "xatol": config.parameter_tolerance,
+                },
             )
-            evaluations += int(polish.nfev)
-            if polish.fun <= cand_fun:
-                cand_fun, cand_x = polish.fun, polish.x
-        record = (cand_fun, cand_x, bool(res.success), int(res.nit))
-        if best is None or cand_fun < best[0]:
-            best = record
+            cand_fun, cand_x = res.fun, res.x
+            evaluations += res.nfev
+            if config.polish:
+                polish = minimize(
+                    objective,
+                    res.x,
+                    jac=objective_grad,
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options={"maxiter": 200},
+                )
+                evaluations += int(polish.nfev)
+                if polish.fun <= cand_fun:
+                    cand_fun, cand_x = polish.fun, polish.x
+            record = (cand_fun, cand_x, bool(res.success), int(res.nit))
+            if best is None or cand_fun < best[0]:
+                best = record
+        fun, u_opt, converged, iterations = best
+        solver, natural, value = "numeric", space.to_natural(u_opt), -fun
 
-    fun, u_opt, converged, iterations = best
-    return _result(model, pair, config, space, space.to_natural(u_opt), -fun, "numeric",
-                   converged, iterations, len(starts), evaluations)
+    # grad_norm is taken on the free scale
+    n_a, n_b, alpha, p1, p2a, p2b = natural
+    g = _grad_raw(*natural, pair, config.logfac, tied)
+    return EstimateResult(
+        method=f"MLE-{model}",
+        estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
+                   "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
+        diagnostics={"converged": converged, "iterations": iterations, "objective": value,
+                     "grad_norm": float(np.linalg.norm(space.chain_grad(natural, g))),
+                     "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": len(starts),
+                     "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
+    )
 
 
 def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateResult:

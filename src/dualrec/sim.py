@@ -91,7 +91,7 @@ class DesignPoint:
     def __post_init__(self) -> None:
         if self.model not in ("I", "II"):
             raise DomainError(f"model must be 'I' or 'II', got {self.model!r}")
-        if self.n_a <= 0 or self.n_b <= 0:
+        if check_integer("n_a", self.n_a) <= 0 or check_integer("n_b", self.n_b) <= 0:
             raise DomainError("population sizes must be positive")
         if check_integer("replicates", self.replicates) <= 0:
             raise DomainError("replicates must be positive")
@@ -326,8 +326,11 @@ def run_study(
     and the count of failed replicates (infeasible, condition-violating, or
     non-converged fits), which are excluded from all aggregates.
 
-    ``threads`` caps the worker processes, at most one per CPU and replicate.
+    ``threads`` caps the worker processes, at most one per CPU and replicate;
+    it must be an integer of at least 1.
     """
+    if check_integer("threads", threads) < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     methods = tuple(estimators)
     for m in methods:
         if m not in ESTIMATORS:

@@ -191,6 +191,14 @@ def test_ratio_methods_require_ratio_flag(capsys):
         assert code == 1
         assert out == ""
         assert f"--ratio must be finite, got {ratio}" in err
+    # so is a nonpositive one, rather than an error reported by each method
+    for ratio in ("0", "-1"):
+        code, out, err = run(
+            capsys, "estimate", "--data", VOLES, "--method", "mle1,wolter2", "--ratio", ratio
+        )
+        assert code == 1
+        assert out == ""
+        assert f"--ratio must be positive, got {float(ratio)}" in err
 
 
 def test_simulate_preset_study_row(capsys):
@@ -297,6 +305,16 @@ def test_simulate_flag_validation(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "below 2**63" in err
+
+    # so is a worker cap below 1, which would otherwise become an error row
+    for threads in ("0", "-2"):
+        code, out, err = run(
+            capsys, "simulate", "--preset", "P1", "--na", "240", "--nb", "200",
+            "--alpha", "0.4", "--replicates", "5", "--threads", threads,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"--threads must be at least 1, got {threads}" in err
 
 
 def _base_design():

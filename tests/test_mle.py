@@ -18,7 +18,7 @@ from dualrec.mle import (
     FitConfig,
     _nelder_mead,
     _Space,
-    _starts_model_ii,
+    _start,
     mle_model_i,
     mle_model_ii,
     profile_objective,
@@ -360,7 +360,7 @@ def _outside_the_wall(u):
 def test_simplex_mirrors_scipy_bit_for_bit(case, options):
     space, objective = _voles_model_ii_objective()
     if case == "converges":
-        x0 = _starts_model_ii(MEADOW_VOLES, space, "stirling1")[0]
+        x0 = space.from_natural(*_start("II", MEADOW_VOLES, FitConfig())[0])
     elif case == "wall":
         objective, x0 = _outside_the_wall, np.array([0.4, 0.5, 0.3])
     else:
@@ -425,6 +425,54 @@ def test_model_ii_fits_are_pinned_to_the_bit(a, b, n_a, n_b, objective, converge
     assert d["n_b_unrounded"].hex() == n_b
     assert float(d["objective"]).hex() == objective
     assert d["converged"] is converged
+
+
+# Model I's numeric fits, as recorded before the start rule was written as
+# one step: the exact objective, a known ratio, the 2 x0 fallback where the
+# moment equations divide by zero, first-order fits whose closed form fails
+# (moment p1 = 1; a face that fails KKT) and a supplied start.
+# (config, A cells, B cells, n_a, n_b, objective, converged)
+_MODEL_I_BITS = [
+    ({"logfac": "exact"}, (30, 153, 8), (15, 173, 7), "0x1.fca1553caf443p+7", "0x1.0675266beacaep+8", "0x1.6a58fc40cdcf8p+10", True),
+    ({"logfac": "exact"}, (57, 1, 30), (44, 0, 30), "0x1.5e7575996a035p+6", "0x1.2445da3be970ep+6", "0x1.c8031045855a0p+8", True),
+    ({"known_ratio": 1.2}, (46, 20, 11), (54, 5, 13), "0x1.5f826b3c5abf2p+6", "0x1.24ecaeb24b9f5p+6", "0x1.71dc3a1a623a1p+8", True),
+    ({"known_ratio": 1.2}, (36, 0, 13), (24, 8, 16), "0x1.001fdc26329d5p+6", "0x1.aadfc43fa9b0ep+5", "0x1.951314b457edep+7", True),
+    ({}, (30, 10, 10), (0, 10, 10), "0x1.ca61229d59059p+28", "0x1.ca42d5790a29ep+26", "0x1.f08eab892e006p+6", False),
+    ({"known_ratio": 1.2}, (30, 10, 10), (0, 10, 10), "0x1.afd6f22da07e9p+27", "0x1.67ddc9d0b0698p+27", "0x1.d41e25e55e5a6p+6", True),
+    ({}, (36, 0, 13), (24, 8, 16), "0x1.dfffffe75891dp+5", "0x1.aaaaaadd2f3c5p+5", "0x1.953e16b71e6b3p+7", True),
+    ({}, (34, 0, 16), (32, 7, 10), "0x1.90000025ecebdp+5", "0x1.9e0f83b0d58e5p+5", "0x1.a8db0b1021a92p+7", True),
+    ({"start": (100.0, 90.0, 0.1, 0.5, 0.5, 0.5)}, (46, 20, 11), (54, 5, 13), "0x1.478e38a747d24p+6", "0x1.24d0979d37251p+6", "0x1.7234a69ef6e3bp+8", True),
+]
+
+
+@pytest.mark.parametrize("config, a, b, n_a, n_b, objective, converged", _MODEL_I_BITS)
+def test_model_i_numeric_fits_are_pinned_to_the_bit(config, a, b, n_a, n_b, objective, converged):
+    d = mle_model_i(StratumPair(DrsTable(*a), DrsTable(*b)), FitConfig(**config)).diagnostics
+    assert d["solver"] == "numeric"
+    assert d["n_a_unrounded"].hex() == n_a
+    assert d["n_b_unrounded"].hex() == n_b
+    assert float(d["objective"]).hex() == objective
+    assert d["converged"] is converged
+
+
+def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
+    # the moment solution is the start, the closed form and the fallback's
+    # trigger alike, so each Model I fit computes it once
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return mme_model_i(pair)
+
+    monkeypatch.setattr(dualrec.mle, "mme_model_i", counted)
+    closed = MEADOW_VOLES
+    no_closed_form = StratumPair(DrsTable(36, 0, 13), DrsTable(24, 8, 16))
+    no_moment_solution = StratumPair(DrsTable(30, 10, 10), DrsTable(0, 10, 10))
+    for pair, solver in ((closed, "interior"), (no_closed_form, "numeric"),
+                         (no_moment_solution, "numeric")):
+        calls.clear()
+        assert mle_model_i(pair, FitConfig(polish=False)).diagnostics["solver"] == solver
+        assert calls == [pair]
 
 
 def test_start_count_follows_where_the_start_came_from():

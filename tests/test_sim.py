@@ -89,6 +89,13 @@ def test_design_validation():
             design_from_preset("P1", model="I", n_a=size, n_b=200, alpha=0.4)
         with pytest.raises(DomainError):
             design_from_preset("P1", model="II", n_a=240, n_b=size, alpha=0.4)
+    # a fractional size would be drawn rounded but scored unrounded
+    with pytest.raises(DomainError, match="n_a must be an integer"):
+        design_from_preset("P1", "I", 240.6, 200, 0.4)
+    with pytest.raises(DomainError, match="n_b must be an integer"):
+        design_from_preset("P1", "I", 240, 0.4, 0.4)
+    with pytest.raises(DomainError, match="n_b must be an integer"):
+        DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200.0)
     # infeasible (marginal, alpha) combination caught at construction
     with pytest.raises(OutOfRange):
         design_from_preset("P6", model="I", n_a=240, n_b=200, alpha=0.9)
@@ -334,6 +341,15 @@ def test_apply_method_calls_estimator_through_module_attribute(name, estimator_s
     with pytest.raises(_Reached):
         apply_method(name, MEADOW_VOLES, ratio=1.147)
     assert len(estimator_spies) == 1
+
+
+def test_study_threads_must_be_a_positive_integer():
+    d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=5)
+    for threads in (0, -1):
+        with pytest.raises(DomainError, match="threads must be at least 1"):
+            run_study(d, estimators=("LP",), threads=threads)
+    with pytest.raises(DomainError, match="threads must be an integer"):
+        run_study(d, estimators=("LP",), threads=1.5)
 
 
 @pytest.mark.parametrize(
