@@ -16,7 +16,8 @@ Each resample draws from its own child stream spawned from the seed, so
 the collection of resamples does not depend on evaluation order.
 Resamples whose refit fails (infeasible moment solution, violated
 condition, non-convergence) are counted and excluded from the standard
-error and interval; if every resample fails the bootstrap itself fails.
+error and interval; if fewer than two succeed, too few for a standard
+error, the bootstrap itself fails.
 """
 
 from __future__ import annotations
@@ -111,13 +112,15 @@ def bootstrap(
     draw = partial(_draw_pair, *gens)
     recs = _replicate_values(draw, seed, b, {method: ratio}, fit_config, 0, b)[method]
     *columns, failures = _successes(recs)
-    if failures == b:
-        raise AllResamplesFailed(f"{method} failed on all {b} resamples")
+    if b - failures < 2:
+        raise AllResamplesFailed(
+            f"{method} failed on {failures} of {b} resamples; a standard error needs 2"
+        )
     se = {}
     ci = {}
     for k, vals in zip(("n_a", "n_b", "alpha"), columns):
         if k in point.estimates:
-            se[k] = float(np.std(vals, ddof=1)) if b - failures > 1 else float("nan")
+            se[k] = float(np.std(vals, ddof=1))
             ci[k] = empirical_ci(vals)
 
     diagnostics = dict(point.diagnostics)

@@ -221,9 +221,9 @@ _STUDY_CSV_COLUMNS = (
 
 
 def _integer(value) -> int:
-    """An integer field's value; a fractional or non-finite number is refused
-    rather than truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer field's value; a fractional or non-finite number, or a
+    JSON boolean, is refused rather than truncated or read as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -79,7 +79,8 @@ class AllReplicatesFailed(DualrecError):
 
 
 class AllResamplesFailed(DualrecError):
-    """Every bootstrap resample failed to produce an estimate."""
+    """Fewer than two bootstrap resamples produced an estimate, too few for
+    a standard error."""
 
 
 # ---------------------------------------------------------------------------

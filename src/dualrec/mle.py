@@ -61,14 +61,7 @@ from .core import (
     validate_table,
 )
 from .mme import mme_model_i
-from .model import (
-    ModelIIParams,
-    ModelIParams,
-    _grad_raw,
-    _loglik_kernel,
-    loglik_model_i,
-    loglik_model_ii,
-)
+from .model import ModelIIParams, ModelIParams, _checked_fields, _loglik_kernel
 
 
 def minimize(fun, x0, method, **kwargs):
@@ -296,11 +289,11 @@ def _interior(pair: StratumPair, start) -> tuple[float, ...]:
     )
 
 
-def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None) -> tuple | None:
+def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None, grad) -> tuple | None:
     """``(solver, natural parameters)`` of Model I's first-order maximiser,
     from its unrounded ``moment`` solution and where that solution's
     dependence ``clamped`` (see the module notes), or None where neither
-    closed form holds."""
+    closed form holds.  ``grad`` is the first-order Model I gradient."""
     A, B = pair.a, pair.b
     if clamped is None:
         natural, solver = moment, "interior"
@@ -311,19 +304,22 @@ def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None) -> tu
     else:
         return None
     inside = all(0.0 < p < 1.0 for p in natural[3:])
-    if inside and (solver == "interior" or _grad_raw(*natural, pair, "stirling1", False)[2] <= 0):
+    if inside and (solver == "interior" or grad(*natural)[2] <= 0):
         return solver, natural
     return None
 
 
-def _start(model: str, pair: StratumPair, config: FitConfig) -> tuple[tuple, bool, tuple | None]:
+def _start(
+    model: str, pair: StratumPair, config: FitConfig, grad
+) -> tuple[tuple, bool, tuple | None]:
     """Where a fit starts: ``(base, guessed, closed)``.
 
     ``base`` is the natural-scale start: a supplied ``config.start``, Model
     II's neutral guess, Model I's moment solution, or Model I's ``2 x0``
     fallback where the moment equations divide by zero.
     ``guessed`` says it is jittered into five starts.  ``closed`` is Model
-    I's closed form ``(solver, natural)`` where one holds, else None.
+    I's closed form ``(solver, natural)`` where one holds, else None; only
+    its face check reads ``grad``, the fit's bound gradient.
     """
     if config.start is not None:
         return config.start, False, None
@@ -343,25 +339,21 @@ def _start(model: str, pair: StratumPair, config: FitConfig) -> tuple[tuple, boo
     # the moment solution maximises only the first-order objective, and
     # ignores a known ratio; elsewhere it is a guess
     if config.known_ratio is None and config.logfac == "stirling1":
-        return moment, False, _closed_model_i(pair, moment, d["alpha_clamped"])
+        return moment, False, _closed_model_i(pair, moment, d["alpha_clamped"], grad)
     return moment, True, None
 
 
-# per model: parameter type, public log-likelihood, whether alpha is tied
-# across strata (the kernel's ``tied``)
-_MODELS = {
-    "I": (ModelIParams, loglik_model_i, False),
-    "II": (ModelIIParams, loglik_model_ii, True),
-}
+# per model: parameter type, whether alpha is tied across strata (the
+# kernel's ``tied``)
+_MODELS = {"I": (ModelIParams, False), "II": (ModelIIParams, True)}
 
 
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.a)
     validate_table(pair.b)
     space = _Space(pair, config.known_ratio)
-    tied = _MODELS[model][2]
-    loglik = _loglik_kernel(pair, config.logfac, tied)
-    base, guessed, closed = _start(model, pair, config)
+    loglik, grad = _loglik_kernel(pair, config.logfac, _MODELS[model][1])
+    base, guessed, closed = _start(model, pair, config, grad)
     if closed is not None:
         solver, natural = closed
         value, converged, iterations, starts, evaluations = loglik(*natural), True, 0, [], 0
@@ -372,8 +364,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
 
         def objective_grad(u) -> np.ndarray:
             natural = space.to_natural(u)
-            g = _grad_raw(*natural, pair, config.logfac, tied)
-            return -space.chain_grad(natural, g)
+            return -space.chain_grad(natural, grad(*natural))
 
         base = _interior(pair, base)
         starts = [space.from_natural(*base)]
@@ -427,13 +418,12 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
 
     # grad_norm is taken on the free scale
     n_a, n_b, alpha, p1, p2a, p2b = natural
-    g = _grad_raw(*natural, pair, config.logfac, tied)
     return EstimateResult(
         method=f"MLE-{model}",
         estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
                    "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
         diagnostics={"converged": converged, "iterations": iterations, "objective": value,
-                     "grad_norm": float(np.linalg.norm(space.chain_grad(natural, g))),
+                     "grad_norm": float(np.linalg.norm(space.chain_grad(natural, grad(*natural)))),
                      "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": len(starts),
                      "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
     )
@@ -475,11 +465,13 @@ def profile_objective(
     """
     if model not in _MODELS:
         raise DomainError(f"model must be 'I' or 'II', got {model!r}")
-    params, loglik = _MODELS[model][:2]
+    params, tied = _MODELS[model]
     allowed = tuple(f.name for f in fields(params))
     if component not in allowed:
         raise DomainError(f"unknown component {component!r}; expected one of {allowed}")
+    loglik = _loglik_kernel(data, logfac, tied)[0]
     out = []
     for value in grid:
-        out.append((float(value), loglik(replace(theta, **{component: float(value)}), data, logfac)))
+        point = replace(theta, **{component: float(value)})
+        out.append((float(value), loglik(*_checked_fields(point, data))))
     return out

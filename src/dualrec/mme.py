@@ -140,6 +140,8 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     if not 0.0 <= alpha0 <= 1.0:
         raise Infeasible(f"alpha0 = {alpha0} outside [0, 1]")
 
+    # once p2a, p2b and alpha0 pass, the checks on p1, n_a and n_b hold in
+    # exact arithmetic; they stay as float guards of the n >= x0 contract
     p1 = 1.0 / (1.0 + (A.x01 / A.x10) * (1.0 / p2a - 1.0))
     if not 0.0 < p1 < 1.0:
         raise Infeasible(f"p1 = {p1} outside (0, 1)")

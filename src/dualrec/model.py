@@ -28,7 +28,7 @@ Two-stratum structures
   ``p2b`` remain stratum-specific.
 
 Model I is Model II with stratum B's dependence fixed at 0, so one kernel,
-``_loglik_kernel``/``_grad_raw``, serves both: ``tied=False`` is Model I.
+``_loglik_kernel``, serves both: ``tied=False`` is Model I.
 The log-likelihoods treat the population sizes as continuous via
 log-gamma, which is what the fitting routines optimise.
 """
@@ -233,7 +233,7 @@ def _dlfac_ratio(n: float, x0: int, mode: str) -> float:
 
 
 def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> tuple:
-    """``theta``'s fields in declaration order, which is the raw functions'
+    """``theta``'s fields in declaration order, which is the kernel's
     argument order (n_a, n_b, alpha, p1, p2a, p2b), once its sizes are
     checked against the observed counts."""
     if theta.n_a < data.a.x0:
@@ -244,15 +244,17 @@ def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> t
 
 
 def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
-    # pair's log-likelihood as a function of (n_a, n_b, alpha, p1, p2a, p2b),
-    # counts bound once.  Model II term for term; tied=False (Model I) sets
-    # alpha_b = 0.0 and w = 0, which are exact, so Model II keeps its bits.
+    # pair's log-likelihood and its gradient as functions of (n_a, n_b,
+    # alpha, p1, p2a, p2b), counts bound once.  Model II term for term;
+    # tied=False (Model I) sets alpha_b = 0.0 and w = 0, which are exact, so
+    # Model II keeps its bits.  The integer count sums are exact too.
     A, B = pair.a, pair.b
     a11, a10, a01, x0a = A.x11, A.x10, A.x01, A.x0
     b11, b10, b01, x0b = B.x11, B.x10, B.x01, B.x0
     w = 1 if tied else 0
     c10, c01, c_alpha = a10 + b10, a01 + b01, a10 + a01 + w * (b10 + b01)
-    lfac, xlog = _lfac_ratio, _xlog
+    c_p1 = a11 + b11 + a10 + b10
+    lfac, dlfac, xlog = _lfac_ratio, _dlfac_ratio, _xlog
 
     def loglik(n_a: float, n_b: float, alpha: float, p1: float, p2a: float, p2b: float) -> float:
         alpha_b = alpha if tied else 0.0
@@ -271,7 +273,39 @@ def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
         out += xlog(n_b - x0b, (1.0 - p1) * r00b)
         return out
 
-    return loglik
+    def grad(n_a: float, n_b: float, alpha: float, p1: float, p2a: float, p2b: float) -> list[float]:
+        # ordered like the arguments, on the natural scale; the size
+        # derivatives follow mode's own functional form
+        alpha_b = alpha if tied else 0.0
+        r11a = alpha + (1.0 - alpha) * p2a
+        r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
+        r11b = alpha_b + (1.0 - alpha_b) * p2b
+        r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
+        d_na = dlfac(n_a, x0a, mode) + math.log((1.0 - p1) * r00a)
+        d_nb = dlfac(n_b, x0b, mode) + math.log((1.0 - p1) * r00b)
+        d_alpha = (
+            a11 * (1.0 - p2a) / r11a
+            + w * b11 * (1.0 - p2b) / r11b
+            - c_alpha / (1.0 - alpha)
+            + (n_a - x0a) * p2a / r00a
+            + w * (n_b - x0b) * p2b / r00b
+        )
+        d_p1 = c_p1 / p1 - (c01 + n_a - x0a + n_b - x0b) / (1.0 - p1)
+        d_p2a = (
+            a11 * (1.0 - alpha) / r11a
+            + a01 / p2a
+            - a10 / (1.0 - p2a)
+            - (n_a - x0a) * (1.0 - alpha) / r00a
+        )
+        d_p2b = (
+            b11 * (1.0 - alpha_b) / r11b
+            + b01 / p2b
+            - b10 / (1.0 - p2b)
+            - (n_b - x0b) * (1.0 - alpha_b) / r00b
+        )
+        return [float(d_na), float(d_nb), float(d_alpha), float(d_p1), float(d_p2a), float(d_p2b)]
+
+    return loglik, grad
 
 
 def loglik_model_i(
@@ -283,64 +317,14 @@ def loglik_model_i(
     ``logfac`` mode selects exact, first-order or three-term approximations
     of the log-factorial terms.
     """
-    return _loglik_kernel(data, logfac, False)(*_checked_fields(theta, data))
+    return _loglik_kernel(data, logfac, False)[0](*_checked_fields(theta, data))
 
 
 def loglik_model_ii(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> float:
     """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
-    return _loglik_kernel(data, logfac, True)(*_checked_fields(theta, data))
-
-
-# ---------------------------------------------------------------------------
-# Analytic gradients (exact log-gamma mode), natural parameter scale
-# ---------------------------------------------------------------------------
-
-
-def _grad_raw(
-    n_a: float,
-    n_b: float,
-    alpha: float,
-    p1: float,
-    p2a: float,
-    p2b: float,
-    pair: StratumPair,
-    mode: str,
-    tied: bool,
-) -> list[float]:
-    # gradient of _loglik_kernel's log-likelihood, with the same weight w on B's alpha terms
-    A, B = pair.a, pair.b
-    w, alpha_b = (1, alpha) if tied else (0, 0.0)
-    r11a = alpha + (1.0 - alpha) * p2a
-    r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
-    r11b = alpha_b + (1.0 - alpha_b) * p2b
-    r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
-    d_na = _dlfac_ratio(n_a, A.x0, mode) + math.log((1.0 - p1) * r00a)
-    d_nb = _dlfac_ratio(n_b, B.x0, mode) + math.log((1.0 - p1) * r00b)
-    d_alpha = (
-        A.x11 * (1.0 - p2a) / r11a
-        + w * B.x11 * (1.0 - p2b) / r11b
-        - (A.x10 + A.x01 + w * (B.x10 + B.x01)) / (1.0 - alpha)
-        + (n_a - A.x0) * p2a / r00a
-        + w * (n_b - B.x0) * p2b / r00b
-    )
-    d_p1 = (A.x11 + B.x11 + A.x10 + B.x10) / p1 - (
-        A.x01 + B.x01 + n_a - A.x0 + n_b - B.x0
-    ) / (1.0 - p1)
-    d_p2a = (
-        A.x11 * (1.0 - alpha) / r11a
-        + A.x01 / p2a
-        - A.x10 / (1.0 - p2a)
-        - (n_a - A.x0) * (1.0 - alpha) / r00a
-    )
-    d_p2b = (
-        B.x11 * (1.0 - alpha_b) / r11b
-        + B.x01 / p2b
-        - B.x10 / (1.0 - p2b)
-        - (n_b - B.x0) * (1.0 - alpha_b) / r00b
-    )
-    return [float(d_na), float(d_nb), float(d_alpha), float(d_p1), float(d_p2a), float(d_p2b)]
+    return _loglik_kernel(data, logfac, True)[0](*_checked_fields(theta, data))
 
 
 def loglik_model_i_grad(
@@ -352,11 +336,11 @@ def loglik_model_i_grad(
     natural parameter scale; the size derivatives match the ``logfac`` mode
     used for the objective.
     """
-    return _grad_raw(*_checked_fields(theta, data), data, logfac, False)
+    return _loglik_kernel(data, logfac, False)[1](*_checked_fields(theta, data))
 
 
 def loglik_model_ii_grad(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> list[float]:
     """Gradient of the Model II log-likelihood, ordered like Model I's."""
-    return _grad_raw(*_checked_fields(theta, data), data, logfac, True)
+    return _loglik_kernel(data, logfac, True)[1](*_checked_fields(theta, data))

@@ -86,6 +86,14 @@ def test_all_resamples_failed():
         bootstrap(MEADOW_VOLES, "MME-II", scheme="parametric", b=3, seed=0)
 
 
+def test_one_successful_resample_is_too_few():
+    # one of the two resamples fails, which leaves no standard error: the
+    # bootstrap raises rather than report se = NaN
+    pair = StratumPair(DrsTable(3, 2, 1), DrsTable(2, 1, 2))
+    with pytest.raises(AllResamplesFailed, match="failed on 1 of 2 resamples"):
+        bootstrap(pair, "LP", b=2, seed=5)
+
+
 def test_failed_resamples_are_excluded_from_se_and_ci():
     # many nonparametric resamples of the voles pair have no feasible Model II
     # moment solution; the rest must give the standard error and interval

@@ -131,6 +131,20 @@ def test_estimate_out_extension_checked(capsys, tmp_path):
         assert "--seed must be nonnegative, got -1" in err
 
 
+def test_bootstrap_with_one_success_is_an_infeasible_row(capsys, tmp_path):
+    # one of the two resamples fails; the row reports the error, and the
+    # JSON holds no bare NaN standard error
+    data = tmp_path / "small.csv"
+    data.write_text("stratum,x11,x10,x01\nA,3,2,1\nB,2,1,2\n", encoding="utf-8")
+    out_json = tmp_path / "x.json"
+    argv = ("--method", "lp", "--bootstrap", "2", "--seed", "5", "--out", str(out_json))
+    code, _, _ = run(capsys, "estimate", "--data", str(data), *argv)
+    assert code == 2
+    text = out_json.read_text(encoding="utf-8")
+    assert "NaN" not in text
+    assert json.loads(text)[0]["error"].startswith("AllResamplesFailed")
+
+
 @pytest.mark.parametrize("b", ["1", "-3"])
 def test_estimate_bootstrap_count_checked(capsys, b):
     code, out, err = run(
@@ -367,8 +381,9 @@ def test_simulate_config_errors(capsys, tmp_path):
     assert code == 1
     assert "estimators must be a list" in err
 
-    # integer fields refuse overflowing and fractional numbers
-    bad = (("n_a", "1e400"), ("replicates", "1e400"), ("seed", "1e400"), ("n_a", "12.7"))
+    # integer fields refuse overflowing and fractional numbers, and booleans
+    bad = (("n_a", "1e400"), ("replicates", "1e400"), ("seed", "1e400"), ("n_a", "12.7"),
+           ("n_b", "true"), ("seed", "false"))
     for field, value in bad:
         design = _base_design()
         design[field] = "@"

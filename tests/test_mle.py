@@ -14,6 +14,7 @@ from scipy.optimize import minimize as scipy_minimize
 from dualrec.core import DomainError, DrsTable, InfeasibleN, StratumPair
 from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES
 import dualrec.mle
+import dualrec.model
 from dualrec.mle import (
     FitConfig,
     _nelder_mead,
@@ -331,7 +332,7 @@ def _simplex_twins(fun, x0, **options):
 
 def _voles_model_ii_objective():
     space = _Space(MEADOW_VOLES, None)
-    loglik = _loglik_kernel(MEADOW_VOLES, "stirling1", True)
+    loglik = _loglik_kernel(MEADOW_VOLES, "stirling1", True)[0]
     return space, lambda u: -loglik(*space.to_natural(u))
 
 
@@ -360,7 +361,7 @@ def _outside_the_wall(u):
 def test_simplex_mirrors_scipy_bit_for_bit(case, options):
     space, objective = _voles_model_ii_objective()
     if case == "converges":
-        x0 = space.from_natural(*_start("II", MEADOW_VOLES, FitConfig())[0])
+        x0 = space.from_natural(*_start("II", MEADOW_VOLES, FitConfig(), None)[0])
     elif case == "wall":
         objective, x0 = _outside_the_wall, np.array([0.4, 0.5, 0.3])
     else:
@@ -473,6 +474,33 @@ def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
         calls.clear()
         assert mle_model_i(pair, FitConfig(polish=False)).diagnostics["solver"] == solver
         assert calls == [pair]
+
+
+def test_each_fit_and_profile_binds_its_table_once(monkeypatch):
+    # the objective, the polish gradient, the face's KKT check, grad_norm
+    # and every profile point share one binding of the table's counts
+    calls, kernel = [], dualrec.mle._loglik_kernel
+
+    def counted(pair, mode, tied):
+        calls.append(pair)
+        return kernel(pair, mode, tied)
+
+    monkeypatch.setattr(dualrec.mle, "_loglik_kernel", counted)
+    monkeypatch.setattr(dualrec.model, "_loglik_kernel", counted)
+    short = FitConfig(max_iterations=50)
+    fits = ((mle_model_i, MEADOW_VOLES, FitConfig(), "interior"),
+            (mle_model_i, ENCEPHALITIS, FitConfig(), "face"),
+            (mle_model_i, MEADOW_VOLES, replace(short, logfac="exact"), "numeric"),
+            (mle_model_ii, MEADOW_VOLES, short, "numeric"))
+    for fit, pair, config, solver in fits:
+        calls.clear()
+        assert fit(pair, config).diagnostics["solver"] == solver
+        assert calls == [pair]
+    for model, params in (("I", ModelIParams), ("II", ModelIIParams)):
+        theta = params(300.0, 300.0, 0.2, 0.5, 0.5, 0.5)
+        calls.clear()
+        profile = profile_objective(model, MEADOW_VOLES, theta, "n_a", [280.0, 300.0, 320.0])
+        assert len(profile) == 3 and calls == [MEADOW_VOLES]
 
 
 def test_start_count_follows_where_the_start_came_from():

@@ -158,6 +158,10 @@ def test_model_ii_degenerate_and_infeasible_cases():
     with pytest.raises(Infeasible) as err:
         mme_model_ii(CHILDREN_DEATH)
     assert "alpha0" in str(err.value)
+    with pytest.raises(DivisionByZero, match="required margin"):
+        mme_model_ii(StratumPair(DrsTable(0, 0, 1), DrsTable(8, 6, 9)))  # x1dotA == 0
+    with pytest.raises(Infeasible, match="p2b"):
+        mme_model_ii(StratumPair(DrsTable(8, 6, 5), DrsTable(2, 3, 0)))  # x01B == 0
 
 
 def test_model_ii_infeasible_on_sampled_small_population():

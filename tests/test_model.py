@@ -231,7 +231,7 @@ def _fd_grad(fun, theta_vals, steps):
     return grad
 
 
-@pytest.mark.parametrize("logfac", ["exact", "stirling1"])
+@pytest.mark.parametrize("logfac", ["exact", "stirling1", "stirling3"])
 def test_model_i_gradient_matches_finite_differences(logfac):
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -254,7 +254,7 @@ def test_model_i_gradient_matches_finite_differences(logfac):
             assert g_an == pytest.approx(g_fd, rel=1e-4, abs=1e-4)
 
 
-@pytest.mark.parametrize("logfac", ["exact", "stirling1"])
+@pytest.mark.parametrize("logfac", ["exact", "stirling1", "stirling3"])
 def test_model_ii_gradient_matches_finite_differences(logfac):
     rng = np.random.default_rng(29)
     for _ in range(20):
