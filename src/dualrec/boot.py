@@ -37,8 +37,9 @@ from .core import (
     empirical_ci,
 )
 from .mle import FitConfig
-from .model import cell_probabilities
-from .sim import ESTIMATORS, _draw_pair, _fit_values, _replicate_values, _successes, apply_method
+from .sim import (
+    ESTIMATORS, _draw_pair, _fit_values, _generator, _replicate_values, _successes, apply_method
+)
 
 _SCHEMES = ("parametric", "nonparametric")
 
@@ -50,19 +51,10 @@ def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
     model = ESTIMATORS[method].model
     if model is not None:
         alpha_b = est["alpha"] if model == "II" else 0.0
-        cells_a = cell_probabilities(
-            BbmParams(p1=est["p1"], p2=est["p2a"], alpha=est["alpha"], n=n_a)
-        )
-        cells_b = cell_probabilities(
-            BbmParams(p1=est["p1"], p2=est["p2b"], alpha=alpha_b, n=n_b)
-        )
-        size_a = max(int(round(n_a)), 1)
-        size_b = max(int(round(n_b)), 1)
-        return (cells_a.as_tuple(), size_a), (cells_b.as_tuple(), size_b)
-    return (
-        _independence_cells(data.a, n_a),
-        _independence_cells(data.b, n_b),
-    )
+        params_a = BbmParams(est["p1"], est["p2a"], est["alpha"], max(n_a, 1.0))
+        params_b = BbmParams(est["p1"], est["p2b"], alpha_b, max(n_b, 1.0))
+        return _generator(params_a), _generator(params_b)
+    return _independence_cells(data.a, n_a), _independence_cells(data.b, n_b)
 
 
 def _independence_cells(table: DrsTable, n_hat: float):

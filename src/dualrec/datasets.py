@@ -22,7 +22,7 @@ import io
 import json
 from pathlib import Path
 
-from .core import DomainError, DrsTable, StratumPair
+from .core import DomainError, DrsTable, DualrecError, StratumPair
 
 ENCEPHALITIS = StratumPair(
     DrsTable(39, 290, 39), DrsTable(20, 78, 15), label_a="Adult", label_b="Children"
@@ -56,21 +56,25 @@ def _row_to_entry(row: dict, where: str) -> tuple[str, DrsTable]:
     label = str(row["stratum"])
     if "\r" in label or "\n" in label:
         raise DomainError(f"{where}: stratum label {label!r} spans more than one line")
-    return label.strip(), DrsTable(*counts)
+    try:
+        table = DrsTable(*counts)
+    except DualrecError as e:
+        raise DomainError(f"{where}: {e}") from e
+    return label.strip(), table
 
 
 def _pair_from_entries(
-    entries: list[tuple[str, DrsTable]], dependent: str | None
+    entries: list[tuple[str, DrsTable]], dependent: str | None, path: Path
 ) -> StratumPair:
     if len(entries) != 2:
-        raise DomainError(f"expected exactly two strata, got {len(entries)}")
+        raise DomainError(f"{path}: expected exactly two strata, got {len(entries)}")
     labels = [label for label, _ in entries]
     if labels[0] == labels[1]:
-        raise DomainError(f"stratum labels must differ, both are {labels[0]!r}")
+        raise DomainError(f"{path}: stratum labels must differ, both are {labels[0]!r}")
     if dependent is not None:
         if dependent not in labels:
             raise DomainError(
-                f"dependent stratum {dependent!r} not found; strata are {labels}"
+                f"{path}: dependent stratum {dependent!r} not found; strata are {labels}"
             )
         if dependent == labels[1]:
             entries = [entries[1], entries[0]]
@@ -116,7 +120,7 @@ def load_stratum_pair(path: str | Path, dependent: str | None = None) -> Stratum
         entries = [
             _row_to_entry(row, f"{path}: row {i + 2}") for i, row in enumerate(reader)
         ]
-    return _pair_from_entries(entries, dependent)
+    return _pair_from_entries(entries, dependent, path)
 
 
 def pair_to_rows(pair: StratumPair) -> list[dict]:

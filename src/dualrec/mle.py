@@ -466,6 +466,8 @@ def profile_objective(
     if model not in _MODELS:
         raise DomainError(f"model must be 'I' or 'II', got {model!r}")
     params, tied = _MODELS[model]
+    if not isinstance(theta, params):
+        raise DomainError(f"model {model} takes {params.__name__}, got {type(theta).__name__}")
     allowed = tuple(f.name for f in fields(params))
     if component not in allowed:
         raise DomainError(f"unknown component {component!r}; expected one of {allowed}")

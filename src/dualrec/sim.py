@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -87,6 +87,7 @@ class DesignPoint:
     model: str = "I"
     replicates: int = 5000
     seed: int = 0
+    _gens: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.model not in ("I", "II"):
@@ -97,9 +98,10 @@ class DesignPoint:
             raise DomainError("replicates must be positive")
         if check_integer("seed", self.seed) < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        # force the feasibility check: p2 of each stratum must exist
-        self.params_a()
-        self.params_b()
+        # each stratum's (cells, size) generator, A then B, built once; this
+        # is also the feasibility check: p2 of each stratum must exist
+        gens = (_generator(self.params_a()), _generator(self.params_b()))
+        object.__setattr__(self, "_gens", gens)
 
     def params_a(self) -> BbmParams:
         p2 = p2_from_marginal(self.pdot1_a, self.p1dot_a, self.alpha)
@@ -154,10 +156,10 @@ def generate_stratum(
     """
     if rng is None:
         rng = np.random.default_rng()
-    n = int(round(params.n))
     if mode == "multinomial":
-        return _draw_table(cell_probabilities(params, sign).as_tuple(), n, rng)
+        return _draw_table(*_generator(params, sign), rng)
     if mode == "individual":
+        n = int(round(params.n))
         tied = rng.random(n) < params.alpha
         x1 = rng.random(n) < params.p1
         x2 = rng.random(n) < params.p2
@@ -175,9 +177,12 @@ def generate_stratum(
 
 def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:
     """Draw both strata of one replicate under the design."""
-    a = generate_stratum(design.params_a(), rng=rng)
-    b = generate_stratum(design.params_b(), rng=rng)
-    return StratumPair(a, b)
+    return _draw_pair(*design._gens, rng)
+
+
+def _generator(params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE):
+    """A stratum's ``(cells, size)`` generator: its cells and rounded size."""
+    return cell_probabilities(params, sign).as_tuple(), int(round(params.n))
 
 
 def _draw_table(cells, size: int, rng: np.random.Generator) -> DrsTable:

@@ -40,6 +40,11 @@ def test_lincoln_petersen_zero_shared_cell():
         lincoln_petersen(DrsTable(0, 5, 5))
 
 
+def test_nour_zero_shared_cell():
+    with pytest.raises(DivisionByZero, match="x11 is zero"):
+        nour(DrsTable(0, 3, 4))
+
+
 def test_nour_worked_examples():
     assert nour(DrsTable(46, 20, 11)).estimates["n"] == 86.0
     assert nour(DrsTable(54, 5, 13)).estimates["n"] == 74.0

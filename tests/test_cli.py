@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -113,6 +115,22 @@ def test_estimate_out_files_rerun_identically(capsys, tmp_path):
     assert "575.0" in text
 
 
+def test_estimate_bootstrap_fills_csv_interval_columns(capsys, tmp_path):
+    out_csv = tmp_path / "report.csv"
+    argv = ("--method", "lp", "--bootstrap", "50", "--seed", "0", "--out", str(out_csv))
+    code, _, _ = run(capsys, "estimate", "--data", VOLES, "--scheme", "nonparametric", *argv)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out_csv.read_text(encoding="utf-8")))
+    # the figures test_bootstrap_report_lines reads in the report, at the CSV's precision
+    assert round(float(row["se_n_a"]), 2) == 2.03
+    assert round(float(row["se_n_b"]), 2) == 0.84
+    assert round(float(row["ci_lo_n_a"]), 1) == 78.5
+    assert round(float(row["ci_hi_n_a"]), 1) == 86.1
+    assert round(float(row["ci_lo_n_b"]), 1) == 72.3
+    assert round(float(row["ci_hi_n_b"]), 1) == 75.5
+    assert row["error"] == ""
+
+
 def test_estimate_out_extension_checked(capsys, tmp_path):
     # checked before any estimate runs, for both subcommands
     simulate = ("simulate", "--preset", "P1", "--na", "240", "--nb", "200", "--alpha", "0.4")
@@ -164,6 +182,26 @@ def test_estimate_missing_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bad.csv", "stratum,x11,x10,x01\nA,1,-2,3\nB,4,5,6\n"),
+        ("bad.json", json.dumps([{"stratum": "A", "x11": 1, "x10": -2, "x01": 3},
+                                 {"stratum": "B", "x11": 4, "x10": 5, "x01": 6}])),
+    ],
+    ids=["csv", "json"],
+)
+def test_negative_count_in_data_file_is_an_input_error(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "estimate", "--data", str(path), "--method", "lp")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    where = "row 2" if name.endswith(".csv") else "stratum 1"
+    assert err == f"error: {path}: {where}: x10 must be nonnegative, got -2\n"
+
+
+@pytest.mark.parametrize(
     "argv", [("estimate", "--method", "lp", "--data"), ("simulate", "--config")]
 )
 def test_non_utf8_input_file_is_an_input_error(capsys, tmp_path, argv):
@@ -180,6 +218,9 @@ def test_estimate_unknown_method(capsys):
     code, _, err = run(capsys, "estimate", "--data", VOLES, "--method", "zz")
     assert code == 1
     assert "unknown method 'zz'" in err
+    code, _, err = run(capsys, "estimate", "--data", VOLES, "--method", ",")
+    assert code == 1
+    assert "no methods given" in err
 
 
 def test_estimate_method_required_without_dump(capsys):
@@ -380,6 +421,24 @@ def test_simulate_config_errors(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1
     assert "estimators must be a list" in err
+
+    # an empty design list, a design that is not an object, an infeasible
+    # design and a missing file
+    infeasible = {**_base_design(), "alpha": 0.99}
+    for text, message in (
+        (json.dumps({"designs": []}), "expected a nonempty list of designs"),
+        ("[5]", "design 1: expected an object"),
+        (json.dumps([infeasible]), "design 1: marginal 0.8 with p1=0.6, alpha=0.99 implies"),
+    ):
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {cfg}: {message}")
+    code, out, err = run(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
+    assert code == 1
+    assert out == ""
+    assert "cannot read" in err
 
     # integer fields refuse overflowing and fractional numbers, and booleans
     bad = (("n_a", "1e400"), ("replicates", "1e400"), ("seed", "1e400"), ("n_a", "12.7"),

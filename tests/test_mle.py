@@ -629,6 +629,12 @@ def test_profile_edge_cases():
         profile_objective("I", MEADOW_VOLES, theta, "alpha0", [300.0])
     with pytest.raises(DomainError):
         profile_objective("III", MEADOW_VOLES, theta, "n_a", [300.0])
+    # theta must be the named model's parameter type
+    theta_ii = ModelIIParams(n_a=300, n_b=300, alpha0=0.2, p1=0.5, p2a=0.5, p2b=0.5)
+    with pytest.raises(DomainError, match="model I takes ModelIParams, got ModelIIParams"):
+        profile_objective("I", MEADOW_VOLES, theta_ii, "n_a", [300.0])
+    with pytest.raises(DomainError, match="model II takes ModelIIParams, got ModelIParams"):
+        profile_objective("II", MEADOW_VOLES, theta, "n_a", [300.0])
     with pytest.raises(InfeasibleN):
         profile_objective("I", MEADOW_VOLES, theta, "n_a", [10.0])
     for size in (float("nan"), float("inf")):

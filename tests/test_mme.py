@@ -107,6 +107,8 @@ def test_model_i_division_by_zero_cases():
         mme_model_i(StratumPair(DrsTable(5, 4, 3), DrsTable(5, 4, 0)))  # x01B = 0
     with pytest.raises(DivisionByZero):
         mme_model_i(StratumPair(DrsTable(0, 0, 3), DrsTable(5, 4, 3)))  # x1dotA = 0
+    with pytest.raises(DivisionByZero, match=r"x10A\*x01B \+ x01A\*x11B is zero"):
+        mme_model_i(StratumPair(DrsTable(5, 0, 0), DrsTable(8, 6, 9)))
 
 
 def test_model_ii_voles_values():

@@ -194,6 +194,12 @@ def test_loglik_rejects_sizes_below_observed_totals():
         loglik_model_ii(theta2, VOLES)
 
 
+def test_loglik_gradient_rejects_unknown_factorial_mode():
+    theta = ModelIParams(n_a=300, n_b=300, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
+    with pytest.raises(DomainError, match="unknown log-factorial mode 'bogus'"):
+        loglik_model_i_grad(theta, VOLES, logfac="bogus")
+
+
 def test_models_coincide_when_dependence_vanishes():
     rng = np.random.default_rng(17)
     for _ in range(50):

@@ -207,6 +207,22 @@ def test_study_parallel_matches_serial():
     assert serial.estimators["MME-I"] == parallel.estimators["MME-I"]
 
 
+def test_design_builds_its_cells_once(monkeypatch):
+    # a design builds each stratum's cells when it is made, A then B; its
+    # replicates draw from those without building them again
+    calls, cells = [], sim.cell_probabilities
+
+    def counted(params, sign=DependenceSign.POSITIVE):
+        calls.append(params)
+        return cells(params, sign)
+
+    monkeypatch.setattr(sim, "cell_probabilities", counted)
+    d = design_from_preset("P1", model="II", n_a=240, n_b=200, alpha=0.4, replicates=50)
+    assert calls == [d.params_a(), d.params_b()]
+    run_study(d, estimators=("MME-I",))
+    assert len(calls) == 2
+
+
 def test_study_rejects_unknown_estimator():
     d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=5)
     with pytest.raises(DomainError):
