@@ -37,6 +37,7 @@ from .core import (
     empirical_ci,
 )
 from .mle import FitConfig
+from .model import _cells
 from .sim import (
     ESTIMATORS, _draw_pair, _fit_values, _generator, _replicate_values, _successes, apply_method
 )
@@ -60,15 +61,8 @@ def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
 def _independence_cells(table: DrsTable, n_hat: float):
     """Independent-list cell probabilities at the fitted stratum size."""
     n = max(int(round(n_hat)), table.x0)
-    p1dot = table.x1dot / n
-    pdot1 = table.xdot1 / n
-    cells = (
-        p1dot * pdot1,
-        p1dot * (1.0 - pdot1),
-        (1.0 - p1dot) * pdot1,
-        (1.0 - p1dot) * (1.0 - pdot1),
-    )
-    return cells, n
+    # the model's cells at alpha = 0; the observed List 1 margin may be all n
+    return _cells(table.x1dot / n, table.xdot1 / n, 0.0), n
 
 
 def bootstrap(

@@ -103,7 +103,7 @@ class DrsTable:
                 count = int(value)
             except (TypeError, ValueError, OverflowError):
                 count = None  # non-numeric, NaN or infinite
-            if count is None or count != value:
+            if count is None or count != value or isinstance(value, bool):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             if count < 0:
                 raise NegativeCount(f"{name} must be nonnegative, got {count}")
@@ -288,11 +288,14 @@ def log_factorial(n: float, mode: str = "exact") -> float:
 
 
 def check_integer(name: str, value) -> int:
-    """``value`` as an int; a DomainError naming ``name`` if it is not one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a DomainError naming ``name`` if it is not one
+    (a bool is not, though ``operator.index`` reads it as 0 or 1)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def clamp(x: float, lo: float, hi: float) -> float:

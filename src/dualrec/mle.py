@@ -56,6 +56,7 @@ from .core import (
     DrsTable,
     EstimateResult,
     StratumPair,
+    check_integer,
     clamp,
     round_half_even,
     validate_table,
@@ -174,8 +175,8 @@ class FitConfig:
     fits, not Model I's closed forms (see the module notes).  The simplex is
     in-package: only ``polish`` (and ``"exact"``'s ``digamma``) imports scipy.
 
-    ``logfac``, ``known_ratio`` and ``start`` are checked when the config is
-    built, so a bad value raises ``DomainError`` before any fit runs.
+    Every field but ``polish`` is checked when the config is built, so a
+    bad value raises ``DomainError`` before any fit runs.
 
     ``objective_tolerance`` is floored per start at four float spacings of
     the starting objective, which changes it only above ~2e6 in magnitude.
@@ -197,6 +198,12 @@ class FitConfig:
             raise DomainError(
                 f"fitting supports logfac 'exact' or 'stirling1', got {self.logfac!r}"
             )
+        if check_integer("max_iterations", self.max_iterations) < 1:
+            raise DomainError(f"max_iterations must be positive, got {self.max_iterations}")
+        for name in ("objective_tolerance", "parameter_tolerance"):
+            tol = getattr(self, name)
+            if not (isinstance(tol, (int, float)) and 0.0 <= tol < math.inf):
+                raise DomainError(f"{name} must be finite and nonnegative, got {tol!r}")
         if self.known_ratio is not None and not 0 < self.known_ratio < math.inf:
             raise DomainError(f"known_ratio must be finite and positive, got {self.known_ratio}")
         if self.start is not None:

@@ -71,19 +71,23 @@ def cell_probabilities(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> CellProbabilities:
     """Cell probabilities of the full 2x2 table for one stratum."""
-    p1, p2, a = params.p1, params.p2, params.alpha
+    return CellProbabilities(*_cells(params.p1, params.p2, params.alpha, sign))
+
+
+def _cells(p1: float, p2: float, a: float, sign: DependenceSign = DependenceSign.POSITIVE):
+    """The cells ``(p11, p10, p01, p00)``, unchecked, so ``p1`` may be 0 or 1."""
     if sign is DependenceSign.POSITIVE:
-        return CellProbabilities(
-            p11=a * p1 + (1.0 - a) * p1 * p2,
-            p10=(1.0 - a) * p1 * (1.0 - p2),
-            p01=(1.0 - a) * (1.0 - p1) * p2,
-            p00=a * (1.0 - p1) + (1.0 - a) * (1.0 - p1) * (1.0 - p2),
+        return (
+            a * p1 + (1.0 - a) * p1 * p2,
+            (1.0 - a) * p1 * (1.0 - p2),
+            (1.0 - a) * (1.0 - p1) * p2,
+            a * (1.0 - p1) + (1.0 - a) * (1.0 - p1) * (1.0 - p2),
         )
-    return CellProbabilities(
-        p11=(1.0 - a) * p1 * p2,
-        p10=a * p1 + (1.0 - a) * p1 * (1.0 - p2),
-        p01=a * (1.0 - p1) + (1.0 - a) * (1.0 - p1) * p2,
-        p00=(1.0 - a) * (1.0 - p1) * (1.0 - p2),
+    return (
+        (1.0 - a) * p1 * p2,
+        a * p1 + (1.0 - a) * p1 * (1.0 - p2),
+        a * (1.0 - p1) + (1.0 - a) * (1.0 - p1) * p2,
+        (1.0 - a) * (1.0 - p1) * (1.0 - p2),
     )
 
 

@@ -145,34 +145,13 @@ def design_from_preset(
 def generate_stratum(
     params: BbmParams,
     sign: DependenceSign = DependenceSign.POSITIVE,
-    mode: str = "multinomial",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> DrsTable:
-    """Draw one stratum's observed table from the dependent-capture model.
-
-    ``mode="multinomial"`` draws the four cells in one multinomial;
-    ``mode="individual"`` simulates each individual's latent draws and
-    tabulates, which is slower but serves as a distributional cross-check.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    if mode == "multinomial":
-        return _draw_table(*_generator(params, sign), rng)
-    if mode == "individual":
-        n = int(round(params.n))
-        tied = rng.random(n) < params.alpha
-        x1 = rng.random(n) < params.p1
-        x2 = rng.random(n) < params.p2
-        y = x1
-        if sign is DependenceSign.POSITIVE:
-            z = np.where(tied, x1, x2)
-        else:
-            z = np.where(tied, ~x1, x2)
-        x11 = int(np.sum(y & z))
-        x10 = int(np.sum(y & ~z))
-        x01 = int(np.sum(~y & z))
-        return DrsTable(x11, x10, x01)
-    raise DomainError(f"unknown generation mode {mode!r}")
+    """Draw one stratum's observed table from the dependent-capture model:
+    one multinomial over its cells, the draw that studies and the bootstrap
+    use."""
+    return _draw_table(*_generator(params, sign), rng)
 
 
 def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:

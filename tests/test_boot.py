@@ -196,3 +196,7 @@ def test_bootstrap_argument_validation():
         bootstrap(MEADOW_VOLES, "LP", scheme="parametric", b=2.5, seed=0)
     with pytest.raises(DomainError, match="seed must be an integer"):
         bootstrap(MEADOW_VOLES, "LP", scheme="parametric", b=10, seed=1.5)
+    with pytest.raises(DomainError, match="seed must be an integer, got True"):
+        bootstrap(MEADOW_VOLES, "LP", b=10, seed=True)
+    with pytest.raises(DomainError, match="b must be an integer, got True"):
+        bootstrap(MEADOW_VOLES, "LP", b=True, seed=0)

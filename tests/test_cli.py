@@ -223,6 +223,20 @@ def test_estimate_unknown_method(capsys):
     assert "no methods given" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("estimate", "--method", "lp"), ("simulate", "--model", "III"), ("frobnicate",)],
+    ids=["no-data", "bad-choice", "unknown-command"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own usage errors take the CLI's error path: one line, exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_estimate_method_required_without_dump(capsys):
     code, _, err = run(capsys, "estimate", "--data", VOLES)
     assert code == 1

@@ -47,7 +47,7 @@ def test_table_rejects_negative_and_fractional_counts():
         DrsTable(5, 1.5, 2)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "many", None, [1]])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "many", None, [1], True, False])
 def test_table_rejects_non_finite_and_non_numeric_counts(bad):
     with pytest.raises(DomainError) as err:
         DrsTable(bad, 1, 1)

@@ -559,6 +559,22 @@ def test_config_validation():
             MEADOW_VOLES,
             FitConfig(start=(float("nan"), 100.0, 0.3, 0.5, 0.5, 0.5)),
         )
+    # a numeric field that a fit could not use, or a tolerance it could never
+    # meet, is refused when the config is built
+    for value, message in (
+        ("5", "max_iterations must be an integer, got '5'"),
+        (True, "max_iterations must be an integer, got True"),
+        (0, "max_iterations must be positive, got 0"),
+        (-3, "max_iterations must be positive, got -3"),
+    ):
+        with pytest.raises(DomainError) as err:
+            mle_model_ii(MEADOW_VOLES, FitConfig(max_iterations=value))
+        assert str(err.value) == message
+    for name in ("objective_tolerance", "parameter_tolerance"):
+        for value in (float("nan"), float("inf"), -1.0, "1e-3"):
+            with pytest.raises(DomainError, match=f"^{name} must be finite and nonnegative"):
+                FitConfig(**{name: value})
+        assert getattr(FitConfig(**{name: 0.0}), name) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,12 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import dualrec.sim as sim
+from dualrec.boot import bootstrap
 from dualrec.cli import _parse_methods
 from dualrec.core import (
     AllReplicatesFailed,
@@ -16,6 +19,7 @@ from dualrec.core import (
     DidNotConverge,
     DomainError,
     DrsTable,
+    DualrecError,
     OutOfRange,
     StratumPair,
 )
@@ -77,6 +81,13 @@ def test_design_validation():
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, replicates=2.5)
     with pytest.raises(DomainError, match="seed must be an integer"):
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, seed=1.5)
+    # a bool is not an integer, though operator.index reads it as 0 or 1
+    with pytest.raises(DomainError, match="replicates must be an integer, got True"):
+        design_from_preset("P1", "I", 240, 200, 0.4, replicates=True, seed=False)
+    with pytest.raises(DomainError, match="seed must be an integer, got False"):
+        design_from_preset("P1", "I", 240, 200, 0.4, seed=False)
+    with pytest.raises(DomainError, match="n_a must be an integer, got True"):
+        DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, True, 200)
     # the multinomial draw takes sizes as int64
     with pytest.raises(DomainError):
         design_from_preset("P1", model="I", n_a=10**20, n_b=100, alpha=0.3)
@@ -103,12 +114,16 @@ def test_design_validation():
 
 def test_generate_full_dependence_empties_off_diagonal():
     params = BbmParams(p1=0.6, p2=0.7, alpha=1.0, n=500)
-    for mode in ("multinomial", "individual"):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            t = generate_stratum(params, mode=mode, rng=rng)
-            assert t.x10 == 0
-            assert t.x01 == 0
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        t = generate_stratum(params, rng=rng)
+        assert t.x10 == 0
+        assert t.x01 == 0
+    # negative dependence at alpha = 1 empties the diagonal instead
+    for _ in range(20):
+        t = generate_stratum(params, DependenceSign.NEGATIVE, rng=rng)
+        assert t.x11 == 0
+        assert t.x0 == 500
 
 
 def test_generate_concentrates_on_cell_probability():
@@ -133,22 +148,26 @@ def test_generate_modes_and_determinism():
     t1 = generate_stratum(params, rng=np.random.default_rng(11))
     t2 = generate_stratum(params, rng=np.random.default_rng(11))
     assert t1 == t2
-    with pytest.raises(DomainError):
-        generate_stratum(params, mode="exact")
+    with pytest.raises(TypeError):
+        generate_stratum(params)  # every draw takes the caller's generator
 
 
 def test_generation_modes_are_distributionally_equivalent():
-    # pooled cell counts from the two modes pass a goodness-of-fit check
+    # pooled cell counts of the multinomial draw and of a simulation of each
+    # individual's latent draws (the model's definition) pass a
+    # goodness-of-fit check
     d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4)
     params = d.params_a()
     rng_m = np.random.default_rng(101)
     rng_i = np.random.default_rng(202)
     totals = np.zeros((2, 4), dtype=np.int64)
     for _ in range(10_000):
-        t = generate_stratum(params, mode="multinomial", rng=rng_m)
+        t = generate_stratum(params, rng=rng_m)
         totals[0] += (t.x11, t.x10, t.x01, 240 - t.x0)
-        t = generate_stratum(params, mode="individual", rng=rng_i)
-        totals[1] += (t.x11, t.x10, t.x01, 240 - t.x0)
+        tied = rng_i.random(240) < params.alpha
+        y = rng_i.random(240) < params.p1
+        z = np.where(tied, y, rng_i.random(240) < params.p2)
+        totals[1] += (np.sum(y & z), np.sum(y & ~z), np.sum(~y & z), np.sum(~y & ~z))
     _, p, _, _ = stats.chi2_contingency(totals)
     assert p > 0.01
 
@@ -364,8 +383,9 @@ def test_study_threads_must_be_a_positive_integer():
     for threads in (0, -1):
         with pytest.raises(DomainError, match="threads must be at least 1"):
             run_study(d, estimators=("LP",), threads=threads)
-    with pytest.raises(DomainError, match="threads must be an integer"):
-        run_study(d, estimators=("LP",), threads=1.5)
+    for threads in (1.5, True):
+        with pytest.raises(DomainError, match="threads must be an integer"):
+            run_study(d, estimators=("LP",), threads=threads)
 
 
 @pytest.mark.parametrize(
@@ -396,3 +416,44 @@ def test_study_caps_worker_processes(monkeypatch, threads, cpus, reps, expected)
     parallel = run_study(d, estimators=("LP",), threads=threads)
     assert pools == expected
     assert parallel == run_study(d, estimators=("LP",))
+
+
+@st.composite
+def _designs(draw):
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    p1dot, pdot1 = PRESETS[preset]
+    # p2 = (pdot1 - alpha * p1dot) / (1 - alpha) lies in (0, 1] below this
+    bound = min(pdot1 / p1dot, (1.0 - pdot1) / (1.0 - p1dot), 1.0)
+    return design_from_preset(
+        preset,
+        draw(st.sampled_from(("I", "II"))),
+        draw(st.integers(20, 300)),
+        draw(st.integers(20, 300)),
+        draw(st.floats(0.0, 0.95)) * bound,
+        replicates=draw(st.integers(100, 300)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result as its repr (so NaN equals NaN), or its error's class
+    and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except DualrecError as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=8, deadline=None)
+@given(design=_designs())
+def test_seeded_studies_and_bootstraps_rerun_identically(design):
+    # a seeded study is the same serially and over two worker processes, and
+    # a seeded bootstrap is the same when rerun
+    methods = ("MME-I", "LP", "NOUR") if design.model == "I" else ("MME-II", "MME-I", "LP")
+    serial = _outcome(run_study, design, methods)
+    assert _outcome(run_study, design, methods, threads=2) == serial
+    pair = generate_pair(design, np.random.default_rng(design.seed))
+    for method in ("MME-I", "LP"):
+        for scheme in ("parametric", "nonparametric"):
+            args = (pair, method, scheme, design.replicates, design.seed)
+            assert _outcome(bootstrap, *args) == _outcome(bootstrap, *args)
