@@ -61,6 +61,8 @@ def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
 def _independence_cells(table: DrsTable, n_hat: float):
     """Independent-list cell probabilities at the fitted stratum size."""
     n = max(int(round(n_hat)), table.x0)
+    if n >= 2**63:  # the multinomial draw takes sizes as int64, as in BbmParams
+        raise DomainError(f"n must be positive and below 2**63, got {n_hat}")
     # the model's cells at alpha = 0; the observed List 1 margin may be all n
     return _cells(table.x1dot / n, table.xdot1 / n, 0.0), n
 

@@ -23,6 +23,7 @@ from .core import (
     EstimateResult,
     Infeasible,
     StratumPair,
+    check_real,
     floor_int,
     round_half_up,
     validate_table,
@@ -84,7 +85,7 @@ def wolter_model1(data: StratumPair, r: float) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    if not 0 < r < math.inf:
+    if not 0 < check_real("r", r) < math.inf:
         raise Infeasible(f"r must be finite and positive, got {r}")
     den = A.x11 * (B.x1dot - B.x11) * (B.xdot1 - B.x11)
     if den == 0:
@@ -110,7 +111,7 @@ def wolter_model2(data: StratumPair, r: float) -> EstimateResult:
     """
     validate_table(data.a)
     B = validate_table(data.b)
-    if not 0 < r < math.inf:
+    if not 0 < check_real("r", r) < math.inf:
         raise Infeasible(f"r must be finite and positive, got {r}")
     if B.x11 == 0:
         raise DivisionByZero("x11B is zero")

@@ -21,8 +21,11 @@ package consumes these tables, one per stratum.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,9 @@ class AllResamplesFailed(DualrecError):
 # Observed-data types
 # ---------------------------------------------------------------------------
 
+# neither type can be subclassed, so a count's exact type says if it is one
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
 
 @dataclass(frozen=True)
 class DrsTable:
@@ -103,10 +109,14 @@ class DrsTable:
                 count = int(value)
             except (TypeError, ValueError, OverflowError):
                 count = None  # non-numeric, NaN or infinite
-            if count is None or count != value or isinstance(value, bool):
+            if count is None or count != value or type(value) in _BOOL_TYPES:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-            if count < 0:
-                raise NegativeCount(f"{name} must be nonnegative, got {count}")
+            if not 0 <= count < 2**63:
+                if count < 0:
+                    raise NegativeCount(f"{name} must be nonnegative, got {count}")
+                # the int64 bound that BbmParams puts on n; below it no
+                # estimator overflows a float (the count may be too long to print)
+                raise DomainError(f"{name} must be below 2**63")
             object.__setattr__(self, name, count)
 
     @property
@@ -296,6 +306,14 @@ def check_integer(name: str, value) -> int:
         except TypeError:
             pass
     raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value):
+    """``value`` unchanged; a DomainError naming ``name`` if it is not a real
+    number (a bool is not)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def clamp(x: float, lo: float, hi: float) -> float:

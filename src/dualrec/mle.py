@@ -10,24 +10,28 @@ used when the dependence clamps low, is the ``alpha = 0`` solution
 ``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1) and the
 likelihood does not rise in ``alpha`` there (the KKT condition).
 
-Every other fit is ``"numeric"``: a derivative-free Nelder-Mead simplex on an
-unconstrained transform of the parameter space, optionally followed by a
-short L-BFGS-B gradient polish:
+Every other fit is ``"numeric"``: scipy's derivative-free Nelder-Mead simplex
+on an unconstrained transform of the parameter space, optionally followed by
+scipy's short L-BFGS-B gradient polish:
 
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
   feasibility boundary open while letting the optimiser roam freely;
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
-The simplex is in-package, scipy's bit for bit; scipy is imported only for
-the polish (and ``digamma`` under ``exact``).  ``diagnostics["evaluations"]``
-counts both steps' objective evaluations over all starts (0 in closed form).
+scipy is imported on the first numeric fit, not by a closed form.
+``diagnostics["evaluations"]`` counts both steps' objective evaluations over
+all starts (0 in closed form).
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
-solution where no closed form holds.  Any other start is a guess, jittered
-into five (up to 20% on sizes, 0.15 logit units on probabilities, seed 0):
-Model II's neutral point, Model I's ``2 x0`` where the moment equations
-divide by zero, or the moment solution under a known ratio or ``exact``.
+solution where no closed form holds.  Any other start is a guess: Model II's
+neutral point, Model I's ``2 x0`` where the moment equations divide by zero,
+or the moment solution under a known ratio or ``exact``.  A guess runs with
+up to four jittered copies (up to 20% on sizes, 0.15 logit units on
+probabilities, seed 0); a copy that starts on the likelihood's wall (a size
+below the observed count, where the objective is +inf) is dropped, though
+the guess itself always runs.  ``diagnostics["multistart"]`` counts the
+starts that run.
 
 The default objective approximates the size factorials to first Stirling
 order, matching the method being implemented; its stationary points coincide
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
+    check_real,
     clamp,
     round_half_even,
     validate_table,
@@ -66,86 +70,13 @@ from .model import ModelIIParams, ModelIParams, _checked_fields, _loglik_kernel
 
 
 def minimize(fun, x0, method, **kwargs):
-    """Nelder-Mead runs in-package (:func:`_nelder_mead`); any other method
-    is ``scipy.optimize.minimize``, imported on first use."""
-    if method == "Nelder-Mead":
-        return _nelder_mead(fun, x0, **kwargs["options"])
+    """``scipy.optimize.minimize``, imported on first use; both optimisers
+    are called through this one name, which the bench's tracer wraps.  A
+    simplex whose vertices all lie on the wall (+inf) makes scipy compute
+    ``inf - inf``, which is not an error here."""
     from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, method=method, **kwargs)
-
-
-class _OutOfEvaluations(Exception):
-    """The simplex's evaluation budget is spent (scipy's _MaxFuncCallError)."""
-
-
-def _nelder_mead(fun, x0, maxiter: int, maxfev: int, xatol: float, fatol: float):
-    """scipy's Nelder-Mead (``adaptive=False``, no bounds) on lists of floats:
-    the same steps in the same float order, so the same result, bit for bit."""
-    n = len(x0)
-    sim = [[float(v) for v in x0]]
-    for k in range(n):
-        y = list(sim[0])
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim, keys, nfev = [math.inf] * (n + 1), np.empty(n + 1), 0
-
-    def f(x: list[float]) -> float:
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _OutOfEvaluations
-        nfev += 1
-        return fun(x)
-
-    def reorder() -> None:
-        # numpy's argsort, as in scipy: it is not stable on ties (such as
-        # +inf plateaus) and puts NaN last, so Python's sort would diverge
-        keys[:] = fsim
-        order = keys.argsort().tolist()
-        sim[:], fsim[:] = [sim[i] for i in order], [fsim[i] for i in order]
-
-    def point(c: float) -> list[float]:
-        # (1 + c) * xbar - c * worst: reflect c = 1, expand 2, contract 0.5
-        # outside and -0.5 inside (x - (-y) is x + y exactly)
-        return [(1 + c) * a - c * w for a, w in zip(xbar, worst)]
-
-    for k in range(min(n + 1, maxfev)):  # as in scipy, maxfev <= n stops these early
-        fsim[k] = f(sim[k])
-    reorder()
-    reorder()  # scipy sorts twice before its first iteration
-    nit = 1
-    while nfev < maxfev and nit < maxiter:
-        try:
-            best, worst = sim[0], sim[-1]
-            # scipy's max(...) <= tol, which NaN fails; the cheaper half first
-            if all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:]) and all(
-                abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)
-            ):
-                break
-            xbar = best  # numpy sums the rows in order, from the first
-            for row in sim[1:-1]:
-                xbar = [a + v for a, v in zip(xbar, row)]
-            xbar = [a / n for a in xbar]
-            fxr = f(xr := point(1))
-            if fxr < fsim[0]:
-                fxe = f(xe := point(2))
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                inside = not fxr < fsim[-1]
-                fxc = f(xc := point(-0.5 if inside else 0.5))
-                if fxc < fsim[-1] if inside else fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
-                        fsim[j] = f(sim[j])
-            nit += 1
-        except _OutOfEvaluations:
-            pass
-        reorder()
-    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
-                           success=nfev < maxfev and nit < maxiter)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return scipy_minimize(fun, x0, method=method, **kwargs)
 
 
 _PROB_CLIP = 1e-8
@@ -172,8 +103,8 @@ class FitConfig:
     simplex run; disabling it gives pure simplex semantics, which on flat
     objectives stop near their start instead of drifting along the plateau.
     ``max_iterations``, the tolerances and ``polish`` govern only numeric
-    fits, not Model I's closed forms (see the module notes).  The simplex is
-    in-package: only ``polish`` (and ``"exact"``'s ``digamma``) imports scipy.
+    fits, not Model I's closed forms (see the module notes).  Both the
+    simplex and the polish are scipy's, imported on the first numeric fit.
 
     Every field but ``polish`` is checked when the config is built, so a
     bad value raises ``DomainError`` before any fit runs.
@@ -202,16 +133,18 @@ class FitConfig:
             raise DomainError(f"max_iterations must be positive, got {self.max_iterations}")
         for name in ("objective_tolerance", "parameter_tolerance"):
             tol = getattr(self, name)
-            if not (isinstance(tol, (int, float)) and 0.0 <= tol < math.inf):
+            real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            if not (real and 0.0 <= tol < math.inf):
                 raise DomainError(f"{name} must be finite and nonnegative, got {tol!r}")
-        if self.known_ratio is not None and not 0 < self.known_ratio < math.inf:
-            raise DomainError(f"known_ratio must be finite and positive, got {self.known_ratio}")
+        r = self.known_ratio
+        if r is not None and not 0 < check_real("known_ratio", r) < math.inf:
+            raise DomainError(f"known_ratio must be finite and positive, got {r}")
         if self.start is not None:
             if len(self.start) != 6:
                 raise DomainError(
                     f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(self.start)} values"
                 )
-            if not all(math.isfinite(v) for v in self.start):
+            if not all(math.isfinite(check_real("start", v)) for v in self.start):
                 raise DomainError("start values must be finite")
 
 
@@ -250,7 +183,8 @@ class _Space:
             self.lo_b = None
             self.size = 5
 
-    def to_natural(self, u) -> tuple[float, float, float, float, float, float]:
+    def to_natural(self, u: np.ndarray) -> tuple[float, float, float, float, float, float]:
+        u = u.tolist()  # math's calls take floats faster than numpy scalars
         n_a = self.lo_a + math.exp(clamp(u[0], -_U_BOUND, _U_BOUND))
         if self.r is None:
             n_b = self.lo_b + math.exp(clamp(u[1], -_U_BOUND, _U_BOUND))
@@ -324,9 +258,9 @@ def _start(
     ``base`` is the natural-scale start: a supplied ``config.start``, Model
     II's neutral guess, Model I's moment solution, or Model I's ``2 x0``
     fallback where the moment equations divide by zero.
-    ``guessed`` says it is jittered into five starts.  ``closed`` is Model
-    I's closed form ``(solver, natural)`` where one holds, else None; only
-    its face check reads ``grad``, the fit's bound gradient.
+    ``guessed`` adds its jittered copies, those off the wall.  ``closed`` is
+    Model I's closed form ``(solver, natural)`` where one holds, else None;
+    only its face check reads ``grad``, the fit's bound gradient.
     """
     if config.start is not None:
         return config.start, False, None
@@ -374,7 +308,8 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             return -space.chain_grad(natural, grad(*natural))
 
         base = _interior(pair, base)
-        starts = [space.from_natural(*base)]
+        u0 = space.from_natural(*base)
+        starts = [(u0, objective(u0))]
         if guessed:  # four copies jittered by up to 20% on sizes, 0.15 logit units
             rng = np.random.default_rng(0)
             for _ in range(4):
@@ -383,12 +318,14 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 dv = rng.uniform(-0.15, 0.15, size=4)
                 jittered = space.from_natural(base[0] * fn_a, base[1] * fn_b, *base[2:])
                 jittered[space.size - 4 :] += dv
-                starts.append(jittered)
+                # a copy that starts on the wall (objective +inf) spends the
+                # whole evaluation budget there, so it does not run
+                if (f0 := objective(jittered)) != math.inf:
+                    starts.append((jittered, f0))
         bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [(-_LOGIT_BOUND, _LOGIT_BOUND)] * 4
         best, evaluations = None, 0
-        for u0 in starts:
+        for u0, f0 in starts:
             # below the objective's float spacing only bit-equal values meet fatol
-            f0 = objective(u0)
             fatol = config.objective_tolerance
             if math.isfinite(f0):
                 fatol = max(fatol, 4.0 * float(np.spacing(abs(f0))))

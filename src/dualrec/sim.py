@@ -36,6 +36,7 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
+    check_real,
     empirical_ci,
 )
 from .mle import FitConfig, mle_model_i, mle_model_ii
@@ -98,6 +99,8 @@ class DesignPoint:
             raise DomainError("replicates must be positive")
         if check_integer("seed", self.seed) < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("p1dot_a", "pdot1_a", "p1dot_b", "pdot1_b", "alpha"):
+            check_real(name, getattr(self, name))
         # each stratum's (cells, size) generator, A then B, built once; this
         # is also the feasibility check: p2 of each stratum must exist
         gens = (_generator(self.params_a()), _generator(self.params_b()))

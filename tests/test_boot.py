@@ -180,6 +180,14 @@ def test_parametric_resamples_follow_the_fitted_model():
     assert res.ci == ci
 
 
+def test_parametric_size_past_int64_is_refused():
+    # LP sizes stratum A at 1.6e19, more than the multinomial can draw; the
+    # classical branch refuses it as the model branch's BbmParams does
+    pair = StratumPair(DrsTable(1, 4 * 10**9, 4 * 10**9), DrsTable(5, 3, 2))
+    with pytest.raises(DomainError, match=r"^n must be positive and below 2\*\*63"):
+        bootstrap(pair, "LP", b=5)
+
+
 def test_point_estimate_preconditions_propagate():
     with pytest.raises(ConditionViolated):
         bootstrap(ENCEPHALITIS, "NOUR", scheme="parametric", b=10, seed=0)

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from dualrec.boot import bootstrap
 from dualrec.classical import lincoln_petersen, nour, wolter_model1, wolter_model2
 from dualrec.core import (
     ConditionViolated,
     DivisionByZero,
+    DomainError,
     DrsTable,
     Infeasible,
     StratumPair,
 )
 from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES
+from dualrec.sim import apply_method
 
 
 def test_lincoln_petersen_worked_examples():
@@ -100,6 +103,14 @@ def test_wolter_model1_infeasible_cases():
     for r in (float("nan"), float("inf")):
         with pytest.raises(Infeasible):
             wolter_model1(MEADOW_VOLES, r)
+    # a non-number, or a bool, is not a ratio
+    for r in ("2", None, True):
+        with pytest.raises(DomainError, match=f"^r must be a real number, got {r!r}$"):
+            wolter_model1(MEADOW_VOLES, r)
+    with pytest.raises(DomainError, match="^r must be a real number"):
+        apply_method("WOLTER-1", MEADOW_VOLES, ratio="2")
+    with pytest.raises(DomainError, match="^r must be a real number"):
+        bootstrap(MEADOW_VOLES, "WOLTER-1", b=5, ratio="2")
     with pytest.raises(DivisionByZero):
         wolter_model1(StratumPair(DrsTable(5, 4, 3), DrsTable(5, 0, 3)), 1.2)
 
@@ -126,6 +137,9 @@ def test_wolter_model2_errors():
         wolter_model2(MEADOW_VOLES, 0.0)
     for r in (float("nan"), float("inf")):
         with pytest.raises(Infeasible):
+            wolter_model2(MEADOW_VOLES, r)
+    for r in (None, "2", False):
+        with pytest.raises(DomainError, match=f"^r must be a real number, got {r!r}$"):
             wolter_model2(MEADOW_VOLES, r)
     with pytest.raises(DivisionByZero):
         wolter_model2(StratumPair(DrsTable(5, 4, 3), DrsTable(0, 4, 3)), 1.2)

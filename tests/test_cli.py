@@ -163,6 +163,17 @@ def test_bootstrap_with_one_success_is_an_infeasible_row(capsys, tmp_path):
     assert json.loads(text)[0]["error"].startswith("AllResamplesFailed")
 
 
+def test_bootstrap_size_past_int64_is_an_infeasible_row(capsys, tmp_path):
+    # the LP fit of stratum A (1.6e19) is too large to resample
+    data = tmp_path / "huge.csv"
+    data.write_text("stratum,x11,x10,x01\nA,1,4000000000,4000000000\nB,5,3,2\n", encoding="utf-8")
+    argv = ("--data", str(data), "--method", "lp", "--bootstrap", "5")
+    code, out, err = run(capsys, "estimate", *argv)
+    assert code == 2
+    assert err == ""
+    assert "LP: infeasible - DomainError: n must be positive and below 2**63" in out
+
+
 @pytest.mark.parametrize("b", ["1", "-3"])
 def test_estimate_bootstrap_count_checked(capsys, b):
     code, out, err = run(

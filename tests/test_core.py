@@ -20,6 +20,7 @@ from dualrec.core import (
     round_half_up,
     validate_table,
 )
+from dualrec.classical import lincoln_petersen
 
 
 def test_table_margins_add_up():
@@ -47,11 +48,22 @@ def test_table_rejects_negative_and_fractional_counts():
         DrsTable(5, 1.5, 2)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "many", None, [1], True, False])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, "many", None, [1], True, False, np.True_, np.False_]
+)
 def test_table_rejects_non_finite_and_non_numeric_counts(bad):
     with pytest.raises(DomainError) as err:
         DrsTable(bad, 1, 1)
     assert str(err.value) == f"x11 must be an integer, got {bad!r}"
+
+
+def test_table_counts_stay_below_2_to_the_63():
+    # the int64 bound BbmParams puts on n; below it the estimators stay finite
+    top = 2**63 - 1
+    assert math.isfinite(lincoln_petersen(DrsTable(1, top, top)).estimates["n"])
+    for cells in ((2**63, 1, 1), (1, 2**600, 2**600)):
+        with pytest.raises(DomainError, match=r"^x1[01] must be below 2\*\*63$"):
+            DrsTable(*cells)
 
 
 def test_validate_table_accepts_nonempty_and_rejects_empty():

@@ -88,6 +88,15 @@ def test_design_validation():
         design_from_preset("P1", "I", 240, 200, 0.4, seed=False)
     with pytest.raises(DomainError, match="n_a must be an integer, got True"):
         DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, True, 200)
+    # the marginals and alpha must be real numbers, not strings, None or bools
+    with pytest.raises(DomainError, match="^alpha must be a real number, got '0.4'$"):
+        design_from_preset("P1", "I", 240, 200, "0.4")
+    with pytest.raises(DomainError, match="^alpha must be a real number, got None$"):
+        design_from_preset("P1", "I", 240, 200, alpha=None)
+    with pytest.raises(DomainError, match="^p1dot_a must be a real number, got '0.6'$"):
+        DesignPoint("0.6", 0.8, 0.6, 0.8, 0.4, 240, 200)
+    with pytest.raises(DomainError, match="^pdot1_b must be a real number, got True$"):
+        DesignPoint(0.6, 0.8, 0.6, True, 0.4, 240, 200)
     # the multinomial draw takes sizes as int64
     with pytest.raises(DomainError):
         design_from_preset("P1", model="I", n_a=10**20, n_b=100, alpha=0.3)
