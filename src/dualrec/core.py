@@ -113,7 +113,7 @@ class DrsTable:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             if not 0 <= count < 2**63:
                 if count < 0:
-                    raise NegativeCount(f"{name} must be nonnegative, got {count}")
+                    raise NegativeCount(f"{name} must be nonnegative" + _got(count))
                 # the int64 bound that BbmParams puts on n; below it no
                 # estimator overflows a float (the count may be too long to print)
                 raise DomainError(f"{name} must be below 2**63")
@@ -184,15 +184,12 @@ class BbmParams:
     n: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p1 < 1.0:
-            raise DomainError(f"p1 must be in (0,1), got {self.p1}")
-        if not 0.0 < self.p2 <= 1.0:
-            raise DomainError(f"p2 must be in (0,1], got {self.p2}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must be in [0,1], got {self.alpha}")
+        check_real("p1", self.p1, "(0,1)")
+        check_real("p2", self.p2, "(0,1]")
+        check_real("alpha", self.alpha, "[0,1]")
         # the multinomial draw takes sizes as int64
-        if not 0.0 < self.n < 2.0**63:
-            raise DomainError(f"n must be positive and below 2**63, got {self.n}")
+        if not 0.0 < check_real("n", self.n) < 2.0**63:
+            raise DomainError("n must be positive and below 2**63" + _got(self.n))
 
 
 @dataclass(frozen=True)
@@ -206,9 +203,7 @@ class CellProbabilities:
 
     def __post_init__(self) -> None:
         for name in ("p11", "p10", "p01", "p00"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"{name} must be in [0,1], got {p}")
+            check_real(name, getattr(self, name), "[0,1]")
         total = self.p11 + self.p10 + self.p01 + self.p00
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"cell probabilities sum to {total}, not 1")
@@ -233,6 +228,8 @@ class MtbParams:
     phi: float
 
     def __post_init__(self) -> None:
+        for name in ("p1dot", "p", "c", "phi"):
+            check_real(name, getattr(self, name))
         if not self.phi > 0:
             raise DomainError(f"phi must be positive, got {self.phi}")
         if abs(self.c - self.phi * self.p) > 1e-12:
@@ -284,6 +281,8 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     -------
     float
     """
+    if type(n) is not float:  # the likelihood's floats skip the type check
+        check_real("n", n)
     if n < 0:
         raise DomainError(f"log_factorial requires n >= 0, got {n}")
     if mode == "exact":
@@ -308,12 +307,27 @@ def check_integer(name: str, value) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def check_real(name: str, value):
+def check_real(name: str, value, interval: str | None = None):
     """``value`` unchanged; a DomainError naming ``name`` if it is not a real
-    number (a bool is not)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise DomainError(f"{name} must be a real number, got {value!r}")
+    number (a bool is not) or, given a unit ``interval`` ``"(0,1)"``,
+    ``"(0,1]"`` or ``"[0,1]"``, if it lies outside it (NaN does)."""
+    # a float skips the abstract-class check, which costs several times more
+    if isinstance(value, bool) or type(value) is not float and not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if interval is not None and not (
+        (0.0 < value if interval[0] == "(" else 0.0 <= value)
+        and (value < 1.0 if interval[-1] == ")" else value <= 1.0)
+    ):
+        raise DomainError(f"{name} must be in {interval}" + _got(value))
+    return value
+
+
+def _got(value) -> str:
+    """``", got <value>"``, or nothing for an int too long to print."""
+    try:
+        return f", got {value}"
+    except ValueError:
+        return ""
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
@@ -338,7 +352,5 @@ def round_half_even(x: float) -> int:
 
 def empirical_ci(values, lo: float = 2.5, hi: float = 97.5) -> tuple[float, float]:
     """Empirical percentile interval of a sample (default 2.5th/97.5th)."""
-    import numpy as np
-
     q = np.percentile(np.asarray(values, dtype=float), [lo, hi])
     return (float(q[0]), float(q[1]))

@@ -106,7 +106,7 @@ class FitConfig:
     fits, not Model I's closed forms (see the module notes).  Both the
     simplex and the polish are scipy's, imported on the first numeric fit.
 
-    Every field but ``polish`` is checked when the config is built, so a
+    Every field is checked when the config is built, so a
     bad value raises ``DomainError`` before any fit runs.
 
     ``objective_tolerance`` is floored per start at four float spacings of
@@ -132,9 +132,7 @@ class FitConfig:
         if check_integer("max_iterations", self.max_iterations) < 1:
             raise DomainError(f"max_iterations must be positive, got {self.max_iterations}")
         for name in ("objective_tolerance", "parameter_tolerance"):
-            tol = getattr(self, name)
-            real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
-            if not (real and 0.0 <= tol < math.inf):
+            if not 0.0 <= check_real(name, tol := getattr(self, name)) < math.inf:
                 raise DomainError(f"{name} must be finite and nonnegative, got {tol!r}")
         r = self.known_ratio
         if r is not None and not 0 < check_real("known_ratio", r) < math.inf:
@@ -146,6 +144,8 @@ class FitConfig:
                 )
             if not all(math.isfinite(check_real("start", v)) for v in self.start):
                 raise DomainError("start values must be finite")
+        if not isinstance(self.polish, (bool, np.bool_)):
+            raise DomainError(f"polish must be a bool, got {self.polish!r}")
 
 
 def _logit(p: float) -> float:
@@ -162,6 +162,12 @@ def _prob(v: float) -> float:
         e = math.exp(v)
         p = e / (1.0 + e)
     return clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+
+
+def _log_excess(n: float, lo: float) -> float:
+    # log(n - lo) with n floored at lo + 1e-6; where lo is so large that
+    # lo + 1e-6 rounds to lo, the difference itself is floored at 1e-6
+    return math.log((max(n, lo + 1e-6) - lo) or 1e-6)
 
 
 class _Space:
@@ -193,11 +199,9 @@ class _Space:
         return (n_a, n_b, *map(_prob, u[self.size - 4 :]))
 
     def from_natural(self, n_a, n_b, alpha, p1, p2a, p2b) -> np.ndarray:
-        n_a = max(n_a, self.lo_a + 1e-6)
-        u = [math.log(n_a - self.lo_a)]
+        u = [_log_excess(n_a, self.lo_a)]
         if self.r is None:
-            n_b = max(n_b, self.lo_b + 1e-6)
-            u.append(math.log(n_b - self.lo_b))
+            u.append(_log_excess(n_b, self.lo_b))
         u.extend([_logit(alpha), _logit(p1), _logit(p2a), _logit(p2b)])
         return np.asarray(u, dtype=float)
 

@@ -31,6 +31,7 @@ from .core import (
     EstimateResult,
     Infeasible,
     StratumPair,
+    check_real,
     clamp,
     floor_int,
     validate_table,
@@ -173,13 +174,11 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
 
 
 def _check_moment_inputs(n_a: float, r: float, p1: float, p_dot1b: float, p01b: float) -> None:
-    if n_a <= 0:
-        raise DomainError(f"n_a must be positive, got {n_a}")
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
+    for name, value in (("n_a", n_a), ("r", r)):
+        if not check_real(name, value) > 0:
+            raise DomainError(f"{name} must be positive, got {value}")
     for name, p in (("p1", p1), ("p_dot1b", p_dot1b), ("p01b", p01b)):
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"{name} must be in (0,1), got {p}")
+        check_real(name, p, "(0,1)")
 
 
 def mme_asymptotic_mean_variance(

@@ -50,6 +50,7 @@ from .core import (
     MtbParams,
     OutOfRange,
     StratumPair,
+    check_real,
     log_factorial,
 )
 
@@ -71,6 +72,7 @@ def cell_probabilities(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> CellProbabilities:
     """Cell probabilities of the full 2x2 table for one stratum."""
+    _check_sign(sign)
     return CellProbabilities(*_cells(params.p1, params.p2, params.alpha, sign))
 
 
@@ -91,10 +93,17 @@ def _cells(p1: float, p2: float, a: float, sign: DependenceSign = DependenceSign
     )
 
 
+def _check_sign(sign) -> None:
+    # any other value would silently select the negative formulas
+    if not isinstance(sign, DependenceSign):
+        raise DomainError(f"sign must be a DependenceSign, got {sign!r}")
+
+
 def marginals_and_covariance(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> Marginals:
     """List-inclusion marginals and the between-list covariance."""
+    _check_sign(sign)
     p1, p2, a = params.p1, params.p2, params.alpha
     if sign is DependenceSign.POSITIVE:
         return Marginals(p1, a * p1 + (1.0 - a) * p2, a * p1 * (1.0 - p1))
@@ -120,14 +129,14 @@ def p2_from_marginal(p_dot1: float, p1: float, alpha: float) -> float:
     """Recover the latent List 2 probability from a target List 2 marginal.
 
     Inverts ``p_dot1 = alpha*p1 + (1-alpha)*p2`` (positive dependence).
-    Raises :class:`DomainError` for ``alpha`` outside ``[0, 1]``,
-    :class:`DegenerateDependence` at ``alpha = 1``, and :class:`OutOfRange`
-    when the implied ``p2`` is not in ``(0, 1]``, which signals an
-    infeasible (marginal, alpha) combination.
+    Raises :class:`DomainError` for a non-number argument or ``alpha``
+    outside ``[0, 1]``, :class:`DegenerateDependence` at ``alpha = 1``, and
+    :class:`OutOfRange` when the implied ``p2`` is not in ``(0, 1]``, which
+    signals an infeasible (marginal, alpha) combination.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must be in [0,1], got {alpha}")
-    if alpha == 1.0:
+    check_real("p_dot1", p_dot1)
+    check_real("p1", p1)
+    if check_real("alpha", alpha, "[0,1]") == 1.0:
         raise DegenerateDependence("alpha = 1 leaves p2 unidentified")
     p2 = (p_dot1 - alpha * p1) / (1.0 - alpha)
     if p2 > 1.0 and p2 <= 1.0 + 1e-12:  # float fuzz on an exact boundary
@@ -147,16 +156,11 @@ def p2_from_marginal(p_dot1: float, p1: float, alpha: float) -> float:
 
 def _validate_joint(theta, alpha_name: str) -> None:
     for name in ("p1", "p2a", "p2b"):
-        p = getattr(theta, name)
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"{name} must be in (0,1), got {p}")
-    alpha = getattr(theta, alpha_name)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"{alpha_name} must be in [0,1], got {alpha}")
-    if not (0.0 < theta.n_a < math.inf and 0.0 < theta.n_b < math.inf):
-        raise DomainError(
-            f"population sizes must be finite and positive, got {theta.n_a}, {theta.n_b}"
-        )
+        check_real(name, getattr(theta, name), "(0,1)")
+    check_real(alpha_name, getattr(theta, alpha_name), "[0,1]")
+    n_a, n_b = check_real("n_a", theta.n_a), check_real("n_b", theta.n_b)
+    if not (0.0 < n_a < math.inf and 0.0 < n_b < math.inf):
+        raise DomainError(f"population sizes must be finite and positive, got {n_a}, {n_b}")
 
 
 @dataclass(frozen=True)

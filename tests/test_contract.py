@@ -1,0 +1,63 @@
+"""The error contract for real-number arguments.
+
+Every real parameter of a public type or function goes through
+``core.check_real``: a string, ``None`` or a bool raises a ``DomainError``
+that names the argument, never a bare ``TypeError``, and numpy floats are
+real numbers like any other.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from dualrec.core import BbmParams, CellProbabilities, DomainError, MtbParams, log_factorial
+from dualrec.mle import FitConfig
+from dualrec.mme import delta_method_mean_variance, mme_asymptotic_mean_variance
+from dualrec.model import ModelIIParams, ModelIParams, p2_from_marginal
+
+_MOMENTS = dict(n_a=1200, r=1.2, p1=0.6, p_dot1b=0.8, p01b=0.32)
+
+# each public name with valid values for all its real arguments
+_VALID = {
+    BbmParams: dict(p1=0.6, p2=0.5, alpha=0.4, n=100),
+    CellProbabilities: dict(p11=0.25, p10=0.25, p01=0.25, p00=0.25),
+    MtbParams: dict(p1dot=0.6, p=0.25, c=0.5, phi=2.0),
+    ModelIParams: dict(n_a=300, n_b=300, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5),
+    ModelIIParams: dict(n_a=300, n_b=300, alpha0=0.2, p1=0.5, p2a=0.5, p2b=0.5),
+    p2_from_marginal: dict(p_dot1=0.72, p1=0.6, alpha=0.4),
+    mme_asymptotic_mean_variance: _MOMENTS,
+    delta_method_mean_variance: _MOMENTS,
+    log_factorial: dict(n=5.0),
+}
+
+_NOT_NUMBERS = ("0.5", None, True)
+
+
+@pytest.mark.parametrize("fn", _VALID, ids=lambda fn: fn.__name__)
+def test_valid_arguments_pass_as_python_or_numpy_numbers(fn):
+    kwargs = _VALID[fn]
+    assert fn(**kwargs) == fn(**{k: np.float64(v) for k, v in kwargs.items()})
+
+
+@pytest.mark.parametrize(
+    "fn,name,bad",
+    [
+        pytest.param(fn, name, bad, id=f"{fn.__name__}-{name}-{bad!r}")
+        for fn, kwargs in _VALID.items()
+        for name in kwargs
+        for bad in _NOT_NUMBERS
+    ],
+)
+def test_non_number_raises_domain_error_naming_the_argument(fn, name, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be a real number, got {bad!r}')}$"):
+        fn(**{**_VALID[fn], name: bad})
+
+
+@pytest.mark.parametrize("name", ["objective_tolerance", "parameter_tolerance", "known_ratio"])
+def test_fit_config_reals_take_numpy_floats_and_refuse_non_numbers(name):
+    assert getattr(FitConfig(**{name: np.float32(0.5)}), name) == np.float32(0.5)
+    # None is known_ratio's default, "no known ratio"
+    for bad in _NOT_NUMBERS if name != "known_ratio" else ("0.5", True):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be a real number, got {bad!r}')}$"):
+            FitConfig(**{name: bad})

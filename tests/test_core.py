@@ -57,6 +57,16 @@ def test_table_rejects_non_finite_and_non_numeric_counts(bad):
     assert str(err.value) == f"x11 must be an integer, got {bad!r}"
 
 
+def test_negative_count_too_long_to_print_is_left_out_of_the_message():
+    with pytest.raises(NegativeCount) as err:
+        DrsTable(-5, 0, 0)
+    assert str(err.value) == "x11 must be nonnegative, got -5"
+    # past Python's int-to-str limit the message cannot print the count
+    with pytest.raises(NegativeCount) as err:
+        DrsTable(-(10**5000), 0, 0)
+    assert str(err.value) == "x11 must be nonnegative"
+
+
 def test_table_counts_stay_below_2_to_the_63():
     # the int64 bound BbmParams puts on n; below it the estimators stay finite
     top = 2**63 - 1

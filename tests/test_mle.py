@@ -521,10 +521,38 @@ def test_config_validation():
             mle_model_ii(MEADOW_VOLES, FitConfig(max_iterations=value))
         assert str(err.value) == message
     for name in ("objective_tolerance", "parameter_tolerance"):
-        for value in (float("nan"), float("inf"), -1.0, "1e-3", True):
+        for value in (float("nan"), float("inf"), -1.0):
             with pytest.raises(DomainError, match=f"^{name} must be finite and nonnegative"):
                 FitConfig(**{name: value})
+        for value in ("1e-3", True):
+            with pytest.raises(DomainError, match=f"^{name} must be a real number, got {value!r}$"):
+                FitConfig(**{name: value})
         assert getattr(FitConfig(**{name: 0.0}), name) == 0.0
+
+
+def test_polish_must_be_a_bool():
+    # a truthy non-bool used to run the polish as if it were True
+    for value in ("no", 0, None):
+        with pytest.raises(DomainError, match=f"^polish must be a bool, got {value!r}$"):
+            FitConfig(polish=value)
+    assert FitConfig(polish=np.False_).polish == np.False_
+
+
+@pytest.mark.parametrize(
+    "method,a,b",
+    [
+        ("MLE-II", (1, 10**10, 1), (10**10, 1, 10**10)),
+        ("MLE-II", (5, 2**62, 7), (2**62, 3, 2**62)),
+        ("MLE-I", (5, 2**62, 7), (2**62, 3, 2**62)),
+    ],
+)
+def test_huge_counts_start_off_the_size_floor(method, a, b):
+    # lo + 1e-6 rounds to lo = x0 - 1 at these counts, so the start's size
+    # transform took log(0) and raised a bare ValueError
+    pair = StratumPair(DrsTable(*a), DrsTable(*b))
+    fit = sim.apply_method(method, pair)
+    assert all(math.isfinite(v) for v in fit.estimates.values())
+    assert fit.estimates["n_a"] >= pair.a.x0 and fit.estimates["n_b"] >= pair.b.x0
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,15 @@ def test_to_mtb_worked_example():
     assert mtb.c == pytest.approx(cells.p11 / 0.6, abs=1e-12)
 
 
+@pytest.mark.parametrize("sign", ["positive", "negative", None, True])
+def test_sign_must_be_a_dependence_sign(sign):
+    # any other value used to select the negative-dependence formulas
+    params = BbmParams(p1=0.6, p2=0.5, alpha=0.4, n=100)
+    for f in (cell_probabilities, marginals_and_covariance):
+        with pytest.raises(DomainError, match=f"^sign must be a DependenceSign, got {sign!r}$"):
+            f(params, sign)
+
+
 def test_to_mtb_rejects_full_dependence():
     with pytest.raises(DegenerateDependence):
         to_mtb(BbmParams(p1=0.6, p2=0.8, alpha=1.0, n=100))

@@ -152,6 +152,12 @@ def test_generate_negative_sign_shifts_mass_off_diagonal():
     assert neg.x10 > pos.x10
 
 
+def test_generate_refuses_a_sign_that_is_not_a_dependence_sign():
+    params = BbmParams(p1=0.6, p2=0.5, alpha=0.4, n=100)
+    with pytest.raises(DomainError, match="^sign must be a DependenceSign, got 'positive'$"):
+        generate_stratum(params, "positive", rng=np.random.default_rng(0))
+
+
 def test_generate_modes_and_determinism():
     params = BbmParams(p1=0.6, p2=0.8, alpha=0.4, n=240)
     t1 = generate_stratum(params, rng=np.random.default_rng(11))
