@@ -12,8 +12,10 @@ Two resampling schemes are provided:
   redistributes those individuals over the three observed cells with their
   empirical proportions.
 
-Each resample draws from its own child stream spawned from the seed, so
-the collection of resamples does not depend on evaluation order.
+Resample ``i`` draws from the stream that is, bit for bit,
+``np.random.default_rng(np.random.SeedSequence(seed).spawn(b)[i])``,
+computed without building either object, so the collection of resamples
+does not depend on evaluation order.
 Resamples whose refit fails (infeasible moment solution, violated
 condition, non-convergence) are counted and excluded from the standard
 error and interval; if fewer than two succeed, too few for a standard
@@ -98,7 +100,7 @@ def bootstrap(
         # observed proportions; the point fit has checked that neither x0 is 0
         gens = [((t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0), t.x0) for t in (data.a, data.b)]
     draw = partial(_draw_pair, *gens)
-    recs = _replicate_values(draw, seed, b, {method: ratio}, fit_config, 0, b)[method]
+    recs = _replicate_values(draw, seed, {method: ratio}, fit_config, 0, b)[method]
     *columns, failures = _successes(recs)
     if b - failures < 2:
         raise AllResamplesFailed(

@@ -228,9 +228,10 @@ class MtbParams:
     phi: float
 
     def __post_init__(self) -> None:
-        for name in ("p1dot", "p", "c", "phi"):
-            check_real(name, getattr(self, name))
-        if not self.phi > 0:
+        check_real("p1dot", self.p1dot, "(0,1)")
+        check_real("p", self.p, "(0,1]")
+        check_real("c", self.c, "(0,1]")
+        if not check_real("phi", self.phi) > 0:
             raise DomainError(f"phi must be positive, got {self.phi}")
         if abs(self.c - self.phi * self.p) > 1e-12:
             raise DomainError("c must equal phi * p")
@@ -283,8 +284,10 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     """
     if type(n) is not float:  # the likelihood's floats skip the type check
         check_real("n", n)
-    if n < 0:
-        raise DomainError(f"log_factorial requires n >= 0, got {n}")
+    # one comparison on the likelihood's path: n - n is 0 for a finite n and
+    # NaN for an infinite or NaN one, and 0 >= -n holds just when n >= 0
+    if not n - n >= -n:
+        raise DomainError(f"log_factorial requires a finite n >= 0, got {n}")
     if mode == "exact":
         return math.lgamma(n + 1.0)
     if n == 0:

@@ -175,8 +175,8 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
 
 def _check_moment_inputs(n_a: float, r: float, p1: float, p_dot1b: float, p01b: float) -> None:
     for name, value in (("n_a", n_a), ("r", r)):
-        if not check_real(name, value) > 0:
-            raise DomainError(f"{name} must be positive, got {value}")
+        if not 0.0 < check_real(name, value) < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     for name, p in (("p1", p1), ("p_dot1b", p_dot1b), ("p01b", p01b)):
         check_real(name, p, "(0,1)")
 

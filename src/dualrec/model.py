@@ -122,7 +122,8 @@ def to_mtb(params: BbmParams) -> MtbParams:
         raise DegenerateDependence("alpha = 1 has no finite response ratio")
     p = (1.0 - params.alpha) * params.p2
     phi = 1.0 + params.alpha / p
-    return MtbParams(p1dot=params.p1, p=p, c=phi * p, phi=phi)
+    # c = p + alpha <= 1, but phi * p can round one ulp above 1 when p2 = 1
+    return MtbParams(p1dot=params.p1, p=p, c=min(phi * p, 1.0), phi=phi)
 
 
 def p2_from_marginal(p_dot1: float, p1: float, alpha: float) -> float:

@@ -9,9 +9,10 @@ presets P1..P6.
 Under a Model I design the reference stratum B is generated with independent
 lists (``alpha = 0``); under Model II both strata share the design's alpha.
 
-Replicates use one child stream per replicate index spawned from the design
-seed, so results are bit-identical whether replicates run serially or across
-worker processes.
+Replicate ``i`` of a seeded study draws from the stream that is, bit for
+bit, ``np.random.default_rng(np.random.SeedSequence(seed).spawn(replicates)[i])``,
+computed without building either object, so results are bit-identical
+whether replicates run serially or across worker processes.
 """
 
 from __future__ import annotations
@@ -269,18 +270,86 @@ def _fit_values(fit: EstimateResult) -> tuple[float, float, float]:
     )
 
 
-def _replicate_values(draw, seed: int, count: int, ratios: dict, fit_config, lo: int, hi: int):
-    """Refit each method on the pairs drawn from streams [lo, hi) of the
-    ``count`` streams spawned from ``seed``.
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_BLOCK = 1024  # child seeds hashed per pass
+
+
+def _hasher(hc: int, mult: int):
+    """SeedSequence's hashmix with hash constant ``hc``, advanced by ``mult``
+    on every call; ``v`` is a Python int or a uint64 array of 32-bit words."""
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * mult & _M32
+        v = v * hc & _M32
+        return v ^ v >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    r = _MIX_L * x - _MIX_R * y & _M32
+    return r ^ r >> 16
+
+
+def _child_words(seed: int, idx: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).spawn(count)[i].generate_state(4, np.uint64)``
+    for each uint64 index ``i`` of ``idx``, one row per index: the spawn
+    key ``(i,)`` is one 32-bit word, or two from ``i = 2**32`` on."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    seed = int(seed)  # a numpy integer has no bit_length
+    # the seed's words, zero-padded to the pool size 4 since a child has a key
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:] + [idx & _M32]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    high = idx >> 32
+    if high.any():
+        pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
+    out = list(map(_hasher(_INIT_B, _MULT_B), pool + pool))
+    return np.stack([out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)], axis=1)
+
+
+def _streams(seed: int, lo: int, hi: int):
+    """One generator, set in turn to replicate ``i``'s stream for ``i`` in
+    ``[lo, hi)``: the PCG64 state that ``np.random.default_rng(child)``
+    seeds from the child's words ``(s0, s1, i0, i1)``."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for start in range(lo, hi, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, hi), dtype=np.uint64)
+        for s0, s1, i0, i1 in _child_words(seed, idx).tolist():
+            # PCG64's seeding: state 0, inc = 2*initseq + 1, step, add, step
+            inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+            pcg["inc"] = inc
+            bits.state = state
+            yield rng
+
+
+def _replicate_values(draw, seed: int, ratios: dict, fit_config, lo: int, hi: int):
+    """Refit each method on the pairs drawn from replicate streams [lo, hi)
+    of ``seed`` (see :func:`_streams`).
 
     ``draw(rng)`` returns one stratum pair; ``ratios`` maps each method to the
     ratio it is applied with.  Returns per-method ``(n_a, n_b, alpha)``
     records in stream order, all NaN where the refit failed.
     """
-    streams = np.random.SeedSequence(seed).spawn(count)
     out = {m: [] for m in ratios}
-    for i in range(lo, hi):
-        pair = draw(np.random.default_rng(streams[i]))
+    for rng in _streams(seed, lo, hi):
+        pair = draw(rng)
         for m, ratio in ratios.items():
             try:
                 fit = apply_method(m, pair, ratio=ratio, fit_config=fit_config)
@@ -327,7 +396,7 @@ def run_study(
     ratios = {m: ratio if ESTIMATORS[m].needs_ratio else None for m in methods}
     # generate_pair is read from the module on each call, so that a wrapper
     # installed on the module attribute (a tracer, say) sees every draw
-    job = (partial(generate_pair, design), design.seed, reps, ratios, fit_config)
+    job = (partial(generate_pair, design), design.seed, ratios, fit_config)
     workers = min(threads, os.cpu_count() or 1, reps)
     if workers > 1:
         chunk = math.ceil(reps / workers)

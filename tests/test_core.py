@@ -137,6 +137,14 @@ def test_log_factorial_modes_and_domain():
         log_factorial(3, mode="stirling2")
 
 
+@pytest.mark.parametrize("mode", ["exact", "stirling1", "stirling3"])
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_log_factorial_refuses_non_finite_arguments(n, mode):
+    # NaN passed the old n < 0 check, and inf * log(inf) - inf is NaN
+    with pytest.raises(DomainError, match="^log_factorial requires a finite n >= 0"):
+        log_factorial(n, mode)
+
+
 def test_log_factorial_monotone_and_stepwise():
     values = [log_factorial(n) for n in range(0, 200)]
     assert all(b >= a for a, b in zip(values, values[1:]))

@@ -1,5 +1,7 @@
 """Tests for the closed-form moment estimators and their asymptotic moments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,12 @@ def test_asymptotic_moments_domain_checks():
         mme_asymptotic_mean_variance(n_a=1200, r=0.0, p1=0.6, p_dot1b=0.8, p01b=0.32)
     with pytest.raises(DomainError):
         mme_asymptotic_mean_variance(n_a=1200, r=1.2, p1=1.5, p_dot1b=0.8, p01b=0.32)
+    # an infinite size or ratio made delta_method_mean_variance's variance NaN
+    for fn in (mme_asymptotic_mean_variance, delta_method_mean_variance):
+        for name, value in (("n_a", math.inf), ("r", math.inf), ("n_a", math.nan)):
+            kwargs = {**dict(n_a=1200, r=1.2, p1=0.6, p_dot1b=0.8, p01b=0.32), name: value}
+            with pytest.raises(DomainError, match=f"^{name} must be finite and positive, got {value}$"):
+                fn(**kwargs)
 
 
 def test_delta_method_variance_dominates_displayed_form():

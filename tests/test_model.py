@@ -1,6 +1,7 @@
 """Tests for the dependent-capture cell model and the joint log-likelihoods."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dualrec.core import (
     DomainError,
     DrsTable,
     InfeasibleN,
+    MtbParams,
     OutOfRange,
     StratumPair,
 )
@@ -150,6 +152,28 @@ def test_sign_must_be_a_dependence_sign(sign):
     for f in (cell_probabilities, marginals_and_covariance):
         with pytest.raises(DomainError, match=f"^sign must be a DependenceSign, got {sign!r}$"):
             f(params, sign)
+
+
+def test_to_mtb_keeps_recapture_probability_in_unit_interval_at_p2_one():
+    # c = p + alpha is exactly 1 at p2 = 1, yet phi * p rounds above 1 for
+    # about 4% of alphas; MtbParams refuses c > 1
+    for alpha in np.linspace(0.0, 0.999, 20000):
+        mtb = to_mtb(BbmParams(p1=0.6, p2=1.0, alpha=float(alpha), n=100))
+        assert 0.0 < mtb.p <= 1.0 and 0.0 < mtb.c <= 1.0
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(p1dot=5.0, p=-1.0, c=-2.0, phi=2.0), "p1dot must be in (0,1), got 5.0"),
+        (dict(p1dot=0.6, p=-1.0, c=-2.0, phi=2.0), "p must be in (0,1], got -1.0"),
+        (dict(p1dot=0.6, p=0.25, c=1.5, phi=6.0), "c must be in (0,1], got 1.5"),
+        (dict(p1dot=0.6, p=0.0, c=0.0, phi=2.0), "p must be in (0,1], got 0.0"),
+    ],
+)
+def test_mtb_params_bound_their_probabilities(fields, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        MtbParams(**fields)
 
 
 def test_to_mtb_rejects_full_dependence():

@@ -3,6 +3,7 @@
 import inspect
 import math
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,38 @@ def test_study_parallel_matches_serial():
     serial = run_study(d, estimators=("MME-I",))
     parallel = run_study(d, estimators=("MME-I",), threads=2)
     assert serial.estimators["MME-I"] == parallel.estimators["MME-I"]
+
+
+def _stream_draws(rng):
+    """A generator's PCG64 state, then two multinomial draws from it."""
+    state = rng.bit_generator.state
+    return state, rng.multinomial(240, (0.3, 0.2, 0.1, 0.4)).tolist(), rng.multinomial(200, (0.5, 0.5)).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**200 + 12345])
+def test_replicate_streams_are_spawned_default_rng_streams(seed):
+    # replicate i draws exactly what default_rng(SeedSequence(seed).spawn(n)[i])
+    # draws, over a range longer than one hashing block and over the halves
+    # that threads=2 gives each worker
+    n = 1100
+    expected = [_stream_draws(np.random.default_rng(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+    half = math.ceil(n / 2)
+    for lo, hi in ((0, n), (0, half), (half, n)):
+        assert [_stream_draws(rng) for rng in sim._streams(seed, lo, hi)] == expected[lo:hi]
+    # from index 2**32 on, numpy's spawn key is two 32-bit words; a child's
+    # key is its index, so these are reached without spawning 2**32 children
+    lo, hi = 2**32 - 2, 2**32 + 2
+    wide = [
+        _stream_draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))))
+        for i in range(lo, hi)
+    ]
+    assert [_stream_draws(rng) for rng in sim._streams(seed, lo, hi)] == wide
+    assert [_stream_draws(rng) for rng in sim._streams(seed, lo + 1, hi)] == wide[1:]
+
+
+def test_study_takes_a_numpy_integer_seed():
+    d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=30, seed=9)
+    assert run_study(replace(d, seed=np.int64(9)), ("LP",)).estimators == run_study(d, ("LP",)).estimators
 
 
 def test_design_builds_its_cells_once(monkeypatch):
