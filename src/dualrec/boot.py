@@ -16,6 +16,16 @@ Resample ``i`` draws from the stream that is, bit for bit,
 ``np.random.default_rng(np.random.SeedSequence(seed).spawn(b)[i])``,
 computed without building either object, so the collection of resamples
 does not depend on evaluation order.
+
+The closed-form methods (LP, NOUR, MME-I, MME-II) refit all resamples at
+once: the tables go into one ``(b, 6)`` count array, which the method's
+:class:`~dualrec.sim.Kernel` refits in float64.  That is exact, and equal
+bit for bit to refitting each table with Python ints, while every integer
+the formulas form stays below 2**53.  Each count is at most its stratum's
+size, so the kernel runs while the larger size squared (LP, MME-I), cubed
+(MME-II) or to the fourth power (NOUR) is below 2**53; past that, and for
+the other methods, :func:`apply_method` refits each resample.
+
 Resamples whose refit fails (infeasible moment solution, violated
 condition, non-convergence) are counted and excluded from the standard
 error and interval; if fewer than two succeed, too few for a standard
@@ -40,9 +50,8 @@ from .core import (
 )
 from .mle import FitConfig
 from .model import _cells
-from .sim import (
-    ESTIMATORS, _draw_pair, _fit_values, _generator, _replicate_values, _successes, apply_method
-)
+from .sim import ESTIMATORS, _draw_pair, _fit_values, _generator, apply_method
+from .sim import _replicate_counts, _replicate_values, _successes
 
 _SCHEMES = ("parametric", "nonparametric")
 
@@ -66,7 +75,7 @@ def _independence_cells(table: DrsTable, n_hat: float):
     if n >= 2**63:  # the multinomial draw takes sizes as int64, as in BbmParams
         raise DomainError(f"n must be positive and below 2**63, got {n_hat}")
     # the model's cells at alpha = 0; the observed List 1 margin may be all n
-    return _cells(table.x1dot / n, table.xdot1 / n, 0.0), n
+    return np.array(_cells(table.x1dot / n, table.xdot1 / n, 0.0)), n
 
 
 def bootstrap(
@@ -98,10 +107,17 @@ def bootstrap(
         gens = _generating_cells(method, data, point)
     else:
         # observed proportions; the point fit has checked that neither x0 is 0
-        gens = [((t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0), t.x0) for t in (data.a, data.b)]
-    draw = partial(_draw_pair, *gens)
-    recs = _replicate_values(draw, seed, {method: ratio}, fit_config, 0, b)[method]
-    *columns, failures = _successes(recs)
+        tables = (data.a, data.b)
+        gens = [(np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0) for t in tables]
+    kernel = ESTIMATORS[method].kernel
+    if kernel is not None and max(size for _, size in gens) ** kernel.degree < 2**53:
+        n_a, n_b, alpha, ok = kernel.fn(_replicate_counts(*gens, seed, 0, b))
+        columns = n_a[ok], n_b[ok], alpha[ok]
+        failures = b - int(ok.sum())
+    else:
+        draw = partial(_draw_pair, *gens)
+        recs = _replicate_values(draw, seed, {method: ratio}, fit_config, 0, b)[method]
+        *columns, failures = _successes(recs)
     if b - failures < 2:
         raise AllResamplesFailed(
             f"{method} failed on {failures} of {b} resamples; a standard error needs 2"

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     ConditionViolated,
     DivisionByZero,
@@ -39,7 +41,7 @@ def lincoln_petersen(t: DrsTable) -> EstimateResult:
     validate_table(t)
     if t.x11 == 0:
         raise DivisionByZero("x11 is zero")
-    n = t.x1dot * t.xdot1 / t.x11
+    n = _lp_size(t.x11, t.x10, t.x01)
     return EstimateResult(
         method="LP",
         estimates={"n": float(floor_int(n))},
@@ -59,12 +61,11 @@ def nour(t: DrsTable) -> EstimateResult:
     validate_table(t)
     if t.x11 == 0:
         raise DivisionByZero("x11 is zero")
-    det = t.x11 * t.x11 - t.x10 * t.x01
-    if det <= 0:
+    if t.x11 * t.x11 <= t.x10 * t.x01:
         raise ConditionViolated(
             f"requires x11^2 > x10*x01, got {t.x11}^2 <= {t.x10}*{t.x01}"
         )
-    n = t.x0 + t.x10 * t.x01 * t.x1dot * t.xdot1 / (t.x11 * det)
+    n = _nour_size(t.x11, t.x10, t.x01)
     return EstimateResult(
         method="NOUR",
         estimates={"n": float(round_half_up(n))},
@@ -115,10 +116,55 @@ def wolter_model2(data: StratumPair, r: float) -> EstimateResult:
         raise Infeasible(f"r must be finite and positive, got {r}")
     if B.x11 == 0:
         raise DivisionByZero("x11B is zero")
-    n_b = B.x1dot * B.xdot1 / B.x11
+    n_b = _lp_size(B.x11, B.x10, B.x01)
     n_a = r * n_b
     return EstimateResult(
         method="WOLTER-2",
         estimates={"n_a": float(floor_int(n_a)), "n_b": float(floor_int(n_b))},
         diagnostics={"n_a_unrounded": n_a, "n_b_unrounded": n_b},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Formulas shared by the scalar estimators and their columnar kernels
+# ---------------------------------------------------------------------------
+#
+# Each helper takes Python ints, which a scalar estimator passes once it has
+# ruled out every zero denominator, or float64 columns, which a kernel masks
+# afterwards.  While every integer a formula forms stays below 2**53, float64
+# sees the same operands and rounds each quotient as int / int does.
+
+
+def _lp_size(x11, x10, x01):
+    """The two-list size ``x1dot * xdot1 / x11``, unrounded."""
+    return (x11 + x10) * (x11 + x01) / x11
+
+
+def _nour_size(x11, x10, x01):
+    """Nour's size ``x0 + x10*x01*x1dot*xdot1 / (x11 * (x11^2 - x10*x01))``,
+    unrounded."""
+    det = x11 * x11 - x10 * x01
+    return x11 + x10 + x01 + x10 * x01 * (x11 + x10) * (x11 + x01) / (x11 * det)
+
+
+def _stratum_kernel(size, usable, counts: np.ndarray):
+    """A single-stratum estimator on both strata of each row of a ``(b, 6)``
+    float64 count array: the ``n_a``, ``n_b`` and (NaN) ``alpha`` columns,
+    and the mask of rows on which the estimator raises on neither stratum."""
+    a, b = counts.T[:3], counts.T[3:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_a, n_b = size(*a), size(*b)
+    return n_a, n_b, np.full(len(counts), np.nan), usable(*a) & usable(*b)
+
+
+def lincoln_petersen_kernel(counts: np.ndarray):
+    """:func:`lincoln_petersen` on both strata of each count row."""
+    # x11 > 0 also rules out an empty table
+    return _stratum_kernel(_lp_size, lambda x11, x10, x01: x11 > 0, counts)
+
+
+def nour_kernel(counts: np.ndarray):
+    """:func:`nour` on both strata of each count row."""
+    return _stratum_kernel(
+        _nour_size, lambda x11, x10, x01: (x11 > 0) & (x11 * x11 > x10 * x01), counts
     )

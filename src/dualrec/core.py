@@ -288,14 +288,18 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     # NaN for an infinite or NaN one, and 0 >= -n holds just when n >= 0
     if not n - n >= -n:
         raise DomainError(f"log_factorial requires a finite n >= 0, got {n}")
-    if mode == "exact":
-        return math.lgamma(n + 1.0)
-    if n == 0:
-        return 0.0
-    if mode == "stirling1":
-        return n * math.log(n) - n
-    if mode == "stirling3":
-        return n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
+    try:  # free on the likelihood's path until something overflows
+        if mode == "exact":
+            return math.lgamma(n + 1.0)
+        if n == 0:
+            return 0.0
+        if mode == "stirling1":
+            return n * math.log(n) - n
+        if mode == "stirling3":
+            return n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
+    except OverflowError:
+        # lgamma from about 2.6e305 on, or an int too large for a float
+        raise DomainError("n is too large for log_factorial" + _got(n)) from None
     raise DomainError(f"unknown log-factorial mode {mode!r}")
 
 

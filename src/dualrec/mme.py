@@ -24,6 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .classical import _lp_size
 from .core import (
     DivisionByZero,
     DomainError,
@@ -75,15 +78,11 @@ def mme_model_i(data: StratumPair) -> EstimateResult:
 
     p1 = B.x11 / B.xdot1
     p2b = B.x11 / B.x1dot
-    n_b = B.x1dot * B.xdot1 / B.x11
-    n_a = A.x1dot * B.xdot1 / B.x11
-
-    p2a_den = A.x10 * B.x01 + A.x01 * B.x11
+    n_a, n_b, alpha_raw, p2a_den = _model_i_terms(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
     if p2a_den == 0:
         raise DivisionByZero("x10A*x01B + x01A*x11B is zero")
     p2a = A.x01 * B.x11 / p2a_den
 
-    alpha_raw = A.xdot1 / A.x1dot - A.x01 * B.xdot1 / (B.x01 * A.x1dot)
     alpha = clamp(alpha_raw, 0.0, 1.0)
     clamped = None if alpha == alpha_raw else ("low" if alpha_raw < 0.0 else "high")
 
@@ -123,32 +122,24 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    shared_den = A.x01 * B.x10 - A.x10 * B.x01
-    if shared_den == 0:
+    if A.x01 * B.x10 == A.x10 * B.x01:
         raise DivisionByZero("x01A*x10B - x10A*x01B is zero")
     if A.x1dot == 0 or B.x1dot == 0 or A.x10 == 0:
         raise DivisionByZero("a required margin (x1dotA, x1dotB, x10A) is zero")
 
-    cross = A.x1dot * B.x10 - B.x1dot * A.x10
-    p2a = A.x01 * cross / (A.x1dot * shared_den)
-    p2b = B.x01 * cross / (B.x1dot * shared_den)
+    p2a, p2b = _model_ii_p2(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
     if not 0.0 < p2a < 1.0:
         raise Infeasible(f"p2a = {p2a} outside (0, 1)")
     if not 0.0 < p2b < 1.0:
         raise Infeasible(f"p2b = {p2b} outside (0, 1)")
 
-    alpha0 = 1.0 - (A.x10 / A.x1dot) / (1.0 - p2a)
+    alpha0, p1, n_a, n_b = _model_ii_given_p2a(A.x11, A.x10, A.x01, B.x11, B.x10, p2a)
     if not 0.0 <= alpha0 <= 1.0:
         raise Infeasible(f"alpha0 = {alpha0} outside [0, 1]")
-
     # once p2a, p2b and alpha0 pass, the checks on p1, n_a and n_b hold in
     # exact arithmetic; they stay as float guards of the n >= x0 contract
-    p1 = 1.0 / (1.0 + (A.x01 / A.x10) * (1.0 / p2a - 1.0))
     if not 0.0 < p1 < 1.0:
         raise Infeasible(f"p1 = {p1} outside (0, 1)")
-
-    n_a = A.x1dot / p1
-    n_b = B.x1dot / p1
     if n_a < A.x0:
         raise Infeasible(f"n_a = {n_a} below observed x0A = {A.x0}")
     if n_b < B.x0:
@@ -171,6 +162,68 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
             "note": "closed-form moment solution; prefer the likelihood fit",
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Formulas shared by the scalar estimators and their columnar kernels
+# ---------------------------------------------------------------------------
+#
+# Each helper takes Python ints, past the scalar estimator's checks, or
+# float64 columns, as in ``classical``.
+
+
+def _model_i_terms(a11, a10, a01, b11, b10, b01):
+    """Model I's unrounded ``n_a`` and ``n_b``, unclamped alpha, and the
+    denominator of ``p2a``; ints need nonzero x11B, x01B and x1dotA."""
+    a1, bd1 = a11 + a10, b11 + b01
+    n_a = a1 * bd1 / b11
+    alpha_raw = (a11 + a01) / a1 - a01 * bd1 / (b01 * a1)
+    return n_a, _lp_size(b11, b10, b01), alpha_raw, a10 * b01 + a01 * b11
+
+
+def _model_ii_p2(a11, a10, a01, b11, b10, b01):
+    """Model II's ``p2a`` and ``p2b``; ints need x01A*x10B != x10A*x01B and
+    nonzero x1dotA and x1dotB."""
+    a1, b1 = a11 + a10, b11 + b10
+    shared_den = a01 * b10 - a10 * b01
+    cross = a1 * b10 - b1 * a10
+    return a01 * cross / (a1 * shared_den), b01 * cross / (b1 * shared_den)
+
+
+def _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a):
+    """Model II's ``alpha0``, ``p1``, ``n_a`` and ``n_b`` from ``p2a``; ints
+    need ``p2a`` in (0, 1) and nonzero x10A and x1dotA."""
+    a1 = a11 + a10
+    alpha0 = 1.0 - (a10 / a1) / (1.0 - p2a)
+    p1 = 1.0 / (1.0 + (a01 / a10) * (1.0 / p2a - 1.0))
+    return alpha0, p1, a1 / p1, (b11 + b10) / p1
+
+
+def mme_model_i_kernel(counts: np.ndarray):
+    """:func:`mme_model_i` on each count row (see :class:`~dualrec.sim.Kernel`)."""
+    a11, a10, a01, b11, b10, b01 = counts.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_a, n_b, alpha_raw, p2a_den = _model_i_terms(a11, a10, a01, b11, b10, b01)
+    # x11B > 0 and x1dotA > 0 also rule out an empty table
+    ok = (b11 > 0) & (b01 > 0) & (a11 + a10 > 0) & (p2a_den != 0)
+    return n_a, n_b, np.clip(alpha_raw, 0.0, 1.0), ok
+
+
+def mme_model_ii_kernel(counts: np.ndarray):
+    """:func:`mme_model_ii` on each count row (see :class:`~dualrec.sim.Kernel`)."""
+    a11, a10, a01, b11, b10, b01 = counts.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p2a, p2b = _model_ii_p2(a11, a10, a01, b11, b10, b01)
+        alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a)
+    # x01A*x10B != x10A*x01B also rules out an empty table; a NaN fails
+    # every comparison
+    ok = (
+        (a01 * b10 != a10 * b01) & (a11 + a10 > 0) & (b11 + b10 > 0) & (a10 > 0)
+        & (0.0 < p2a) & (p2a < 1.0) & (0.0 < p2b) & (p2b < 1.0)
+        & (0.0 <= alpha0) & (alpha0 <= 1.0) & (0.0 < p1) & (p1 < 1.0)
+        & (n_a >= a11 + a10 + a01) & (n_b >= b11 + b10 + b01)
+    )
+    return n_a, n_b, alpha0, ok
 
 
 def _check_moment_inputs(n_a: float, r: float, p1: float, p_dot1b: float, p01b: float) -> None:

@@ -121,7 +121,10 @@ def to_mtb(params: BbmParams) -> MtbParams:
     if params.alpha >= 1.0:
         raise DegenerateDependence("alpha = 1 has no finite response ratio")
     p = (1.0 - params.alpha) * params.p2
-    phi = 1.0 + params.alpha / p
+    # a subnormal p2 can take p to 0, or alpha / p past the largest float
+    phi = 1.0 + params.alpha / p if p > 0.0 else math.inf
+    if phi == math.inf:
+        raise DegenerateDependence(f"p2 = {params.p2} has no finite response ratio")
     # c = p + alpha <= 1, but phi * p can round one ulp above 1 when p2 = 1
     return MtbParams(p1dot=params.p1, p=p, c=min(phi * p, 1.0), phi=phi)
 

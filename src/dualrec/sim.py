@@ -22,11 +22,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import lincoln_petersen, nour, wolter_model1, wolter_model2
+from .classical import (
+    lincoln_petersen, lincoln_petersen_kernel, nour, nour_kernel, wolter_model1, wolter_model2
+)
 from .core import (
     AllReplicatesFailed,
     BbmParams,
@@ -41,7 +43,7 @@ from .core import (
     empirical_ci,
 )
 from .mle import FitConfig, mle_model_i, mle_model_ii
-from .mme import mme_model_i, mme_model_ii
+from .mme import mme_model_i, mme_model_i_kernel, mme_model_ii, mme_model_ii_kernel
 from .model import DependenceSign, cell_probabilities, p2_from_marginal
 
 PRESETS: dict[str, tuple[float, float]] = {
@@ -54,21 +56,39 @@ PRESETS: dict[str, tuple[float, float]] = {
 }
 
 
+class Kernel(NamedTuple):
+    """A closed-form estimator over many tables at once.
+
+    ``fn(counts)`` takes a ``(b, 6)`` float64 array of rows (x11A, x10A,
+    x01A, x11B, x10B, x01B) and returns the unrounded ``n_a`` and ``n_b``
+    columns, the ``alpha`` column (NaN where the method has none) and a mask
+    that is False exactly where the scalar estimator raises.  Each integer
+    the formulas form is at most the larger stratum size to the power
+    ``degree``; while that stays below 2**53 the columns equal the scalar
+    estimator's values bit for bit.
+    """
+
+    fn: Callable
+    degree: int
+
+
 class Estimator(NamedTuple):
     """An estimator's CLI token, whether it needs the size ratio n_a / n_b,
-    and the model it fits ("I" or "II"; None for classical comparators)."""
+    the model it fits ("I" or "II"; None for classical comparators), and its
+    :class:`Kernel`, if it has one."""
 
     token: str
     needs_ratio: bool
     model: str | None
+    kernel: Kernel | None = None
 
 
 ESTIMATORS: dict[str, Estimator] = {
-    "LP": Estimator("lp", False, None),
-    "NOUR": Estimator("nour", False, None),
-    "MME-I": Estimator("mme1", False, "I"),
+    "LP": Estimator("lp", False, None, Kernel(lincoln_petersen_kernel, 2)),
+    "NOUR": Estimator("nour", False, None, Kernel(nour_kernel, 4)),
+    "MME-I": Estimator("mme1", False, "I", Kernel(mme_model_i_kernel, 2)),
     "MLE-I": Estimator("mle1", False, "I"),
-    "MME-II": Estimator("mme2", False, "II"),
+    "MME-II": Estimator("mme2", False, "II", Kernel(mme_model_ii_kernel, 3)),
     "MLE-II": Estimator("mle2", False, "II"),
     "WOLTER-1": Estimator("wolter1", True, None),
     "WOLTER-2": Estimator("wolter2", True, None),
@@ -164,14 +184,15 @@ def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:
 
 
 def _generator(params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE):
-    """A stratum's ``(cells, size)`` generator: its cells and rounded size."""
-    return cell_probabilities(params, sign).as_tuple(), int(round(params.n))
+    """A stratum's ``(cells, size)`` generator: its cells, as the float64
+    array the multinomial draw takes, and its rounded size."""
+    return np.array(cell_probabilities(params, sign).as_tuple()), int(round(params.n))
 
 
 def _draw_table(cells, size: int, rng: np.random.Generator) -> DrsTable:
     """One stratum's observed table: ``size`` individuals spread over
     ``cells`` (x11, x10, x01 and, if given, the unobserved x00)."""
-    x11, x10, x01 = rng.multinomial(size, cells)[:3]
+    x11, x10, x01 = rng.multinomial(size, cells).tolist()[:3]
     return DrsTable(x11, x10, x01)
 
 
@@ -358,6 +379,18 @@ def _replicate_values(draw, seed: int, ratios: dict, fit_config, lo: int, hi: in
                 continue
             out[m].append(_fit_values(fit))
     return out
+
+
+def _replicate_counts(gen_a, gen_b, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The tables :func:`_draw_pair` draws from replicate streams [lo, hi) of
+    ``seed``, as a ``(hi - lo, 6)`` float64 array of rows (x11A, x10A, x01A,
+    x11B, x10B, x01B)."""
+    (cells_a, size_a), (cells_b, size_b) = gen_a, gen_b
+    counts = np.empty((hi - lo, 6))
+    for row, rng in zip(counts, _streams(seed, lo, hi)):
+        draws = rng.multinomial(size_a, cells_a)[:3], rng.multinomial(size_b, cells_b)[:3]
+        np.concatenate(draws, out=row)
+    return counts
 
 
 def _successes(recs):

@@ -145,6 +145,17 @@ def test_log_factorial_refuses_non_finite_arguments(n, mode):
         log_factorial(n, mode)
 
 
+@pytest.mark.parametrize(
+    ("n", "mode"),
+    [(1e308, "exact"), (10**400, "exact"), (10**400, "stirling1"), (10**400, "stirling3")],
+)
+def test_log_factorial_refuses_arguments_that_overflow(n, mode):
+    # lgamma(1e308 + 1) overflows, and 10**400 has no float; both once let a
+    # bare OverflowError out
+    with pytest.raises(DomainError, match="^n is too large for log_factorial, got "):
+        log_factorial(n, mode)
+
+
 def test_log_factorial_monotone_and_stepwise():
     values = [log_factorial(n) for n in range(0, 200)]
     assert all(b >= a for a, b in zip(values, values[1:]))

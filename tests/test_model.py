@@ -181,6 +181,15 @@ def test_to_mtb_rejects_full_dependence():
         to_mtb(BbmParams(p1=0.6, p2=0.8, alpha=1.0, n=100))
 
 
+@pytest.mark.parametrize("p2", [5e-324, 1e-310])
+def test_to_mtb_rejects_a_response_ratio_past_the_float_range(p2):
+    # (1 - alpha) * p2 underflows to 0 at 5e-324, and alpha / p overflows to
+    # inf at 1e-310; both once failed with a bare ZeroDivisionError or a
+    # misleading "c must equal phi * p"
+    with pytest.raises(DegenerateDependence, match="has no finite response ratio"):
+        to_mtb(BbmParams(0.6, p2, 0.5, 100))
+
+
 @pytest.mark.parametrize("alpha", [1.5, 1.0 + 1e-9, -0.1, math.nan])
 def test_p2_from_marginal_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(DomainError) as err:
