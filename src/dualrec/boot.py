@@ -46,7 +46,6 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
-    empirical_ci,
 )
 from .mle import FitConfig
 from .model import _cells
@@ -122,12 +121,12 @@ def bootstrap(
         raise AllResamplesFailed(
             f"{method} failed on {failures} of {b} resamples; a standard error needs 2"
         )
-    se = {}
-    ci = {}
-    for k, vals in zip(("n_a", "n_b", "alpha"), columns):
-        if k in point.estimates:
-            se[k] = float(np.std(vals, ddof=1))
-            ci[k] = empirical_ci(vals)
+    keys = [k for k in ("n_a", "n_b", "alpha") if k in point.estimates]
+    stacked = np.stack([col for k, col in zip(("n_a", "n_b", "alpha"), columns) if k in keys])
+    sd = np.std(stacked, axis=1, ddof=1)
+    lo, hi = np.percentile(stacked, [2.5, 97.5], axis=1)
+    se = {k: float(v) for k, v in zip(keys, sd)}
+    ci = {k: (float(a), float(b)) for k, a, b in zip(keys, lo, hi)}
 
     diagnostics = dict(point.diagnostics)
     diagnostics.update(

@@ -10,17 +10,18 @@ used when the dependence clamps low, is the ``alpha = 0`` solution
 ``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1) and the
 likelihood does not rise in ``alpha`` there (the KKT condition).
 
-Every other fit is ``"numeric"``: scipy's derivative-free Nelder-Mead simplex
-on an unconstrained transform of the parameter space, optionally followed by
-scipy's short L-BFGS-B gradient polish:
+Every other fit is ``"numeric"``: scipy's derivative-free Nelder-Mead simplex,
+run once per start on an unconstrained transform of the parameter space:
 
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
-  feasibility boundary open while letting the optimiser roam freely;
+  feasibility boundary open while letting the optimiser roam freely (past
+  2**53, where ``x0 - 1.0`` rounds, from the smallest float not below
+  ``x0``, so no size falls below its count);
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
 scipy is imported on the first numeric fit, not by a closed form.
-``diagnostics["evaluations"]`` counts both steps' objective evaluations over
+``diagnostics["evaluations"]`` counts the simplex's objective evaluations over
 all starts (0 in closed form).
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
@@ -70,8 +71,8 @@ from .model import ModelIIParams, ModelIParams, _checked_fields, _loglik_kernel
 
 
 def minimize(fun, x0, method, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use; both optimisers
-    are called through this one name, which the bench's tracer wraps.  A
+    """``scipy.optimize.minimize``, imported on first use; the simplex is
+    called through this one name, which the bench's tracer wraps.  A
     simplex whose vertices all lie on the wall (+inf) makes scipy compute
     ``inf - inf``, which is not an error here."""
     from scipy.optimize import minimize as scipy_minimize
@@ -80,7 +81,6 @@ def minimize(fun, x0, method, **kwargs):
 
 
 _PROB_CLIP = 1e-8
-_LOGIT_BOUND = 25.0
 _U_BOUND = 35.0
 
 
@@ -99,12 +99,10 @@ class FitConfig:
     module notes) with one explicit natural-scale start
     ``(n_a, n_b, alpha, p1, p2a, p2b)``, which is used alone; simulation
     studies of locally-identified fits typically pass the design parameters
-    here.  ``polish`` enables the gradient refinement step after each
-    simplex run; disabling it gives pure simplex semantics, which on flat
-    objectives stop near their start instead of drifting along the plateau.
-    ``max_iterations``, the tolerances and ``polish`` govern only numeric
-    fits, not Model I's closed forms (see the module notes).  Both the
-    simplex and the polish are scipy's, imported on the first numeric fit.
+    here.  ``max_iterations`` and the tolerances govern only numeric fits,
+    not Model I's closed forms (see the module notes); a numeric fit is
+    scipy's simplex alone, which on flat objectives stops near its start
+    instead of drifting along the plateau.
 
     Every field is checked when the config is built, so a
     bad value raises ``DomainError`` before any fit runs.
@@ -119,7 +117,6 @@ class FitConfig:
     known_ratio: float | None = None
     logfac: str = "stirling1"
     start: tuple[float, float, float, float, float, float] | None = None
-    polish: bool = True
 
     def __post_init__(self) -> None:
         if self.logfac not in ("exact", "stirling1"):
@@ -144,8 +141,6 @@ class FitConfig:
                 )
             if not all(math.isfinite(check_real("start", v)) for v in self.start):
                 raise DomainError("start values must be finite")
-        if not isinstance(self.polish, (bool, np.bool_)):
-            raise DomainError(f"polish must be a bool, got {self.polish!r}")
 
 
 def _logit(p: float) -> float:
@@ -154,8 +149,7 @@ def _logit(p: float) -> float:
 
 
 def _prob(v: float) -> float:
-    # the inverse of _logit, from v clamped to the logit bound
-    v = clamp(v, -_LOGIT_BOUND, _LOGIT_BOUND)
+    # the inverse of _logit
     if v >= 0.0:
         p = 1.0 / (1.0 + math.exp(-v))
     else:
@@ -170,24 +164,31 @@ def _log_excess(n: float, lo: float) -> float:
     return math.log((max(n, lo + 1e-6) - lo) or 1e-6)
 
 
+def _size_floor(x0: int) -> float:
+    # the float a size is measured from: x0 - 1, exact up to 2**53.  Past it
+    # every float is an integer and x0 - 1.0 rounds, possibly below x0 - 1,
+    # so the floor is the smallest float not below x0
+    if x0 <= 2**53:
+        return x0 - 1.0
+    f = float(x0)
+    return f if f >= x0 else math.nextafter(f, math.inf)
+
+
 class _Space:
     """Transform between the free vector u and natural parameters.
 
-    Natural order is (n_a, n_b, alpha, p1, p2a, p2b).  With a known ratio r
-    the n_b coordinate is dropped and n_b = n_a / r.
+    Natural order is (n_a, n_b, alpha, p1, p2a, p2b).  Sizes enter as
+    ``n = lo + exp(u)`` from their :func:`_size_floor` ``lo``.  With a known
+    ratio r the n_b coordinate is dropped and n_b = n_a / r.
     """
 
     def __init__(self, pair: StratumPair, known_ratio: float | None):
         self.r = known_ratio
-        x0a, x0b = pair.a.x0, pair.b.x0
+        lo_a, lo_b = _size_floor(pair.a.x0), _size_floor(pair.b.x0)
         if known_ratio is None:
-            self.lo_a = x0a - 1.0
-            self.lo_b = x0b - 1.0
-            self.size = 6
+            self.lo_a, self.lo_b, self.size = lo_a, lo_b, 6
         else:
-            self.lo_a = max(x0a - 1.0, known_ratio * (x0b - 1.0))
-            self.lo_b = None
-            self.size = 5
+            self.lo_a, self.lo_b, self.size = max(lo_a, known_ratio * lo_b), None, 5
 
     def to_natural(self, u: np.ndarray) -> tuple[float, float, float, float, float, float]:
         u = u.tolist()  # math's calls take floats faster than numpy scalars
@@ -222,13 +223,15 @@ class _Space:
         return np.asarray(out, dtype=float)
 
 
-def _interior(pair: StratumPair, start) -> tuple[float, ...]:
+def _interior(pair: StratumPair, start, known_ratio: float | None) -> tuple[float, ...]:
     """``start`` with sizes raised to the observed counts and probabilities
-    clamped into [1e-4, 1 - 1e-4], so every start lies inside the space."""
+    clamped into [1e-4, 1 - 1e-4], so every start lies inside the space.
+    Under a known ratio r, ``n_a`` is raised to ``r x0B`` too, since
+    ``n_b = n_a / r`` below its count would start the fit on the wall."""
     n_a, n_b, *probs = start
     inner = 1e-4
     return (
-        max(n_a, pair.a.x0),
+        max(n_a, pair.a.x0, (known_ratio or 0.0) * pair.b.x0),
         max(n_b, pair.b.x0),
         *(clamp(p, inner, 1.0 - inner) for p in probs),
     )
@@ -307,11 +310,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         def objective(u) -> float:
             return -loglik(*space.to_natural(u))
 
-        def objective_grad(u) -> np.ndarray:
-            natural = space.to_natural(u)
-            return -space.chain_grad(natural, grad(*natural))
-
-        base = _interior(pair, base)
+        base = _interior(pair, base, config.known_ratio)
         u0 = space.from_natural(*base)
         starts = [(u0, objective(u0))]
         if guessed:  # four copies jittered by up to 20% on sizes, 0.15 logit units
@@ -326,7 +325,6 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 # whole evaluation budget there, so it does not run
                 if (f0 := objective(jittered)) != math.inf:
                     starts.append((jittered, f0))
-        bounds = [(-_U_BOUND, _U_BOUND)] * (space.size - 4) + [(-_LOGIT_BOUND, _LOGIT_BOUND)] * 4
         best, evaluations = None, 0
         for u0, f0 in starts:
             # below the objective's float spacing only bit-equal values meet fatol
@@ -344,23 +342,9 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                     "xatol": config.parameter_tolerance,
                 },
             )
-            cand_fun, cand_x = res.fun, res.x
             evaluations += res.nfev
-            if config.polish:
-                polish = minimize(
-                    objective,
-                    res.x,
-                    jac=objective_grad,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxiter": 200},
-                )
-                evaluations += int(polish.nfev)
-                if polish.fun <= cand_fun:
-                    cand_fun, cand_x = polish.fun, polish.x
-            record = (cand_fun, cand_x, bool(res.success), int(res.nit))
-            if best is None or cand_fun < best[0]:
-                best = record
+            if best is None or res.fun < best[0]:
+                best = (float(res.fun), res.x, bool(res.success), int(res.nit))
         fun, u_opt, converged, iterations = best
         solver, natural, value = "numeric", space.to_natural(u_opt), -fun
 

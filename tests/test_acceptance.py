@@ -152,7 +152,6 @@ def test_likelihood_study_reproduces_published_row():
         max_iterations=500,
         objective_tolerance=1e-3,
         parameter_tolerance=10.0,
-        polish=False,
         start=(design.n_a, design.n_b, design.alpha, pa.p1, pa.p2, pb.p2),
     )
     study = run_study(design, estimators=("MLE-II",), fit_config=config)

@@ -150,9 +150,7 @@ def test_fit_never_worse_than_default_moment_start():
 
 
 def test_unconverged_fit_is_flagged():
-    fit = mle_model_ii(
-        MEADOW_VOLES, FitConfig(max_iterations=2, polish=False)
-    )
+    fit = mle_model_ii(MEADOW_VOLES, FitConfig(max_iterations=2))
     assert fit.diagnostics["converged"] is False
 
 
@@ -301,12 +299,12 @@ def test_scipy_is_imported_only_for_a_numeric_fit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
-    # the simplex is scipy's too, so a fit without the polish imports it
+    # the simplex is scipy's, so a numeric fit imports it
     code = (
         "import sys\n"
         "from dualrec.datasets import CHILDREN_DEATH\n"
         "from dualrec.mle import FitConfig, mle_model_ii\n"
-        "fit = mle_model_ii(CHILDREN_DEATH, FitConfig(polish=False))\n"
+        "fit = mle_model_ii(CHILDREN_DEATH, FitConfig())\n"
         "print(fit.diagnostics['solver'], 'scipy' in sys.modules)\n"
     )
     proc = subprocess.run(
@@ -328,31 +326,29 @@ def test_fit_counts_its_objective_evaluations(monkeypatch):
     monkeypatch.setattr(dualrec.mle, "minimize", counted)
     assert mle_model_i(CHILDREN_DEATH).diagnostics["evaluations"] == 0
     assert calls == []
-    for config, methods in ((FitConfig(), {"Nelder-Mead", "L-BFGS-B"}),
-                            (FitConfig(polish=False), {"Nelder-Mead"})):
-        calls.clear()
-        fit = mle_model_ii(MEADOW_VOLES, config)
-        assert {m for m, _ in calls} == methods
-        assert len(calls) == len(methods) * fit.diagnostics["multistart"]
-        assert fit.diagnostics["evaluations"] == sum(n for _, n in calls) > 0
+    # one Nelder-Mead call per start, and nothing else
+    fit = mle_model_ii(MEADOW_VOLES, FitConfig())
+    assert [m for m, _ in calls] == ["Nelder-Mead"] * fit.diagnostics["multistart"]
+    assert fit.diagnostics["evaluations"] == sum(n for _, n in calls) > 0
 
 
 # Model II fits of Model II draws (presets P1, P3, P5, n_b = 10^2, 10^4 and
-# 10^6, alpha 0.4, n_a = 1.2 n_b), as recorded when the simplex was scipy's;
-# five stop unconverged.  (A cells, B cells, n_a, n_b, objective, converged)
+# 10^6, alpha 0.4, n_a = 1.2 n_b), as recorded when the simplex became the
+# only optimiser; five stop unconverged.
+# (A cells, B cells, n_a, n_b, objective, converged)
 _MODEL_II_BITS = [
-    ((68, 3, 29), (52, 4, 27), "0x1.959974db1af75p+6", "0x1.53778b5359d60p+6", "0x1.f8b018eae18f3p+8", False),
-    ((6804, 277, 2738), (5770, 257, 2211), "0x1.0db1c16c9804cp+16", "0x1.cb9bcfa9530f9p+15", "0x1.0505a181fbeffp+17", True),
-    ((690840, 28647, 269356), (575590, 24249, 223522), "0x1.9028dd3528c38p+20", "0x1.4d68a82b46484p+20", "0x1.4c31d0f1e8098p+24", True),
+    ((68, 3, 29), (52, 4, 27), "0x1.9599717e384bbp+6", "0x1.53778bb43a0b4p+6", "0x1.f8b018eaa64e8p+8", False),
+    ((6804, 277, 2738), (5770, 257, 2211), "0x1.0db17c81dc9d0p+16", "0x1.cb9cf02c0a746p+15", "0x1.0505a180ea3c1p+17", True),
+    ((690840, 28647, 269356), (575590, 24249, 223522), "0x1.9028c27db8996p+20", "0x1.4d689e70d4ff8p+20", "0x1.4c31d0f1e2e50p+24", True),
     ((61, 36, 7), (54, 23, 4), "0x1.adc61f47fa544p+6", "0x1.4ccccccb95fc6p+6", "0x1.f53a506eab8eap+8", True),
     ((75, 31, 1), (55, 28, 7), "0x1.03d5052f27bd8p+27", "0x1.96ea6db58e203p+26", "0x1.182fd4fe8cfddp+9", False),
-    ((5939, 3662, 568), (5050, 2938, 472), "0x1.489c94d4c63c1p+13", "0x1.11106c6492b5fp+13", "0x1.09bd031a86c71p+17", False),
-    ((604436, 355819, 54981), (503585, 295727, 46499), "0x1.0ec47ed3460c5p+20", "0x1.c3184d28313bdp+19", "0x1.524afd20655f8p+24", True),
+    ((5939, 3662, 568), (5050, 2938, 472), "0x1.489c94c467290p+13", "0x1.11106c545fe2dp+13", "0x1.09bd031a86c32p+17", False),
+    ((604436, 355819, 54981), (503585, 295727, 46499), "0x1.0ec47ed10d142p+20", "0x1.c3184d4126ba1p+19", "0x1.524afd206542fp+24", True),
     ((58, 3, 34), (53, 3, 26), "0x1.528cba71e0a2fp+10", "0x1.36ccbd490f2c8p+10", "0x1.e0212df67d837p+8", True),
     ((42, 2, 42), (57, 0, 21), "0x1.1f41e4151d128p+29", "0x1.742c4f33308f8p+29", "0x1.bc0d258adb9f8p+8", False),
-    ((5809, 277, 3235), (4740, 268, 2731), "0x1.2925720b83508p+13", "0x1.eecc10fe8e50dp+12", "0x1.e53704a954bc1p+16", False),
-    ((5775, 310, 3198), (4769, 292, 2745), "0x1.a27612a3b602bp+30", "0x1.5c0d56c6b9079p+30", "0x1.e58c004a2e548p+16", True),
-    ((570363, 29804, 330210), (475414, 25211, 274020), "0x1.b6a39830fe55cp+22", "0x1.6e08a7516c47fp+22", "0x1.352032942c118p+24", True),
+    ((5809, 277, 3235), (4740, 268, 2731), "0x1.292560f2b2bd2p+13", "0x1.eecc25af5726ap+12", "0x1.e53704a65019cp+16", False),
+    ((5775, 310, 3198), (4769, 292, 2745), "0x1.a277f16160421p+30", "0x1.5c0baeed71d68p+30", "0x1.e58c0049f6821p+16", True),
+    ((570363, 29804, 330210), (475414, 25211, 274020), "0x1.b6a388c4ccb0fp+22", "0x1.6e089e48fa1c8p+22", "0x1.352032942bd58p+24", True),
 ]
 
 
@@ -365,20 +361,20 @@ def test_model_ii_fits_are_pinned_to_the_bit(a, b, n_a, n_b, objective, converge
     assert d["converged"] is converged
 
 
-# Model I's numeric fits, as recorded before the start rule was written as
-# one step: the exact objective, a known ratio, the 2 x0 fallback where the
+# Model I's numeric fits, as recorded when the simplex became the only
+# optimiser: the exact objective, a known ratio, the 2 x0 fallback where the
 # moment equations divide by zero, first-order fits whose closed form fails
 # (moment p1 = 1; a face that fails KKT) and a supplied start.
 # (config, A cells, B cells, n_a, n_b, objective, converged)
 _MODEL_I_BITS = [
     ({"logfac": "exact"}, (30, 153, 8), (15, 173, 7), "0x1.fca1553caf443p+7", "0x1.0675266beacaep+8", "0x1.6a58fc40cdcf8p+10", True),
     ({"logfac": "exact"}, (57, 1, 30), (44, 0, 30), "0x1.5e7575996a035p+6", "0x1.2445da3be970ep+6", "0x1.c8031045855a0p+8", True),
-    ({"known_ratio": 1.2}, (46, 20, 11), (54, 5, 13), "0x1.5f826b3c5abf2p+6", "0x1.24ecaeb24b9f5p+6", "0x1.71dc3a1a623a1p+8", True),
+    ({"known_ratio": 1.2}, (46, 20, 11), (54, 5, 13), "0x1.5f826b401cd02p+6", "0x1.24ecaeb56d582p+6", "0x1.71dc3a1a623a2p+8", True),
     ({"known_ratio": 1.2}, (36, 0, 13), (24, 8, 16), "0x1.001fdc26329d5p+6", "0x1.aadfc43fa9b0ep+5", "0x1.951314b457edep+7", True),
-    ({}, (30, 10, 10), (0, 10, 10), "0x1.ca61229d59059p+28", "0x1.ca42d5790a29ep+26", "0x1.f08eab892e006p+6", False),
+    ({}, (30, 10, 10), (0, 10, 10), "0x1.ca5ba6fca5d6bp+28", "0x1.ca40afa5e00bdp+26", "0x1.f08eab88f6449p+6", False),
     ({"known_ratio": 1.2}, (30, 10, 10), (0, 10, 10), "0x1.afd6f22da07e9p+27", "0x1.67ddc9d0b0698p+27", "0x1.d41e25e55e5a6p+6", True),
     ({}, (36, 0, 13), (24, 8, 16), "0x1.dfffffe75891dp+5", "0x1.aaaaaadd2f3c5p+5", "0x1.953e16b71e6b3p+7", True),
-    ({}, (34, 0, 16), (32, 7, 10), "0x1.90000025ecebdp+5", "0x1.9e0f83b0d58e5p+5", "0x1.a8db0b1021a92p+7", True),
+    ({}, (34, 0, 16), (32, 7, 10), "0x1.90000025e9d39p+5", "0x1.9e0f83b0d58d5p+5", "0x1.a8db0b1021a92p+7", True),
     ({"start": (100.0, 90.0, 0.1, 0.5, 0.5, 0.5)}, (46, 20, 11), (54, 5, 13), "0x1.478e38a747d24p+6", "0x1.24d0979d37251p+6", "0x1.7234a69ef6e3bp+8", True),
 ]
 
@@ -409,12 +405,12 @@ def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
     for pair, solver in ((closed, "interior"), (no_closed_form, "numeric"),
                          (no_moment_solution, "numeric")):
         calls.clear()
-        assert mle_model_i(pair, FitConfig(polish=False)).diagnostics["solver"] == solver
+        assert mle_model_i(pair).diagnostics["solver"] == solver
         assert calls == [pair]
 
 
 def test_each_fit_and_profile_binds_its_table_once(monkeypatch):
-    # the objective, the polish gradient, the face's KKT check, grad_norm
+    # the objective, the face's KKT check, grad_norm
     # and every profile point share one binding of the table's counts
     calls, kernel = [], dualrec.mle._loglik_kernel
 
@@ -452,13 +448,13 @@ def test_start_count_follows_where_the_start_came_from():
     assert mle_model_i(MEADOW_VOLES).diagnostics["solver"] == "interior"
     assert starts(mle_model_i, supplied) == starts(mle_model_ii, supplied) == 1
     # copies 1, 3 and 4 of voles' Model II guess start below the wall; under
-    # the known ratio the guess itself does too, yet it runs
+    # the known ratio, which raises the guess's n_a to r x0B, only copy 4 does
     assert starts(mle_model_ii) == 2
-    assert starts(mle_model_i, FitConfig(known_ratio=1.2)) == 2
+    assert starts(mle_model_i, FitConfig(known_ratio=1.2)) == 4
     off_the_wall = StratumPair(DrsTable(20, 30, 30), DrsTable(25, 30, 20))
     fit = mle_model_ii(off_the_wall)
     assert fit.diagnostics["multistart"] == 5
-    assert fit.diagnostics["evaluations"] == 6631
+    assert fit.diagnostics["evaluations"] == 6616
     assert starts(mle_model_i, FitConfig(logfac="exact")) == 5
     no_moment_solution = StratumPair(DrsTable(30, 10, 10), DrsTable(0, 10, 10))
     assert starts(mle_model_i, pair=no_moment_solution) == 5
@@ -530,14 +526,6 @@ def test_config_validation():
         assert getattr(FitConfig(**{name: 0.0}), name) == 0.0
 
 
-def test_polish_must_be_a_bool():
-    # a truthy non-bool used to run the polish as if it were True
-    for value in ("no", 0, None):
-        with pytest.raises(DomainError, match=f"^polish must be a bool, got {value!r}$"):
-            FitConfig(polish=value)
-    assert FitConfig(polish=np.False_).polish == np.False_
-
-
 @pytest.mark.parametrize(
     "method,a,b",
     [
@@ -549,10 +537,24 @@ def test_polish_must_be_a_bool():
 def test_huge_counts_start_off_the_size_floor(method, a, b):
     # lo + 1e-6 rounds to lo = x0 - 1 at these counts, so the start's size
     # transform took log(0) and raised a bare ValueError
+    # past 2**53, x0 - 1.0 also rounds, and a size measured from it could
+    # fall below its count
     pair = StratumPair(DrsTable(*a), DrsTable(*b))
     fit = sim.apply_method(method, pair)
     assert all(math.isfinite(v) for v in fit.estimates.values())
     assert fit.estimates["n_a"] >= pair.a.x0 and fit.estimates["n_b"] >= pair.b.x0
+    d = fit.diagnostics
+    assert d["n_a_unrounded"] >= pair.a.x0 and d["n_b_unrounded"] >= pair.b.x0
+
+
+def test_known_ratio_fit_starts_off_the_wall():
+    # the moment start n_a = 99 put n_b = n_a / 2 below x0B = 85, where the
+    # first-order objective is -inf, and the fit ended there at n_b = 84
+    pair = StratumPair(DrsTable(63, 3, 32), DrsTable(56, 1, 28))
+    d = mle_model_i(pair, FitConfig(known_ratio=2.0)).diagnostics
+    assert math.isfinite(d["objective"])
+    assert d["n_a_unrounded"] >= pair.a.x0 and d["n_b_unrounded"] >= pair.b.x0
+    assert d["n_a_unrounded"] == 2.0 * d["n_b_unrounded"]
 
 
 @pytest.mark.parametrize(
@@ -645,7 +647,6 @@ def test_model_ii_replicate_band_with_local_start():
         max_iterations=500,
         objective_tolerance=1e-3,
         parameter_tolerance=10.0,
-        polish=False,
         start=(design.n_a, design.n_b, design.alpha, pa.p1, pa.p2, pb.p2),
     )
     study = sim.run_study(design, estimators=("MLE-II",), fit_config=cfg)

@@ -219,7 +219,7 @@ def test_apply_method_argument_errors():
 
 
 def test_apply_method_raises_on_unconverged_fit():
-    cfg = FitConfig(max_iterations=2, polish=False)
+    cfg = FitConfig(max_iterations=2)
     with pytest.raises(DidNotConverge):
         apply_method("MLE-II", MEADOW_VOLES, fit_config=cfg)
 
