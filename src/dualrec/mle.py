@@ -10,8 +10,9 @@ used when the dependence clamps low, is the ``alpha = 0`` solution
 ``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1) and the
 likelihood does not rise in ``alpha`` there (the KKT condition).
 
-Every other fit is ``"numeric"``: scipy's derivative-free Nelder-Mead simplex,
-run once per start on an unconstrained transform of the parameter space:
+Every other fit is ``"numeric"``: a derivative-free Nelder-Mead simplex
+(:func:`minimize`, whose iterates are scipy 1.17.1's to the bit), run once per
+start on an unconstrained transform of the parameter space:
 
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
   feasibility boundary open while letting the optimiser roam freely (past
@@ -20,9 +21,9 @@ run once per start on an unconstrained transform of the parameter space:
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
-scipy is imported on the first numeric fit, not by a closed form.
-``diagnostics["evaluations"]`` counts the simplex's objective evaluations over
-all starts (0 in closed form).
+No fit imports scipy except one under ``logfac="exact"``, whose gradient
+takes scipy's digamma.  ``diagnostics["evaluations"]`` counts the simplex's
+objective evaluations over all starts (0 in closed form).
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
 solution where no closed form holds.  Any other start is a guess: Model II's
@@ -51,6 +52,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +74,113 @@ from .mme import mme_model_i
 from .model import ModelIIParams, ModelIParams, _checked_fields, _loglik_kernel
 
 
-def minimize(fun, x0, method, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use; the simplex is
-    called through this one name, which the bench's tracer wraps.  A
-    simplex whose vertices all lie on the wall (+inf) makes scipy compute
-    ``inf - inf``, which is not an error here."""
-    from scipy.optimize import minimize as scipy_minimize
-    with np.errstate(invalid="ignore", over="ignore"):
-        return scipy_minimize(fun, x0, method=method, **kwargs)
+class _Simplex(NamedTuple):
+    x: list[float]
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+class _Exhausted(Exception):
+    """The evaluation budget ran out before a call."""
+
+
+def _sort(sim: list, fsim: list) -> tuple[list, list]:
+    """The vertices in ``np.argsort`` order of their values, as scipy sorts
+    them: numpy's float sort is not stable, so it alone places ties and NaN."""
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def minimize(fun, x0, method: str, options: dict) -> _Simplex:
+    """scipy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
+    options=options)``, non-adaptive, reproduced on lists of floats: the same
+    iterates, so the same ``x``, ``fun``, ``nit``, ``nfev`` and ``success``.
+    ``options`` holds ``maxiter``, ``maxfev``, ``fatol`` and ``xatol``;
+    ``fun`` takes a vertex as a list, which it must not change.  Every fit
+    calls the simplex through this one name, which the bench's tracer wraps
+    and whose ``method`` argument it reads; the simplex is Nelder-Mead
+    whatever ``method`` says.
+
+    As in scipy, the budget is checked before each call, and a call it
+    refuses abandons the iteration; a NaN value never meets a tolerance;
+    and ``fun`` is NaN where any vertex's value is.  Float arithmetic gives
+    inf and NaN without raising, so a simplex on the wall (+inf) computes
+    ``inf - inf`` quietly.
+    """
+    maxiter, maxfev = options["maxiter"], options["maxfev"]
+    fatol, xatol = options["fatol"], options["xatol"]
+    nfev = 0
+
+    def call(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return fun(x)
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _Exhausted:
+        pass
+    sim, fsim = _sort(sim, fsim)
+    sim, fsim = _sort(sim, fsim)  # scipy sorts twice here
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            # fsim is in order, NaN last, so its last value is the one
+            # farthest from the best, or NaN where any is
+            best = sim[0]
+            if abs(fsim[0] - fsim[-1]) <= fatol and all(
+                abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
+            ):
+                break
+            # np.add.reduce(sim[:-1], 0) / n: each coordinate summed row by row
+            xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+            worst = sim[-1]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # each vertex moves before its call, so a call the
+                    # budget refuses leaves it moved with its old value
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _Exhausted:
+            pass
+        sim, fsim = _sort(sim, fsim)
+
+    f_min = fsim[0] if fsim[-1] == fsim[-1] else math.nan  # np.min(fsim)
+    return _Simplex(sim[0], f_min, iterations, nfev, nfev < maxfev and iterations < maxiter)
 
 
 _PROB_CLIP = 1e-8
@@ -101,8 +204,8 @@ class FitConfig:
     studies of locally-identified fits typically pass the design parameters
     here.  ``max_iterations`` and the tolerances govern only numeric fits,
     not Model I's closed forms (see the module notes); a numeric fit is
-    scipy's simplex alone, which on flat objectives stops near its start
-    instead of drifting along the plateau.
+    the Nelder-Mead simplex alone (:func:`minimize`), which on flat
+    objectives stops near its start instead of drifting along the plateau.
 
     Every field is checked when the config is built, so a
     bad value raises ``DomainError`` before any fit runs.
@@ -139,7 +242,11 @@ class FitConfig:
                 raise DomainError(
                     f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(self.start)} values"
                 )
-            if not all(math.isfinite(check_real("start", v)) for v in self.start):
+            try:
+                finite = all(math.isfinite(check_real("start", v)) for v in self.start)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
                 raise DomainError("start values must be finite")
 
 
@@ -190,8 +297,7 @@ class _Space:
         else:
             self.lo_a, self.lo_b, self.size = max(lo_a, known_ratio * lo_b), None, 5
 
-    def to_natural(self, u: np.ndarray) -> tuple[float, float, float, float, float, float]:
-        u = u.tolist()  # math's calls take floats faster than numpy scalars
+    def to_natural(self, u: list[float]) -> tuple[float, float, float, float, float, float]:
         n_a = self.lo_a + math.exp(clamp(u[0], -_U_BOUND, _U_BOUND))
         if self.r is None:
             n_b = self.lo_b + math.exp(clamp(u[1], -_U_BOUND, _U_BOUND))
@@ -199,12 +305,12 @@ class _Space:
             n_b = n_a / self.r
         return (n_a, n_b, *map(_prob, u[self.size - 4 :]))
 
-    def from_natural(self, n_a, n_b, alpha, p1, p2a, p2b) -> np.ndarray:
+    def from_natural(self, n_a, n_b, alpha, p1, p2a, p2b) -> list[float]:
         u = [_log_excess(n_a, self.lo_a)]
         if self.r is None:
             u.append(_log_excess(n_b, self.lo_b))
         u.extend([_logit(alpha), _logit(p1), _logit(p2a), _logit(p2b)])
-        return np.asarray(u, dtype=float)
+        return u
 
     def chain_grad(self, natural, natural_grad) -> np.ndarray:
         # the decoded u and its gradient, ordered (n_a, n_b, alpha, p1, p2a, p2b)
@@ -318,9 +424,10 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             for _ in range(4):
                 fn_a = 1.0 + rng.uniform(-0.2, 0.2)
                 fn_b = 1.0 + rng.uniform(-0.2, 0.2)
-                dv = rng.uniform(-0.15, 0.15, size=4)
+                dv = rng.uniform(-0.15, 0.15, size=4).tolist()
                 jittered = space.from_natural(base[0] * fn_a, base[1] * fn_b, *base[2:])
-                jittered[space.size - 4 :] += dv
+                k = space.size - 4
+                jittered[k:] = [v + d for v, d in zip(jittered[k:], dv)]
                 # a copy that starts on the wall (objective +inf) spends the
                 # whole evaluation budget there, so it does not run
                 if (f0 := objective(jittered)) != math.inf:
@@ -344,7 +451,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
             )
             evaluations += res.nfev
             if best is None or res.fun < best[0]:
-                best = (float(res.fun), res.x, bool(res.success), int(res.nit))
+                best = (res.fun, res.x, res.success, res.nit)
         fun, u_opt, converged, iterations = best
         solver, natural, value = "numeric", space.to_natural(u_opt), -fun
 
@@ -393,9 +500,10 @@ def profile_objective(
 
     Returns ``(value, loglik)`` pairs for each grid value substituted into
     the named component, holding the rest of ``theta`` fixed.  Infeasible
-    sizes on the grid raise rather than being skipped.
+    sizes on the grid raise rather than being skipped.  ``grid`` is an
+    iterable of real numbers; anything else raises ``DomainError``.
     """
-    if model not in _MODELS:
+    if not isinstance(model, str) or model not in _MODELS:
         raise DomainError(f"model must be 'I' or 'II', got {model!r}")
     params, tied = _MODELS[model]
     if not isinstance(theta, params):
@@ -403,9 +511,17 @@ def profile_objective(
     allowed = tuple(f.name for f in fields(params))
     if component not in allowed:
         raise DomainError(f"unknown component {component!r}; expected one of {allowed}")
+    try:
+        grid = list(grid)
+    except TypeError:
+        raise DomainError(f"grid must be an iterable of real numbers, got {grid!r}") from None
     loglik = _loglik_kernel(data, logfac, tied)[0]
     out = []
     for value in grid:
-        point = replace(theta, **{component: float(value)})
-        out.append((float(value), loglik(*_checked_fields(point, data))))
+        try:
+            value = float(check_real("grid", value))
+        except OverflowError:
+            raise DomainError("grid values must be real numbers in the float range") from None
+        point = replace(theta, **{component: value})
+        out.append((value, loglik(*_checked_fields(point, data))))
     return out

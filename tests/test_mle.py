@@ -279,16 +279,20 @@ def test_closed_form_agrees_with_numeric_fits():
     assert min(solvers.values()) >= 10
 
 
-def test_scipy_is_imported_only_for_a_numeric_fit():
+def test_scipy_is_imported_only_for_an_exact_fit():
+    # the simplex is the package's own; scipy's digamma serves only the
+    # exact objective's gradient
     code = (
         "import sys\n"
-        "import dualrec\n"
-        "from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS\n"
-        "from dualrec.mle import mle_model_i, mle_model_ii\n"
-        "mle_model_i(CHILDREN_DEATH)\n"
-        "mle_model_i(ENCEPHALITIS)\n"
-        "print('scipy' in sys.modules)\n"
-        "mle_model_ii(CHILDREN_DEATH)\n"
+        "from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES\n"
+        "from dualrec.mle import FitConfig, mle_model_i, mle_model_ii\n"
+        "ratio = FitConfig(known_ratio=1.2)\n"
+        "supplied = FitConfig(start=(300.0, 300.0, 0.1, 0.5, 0.5, 0.5))\n"
+        "fits = [mle_model_i(CHILDREN_DEATH), mle_model_i(ENCEPHALITIS), mle_model_ii(CHILDREN_DEATH)]\n"
+        "for fit in (mle_model_i, mle_model_ii):\n"
+        "    fits += [fit(MEADOW_VOLES, ratio), fit(MEADOW_VOLES, supplied)]\n"
+        "print(*sorted({f.diagnostics['solver'] for f in fits}), 'scipy' in sys.modules)\n"
+        "mle_model_i(MEADOW_VOLES, FitConfig(logfac='exact'))\n"
         "print('scipy' in sys.modules)\n"
     )
     env = dict(os.environ)
@@ -298,20 +302,7 @@ def test_scipy_is_imported_only_for_a_numeric_fit():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
-    # the simplex is scipy's, so a numeric fit imports it
-    code = (
-        "import sys\n"
-        "from dualrec.datasets import CHILDREN_DEATH\n"
-        "from dualrec.mle import FitConfig, mle_model_ii\n"
-        "fit = mle_model_ii(CHILDREN_DEATH, FitConfig())\n"
-        "print(fit.diagnostics['solver'], 'scipy' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numeric", "True"]
+    assert proc.stdout.split() == ["face", "interior", "numeric", "False", "True"]
 
 
 def test_fit_counts_its_objective_evaluations(monkeypatch):
@@ -505,6 +496,9 @@ def test_config_validation():
             MEADOW_VOLES,
             FitConfig(start=(float("nan"), 100.0, 0.3, 0.5, 0.5, 0.5)),
         )
+    # an int with no float is no finite start
+    with pytest.raises(DomainError, match="^start values must be finite$"):
+        FitConfig(start=(10**400, 100.0, 0.3, 0.5, 0.5, 0.5))
     # a numeric field that a fit could not use, or a tolerance it could never
     # meet, is refused when the config is built
     for value, message in (
@@ -636,6 +630,21 @@ def test_profile_edge_cases():
     for size in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
             profile_objective("I", MEADOW_VOLES, theta, "n_a", [size])
+
+
+@pytest.mark.parametrize("model, grid, message", [
+    ("I", [None], "grid must be a real number, got None"),
+    ("I", ["x"], "grid must be a real number, got 'x'"),
+    ("I", ["300"], "grid must be a real number, got '300'"),
+    ("I", [True], "grid must be a real number, got True"),
+    ("I", 5, "grid must be an iterable of real numbers, got 5"),
+    ("I", [10**400], "grid values must be real numbers in the float range"),
+    (["I"], [300.0], "model must be 'I' or 'II', got \\['I'\\]"),
+])
+def test_profile_refuses_a_bad_grid_or_model(model, grid, message):
+    theta = ModelIParams(n_a=300, n_b=300, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
+    with pytest.raises(DomainError, match=message):
+        profile_objective(model, MEADOW_VOLES, theta, "n_a", grid)
 
 
 def test_model_ii_replicate_band_with_local_start():
