@@ -303,6 +303,22 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     raise DomainError(f"unknown log-factorial mode {mode!r}")
 
 
+def stirling1_ratio(n: float, x0: int) -> float:
+    """``log(n! / (n - x0)!)`` at first Stirling order, -inf below ``n = x0``.
+
+    The bits of ``log_factorial(n, "stirling1") - log_factorial(n - x0,
+    "stirling1")``, with the checks and calls left out for a finite float
+    ``n``, as a likelihood evaluation passes; any other ``n`` goes through
+    :func:`log_factorial`, which refuses an infinite or NaN one.
+    """
+    m = n - x0
+    if m < 0.0:
+        return -math.inf
+    if type(n) is not float or n - n != 0.0:
+        return log_factorial(n, "stirling1") - log_factorial(m, "stirling1")
+    return (n * math.log(n) - n if n else 0.0) - (m * math.log(m) - m if m else 0.0)
+
+
 def check_integer(name: str, value) -> int:
     """``value`` as an int; a DomainError naming ``name`` if it is not one
     (a bool is not, though ``operator.index`` reads it as 0 or 1)."""

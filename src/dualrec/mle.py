@@ -64,6 +64,7 @@ from .core import (
     DrsTable,
     EstimateResult,
     StratumPair,
+    _got,
     check_integer,
     check_real,
     clamp,
@@ -88,8 +89,10 @@ class _Exhausted(Exception):
 
 def _sort(sim: list, fsim: list) -> tuple[list, list]:
     """The vertices in ``np.argsort`` order of their values, as scipy sorts
-    them: numpy's float sort is not stable, so it alone places ties and NaN."""
-    order = np.argsort(fsim).tolist()
+    them: numpy's float sort is not stable, so it alone places ties and NaN.
+    ``np.argsort`` of a list makes this same array call, after a dispatch
+    that costs more than the sort of seven values."""
+    order = np.array(fsim).argsort().tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -234,9 +237,13 @@ class FitConfig:
         for name in ("objective_tolerance", "parameter_tolerance"):
             if not 0.0 <= check_real(name, tol := getattr(self, name)) < math.inf:
                 raise DomainError(f"{name} must be finite and nonnegative, got {tol!r}")
-        r = self.known_ratio
-        if r is not None and not 0 < check_real("known_ratio", r) < math.inf:
-            raise DomainError(f"known_ratio must be finite and positive, got {r}")
+        if (r := self.known_ratio) is not None:
+            try:
+                finite = 0 < check_real("known_ratio", r) and math.isfinite(r)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:  # the message leaves out an int past 4300 digits
+                raise DomainError("known_ratio must be finite and positive" + _got(r))
         if self.start is not None:
             if len(self.start) != 6:
                 raise DomainError(
@@ -253,16 +260,6 @@ class FitConfig:
 def _logit(p: float) -> float:
     p = clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
     return math.log(p / (1.0 - p))
-
-
-def _prob(v: float) -> float:
-    # the inverse of _logit
-    if v >= 0.0:
-        p = 1.0 / (1.0 + math.exp(-v))
-    else:
-        e = math.exp(v)
-        p = e / (1.0 + e)
-    return clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
 def _log_excess(n: float, lo: float) -> float:
@@ -297,13 +294,22 @@ class _Space:
         else:
             self.lo_a, self.lo_b, self.size = max(lo_a, known_ratio * lo_b), None, 5
 
-    def to_natural(self, u: list[float]) -> tuple[float, float, float, float, float, float]:
+    def to_natural(self, u: list[float]) -> list[float]:
+        # the inverse of from_natural
         n_a = self.lo_a + math.exp(clamp(u[0], -_U_BOUND, _U_BOUND))
         if self.r is None:
             n_b = self.lo_b + math.exp(clamp(u[1], -_U_BOUND, _U_BOUND))
         else:
             n_b = n_a / self.r
-        return (n_a, n_b, *map(_prob, u[self.size - 4 :]))
+        out = [n_a, n_b]
+        for v in u[self.size - 4 :]:
+            if v >= 0.0:
+                p = 1.0 / (1.0 + math.exp(-v))
+            else:
+                e = math.exp(v)
+                p = e / (1.0 + e)
+            out.append(clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP))
+        return out
 
     def from_natural(self, n_a, n_b, alpha, p1, p2a, p2b) -> list[float]:
         u = [_log_excess(n_a, self.lo_a)]

@@ -52,6 +52,7 @@ from .core import (
     StratumPair,
     check_real,
     log_factorial,
+    stirling1_ratio,
 )
 
 
@@ -202,31 +203,33 @@ class ModelIIParams:
 # ---------------------------------------------------------------------------
 
 
-def _xlog(coef: float, x: float) -> float:
-    # coef * log(x) with the 0 * log(0) = 0 convention
-    if coef == 0.0:
-        return 0.0
-    if x <= 0.0:
+def _exact_ratio(n: float, x0: int) -> float:
+    # log( n! / (n - x0)! ) via log-gamma, so the continuous extension stays
+    # defined on the open region n > x0 - 1 that the optimiser's transform
+    # exposes
+    v = n - x0 + 1.0
+    if v <= 0.0:
+        # n - x0 + 1 underflows to 0 when the optimiser pins n at its
+        # transform floor; the likelihood limit there is -inf
         return -math.inf
-    return coef * math.log(x)
+    return math.lgamma(n + 1.0) - math.lgamma(v)
 
 
-def _lfac_ratio(n: float, x0: int, mode: str) -> float:
-    # log( n! / (n - x0)! ), n treated as continuous.  Exact mode goes via
-    # log-gamma directly so the continuous extension stays defined on the
-    # open region n > x0 - 1 that the optimiser's transform exposes; the
-    # Stirling forms have no continuation below n = x0, so that region is
-    # walled off.
+def _lfac_ratio(mode: str):
+    # (n, x0) -> log( n! / (n - x0)! ), n treated as continuous, for one
+    # mode.  The Stirling forms have no continuation below n = x0, so that
+    # region is walled off.
+    if mode == "stirling1":
+        return stirling1_ratio
     if mode == "exact":
-        v = n - x0 + 1.0
-        if v <= 0.0:
-            # n - x0 + 1 underflows to 0 when the optimiser pins n at its
-            # transform floor; the likelihood limit there is -inf
+        return _exact_ratio
+
+    def ratio(n: float, x0: int) -> float:
+        if n - x0 < 0.0:
             return -math.inf
-        return math.lgamma(n + 1.0) - math.lgamma(v)
-    if n - x0 < 0.0:
-        return -math.inf
-    return log_factorial(n, mode) - log_factorial(n - x0, mode)
+        return log_factorial(n, mode) - log_factorial(n - x0, mode)
+
+    return ratio
 
 
 def _dlfac_ratio(n: float, x0: int, mode: str) -> float:
@@ -257,33 +260,42 @@ def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> t
 
 def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
     # pair's log-likelihood and its gradient as functions of (n_a, n_b,
-    # alpha, p1, p2a, p2b), counts bound once.  Model II term for term;
-    # tied=False (Model I) sets alpha_b = 0.0 and w = 0, which are exact, so
-    # Model II keeps its bits.  The integer count sums are exact too.
+    # alpha, p1, p2a, p2b), counts and the mode's size ratio bound once.
+    # Model II term for term; tied=False (Model I) sets alpha_b = 0.0 and
+    # w = 0, which are exact, so Model II keeps its bits.  The integer count
+    # sums are exact too.  Each coef * log(x) term is written out inline,
+    # with no call but the log, under the 0 * log(0) = 0 convention: 0.0
+    # where coef is 0, else -inf where x <= 0.  The order of the additions,
+    # pairs included, is pinned by tests/test_model.py.
     A, B = pair.a, pair.b
     a11, a10, a01, x0a = A.x11, A.x10, A.x01, A.x0
     b11, b10, b01, x0b = B.x11, B.x10, B.x01, B.x0
     w = 1 if tied else 0
     c10, c01, c_alpha = a10 + b10, a01 + b01, a10 + a01 + w * (b10 + b01)
     c_p1 = a11 + b11 + a10 + b10
-    lfac, dlfac, xlog = _lfac_ratio, _dlfac_ratio, _xlog
+    lfac, dlfac = _lfac_ratio(mode), _dlfac_ratio
+    log, ninf = math.log, -math.inf
 
     def loglik(n_a: float, n_b: float, alpha: float, p1: float, p2a: float, p2b: float) -> float:
         alpha_b = alpha if tied else 0.0
-        r11a = alpha + (1.0 - alpha) * p2a
-        r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
-        r11b = alpha_b + (1.0 - alpha_b) * p2b
-        r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
-        out = lfac(n_a, x0a, mode) + lfac(n_b, x0b, mode)
-        out += xlog(a11, p1 * r11a) + xlog(b11, p1 * r11b)
-        out += xlog(c10, p1)
-        out += xlog(c01, 1.0 - p1)
-        out += xlog(a01, p2a) + xlog(b01, p2b)
-        out += xlog(a10, 1.0 - p2a) + xlog(b10, 1.0 - p2b)
-        out += xlog(c_alpha, 1.0 - alpha)
-        out += xlog(n_a - x0a, (1.0 - p1) * r00a)
-        out += xlog(n_b - x0b, (1.0 - p1) * r00b)
-        return out
+        q1, q2a, q2b, q_alpha = 1.0 - p1, 1.0 - p2a, 1.0 - p2b, 1.0 - alpha
+        x11a, x11b = p1 * (alpha + q_alpha * p2a), p1 * (alpha_b + (1.0 - alpha_b) * p2b)
+        x00a, x00b = q1 * (alpha + q_alpha * q2a), q1 * (alpha_b + (1.0 - alpha_b) * q2b)
+        m_a, m_b = n_a - x0a, n_b - x0b
+        return (
+            lfac(n_a, x0a) + lfac(n_b, x0b)
+            + ((0.0 if not a11 else ninf if x11a <= 0.0 else a11 * log(x11a))
+               + (0.0 if not b11 else ninf if x11b <= 0.0 else b11 * log(x11b)))
+            + (0.0 if not c10 else ninf if p1 <= 0.0 else c10 * log(p1))
+            + (0.0 if not c01 else ninf if q1 <= 0.0 else c01 * log(q1))
+            + ((0.0 if not a01 else ninf if p2a <= 0.0 else a01 * log(p2a))
+               + (0.0 if not b01 else ninf if p2b <= 0.0 else b01 * log(p2b)))
+            + ((0.0 if not a10 else ninf if q2a <= 0.0 else a10 * log(q2a))
+               + (0.0 if not b10 else ninf if q2b <= 0.0 else b10 * log(q2b)))
+            + (0.0 if not c_alpha else ninf if q_alpha <= 0.0 else c_alpha * log(q_alpha))
+            + (0.0 if m_a == 0.0 else ninf if x00a <= 0.0 else m_a * log(x00a))
+            + (0.0 if m_b == 0.0 else ninf if x00b <= 0.0 else m_b * log(x00b))
+        )
 
     def grad(n_a: float, n_b: float, alpha: float, p1: float, p2a: float, p2b: float) -> list[float]:
         # ordered like the arguments, on the natural scale; the size

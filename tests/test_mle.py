@@ -499,6 +499,12 @@ def test_config_validation():
     # an int with no float is no finite start
     with pytest.raises(DomainError, match="^start values must be finite$"):
         FitConfig(start=(10**400, 100.0, 0.3, 0.5, 0.5, 0.5))
+    # nor a finite ratio, and one past 4300 digits is not printed
+    with pytest.raises(DomainError, match="^known_ratio must be finite and positive, got 1000"):
+        FitConfig(known_ratio=10**400)
+    with pytest.raises(DomainError, match="^known_ratio must be finite and positive$"):
+        FitConfig(known_ratio=10**5000)
+    assert FitConfig(known_ratio=10**300).known_ratio == 10**300
     # a numeric field that a fit could not use, or a tolerance it could never
     # meet, is refused when the config is built
     for value, message in (

@@ -15,6 +15,7 @@ from dualrec.core import (
     MtbParams,
     OutOfRange,
     StratumPair,
+    log_factorial,
 )
 from dualrec.datasets import DATASETS
 from dualrec.model import (
@@ -30,7 +31,7 @@ from dualrec.model import (
     p2_from_marginal,
     to_mtb,
 )
-from dualrec.model import _dlfac_ratio, _lfac_ratio, _xlog
+from dualrec.model import _dlfac_ratio, _loglik_kernel
 
 VOLES = StratumPair(DrsTable(46, 20, 11), DrsTable(54, 5, 13))
 
@@ -346,6 +347,50 @@ def test_loglik_prefers_compatible_sizes():
     assert peak > at(n_a_peak, 10.0 * n_b_peak)
 
 
+def _xlog(coef, x):
+    # coef * log(x) with the 0 * log(0) = 0 convention
+    if coef == 0.0:
+        return 0.0
+    if x <= 0.0:
+        return -math.inf
+    return coef * math.log(x)
+
+
+def _lfac_ratio(n, x0, mode):
+    # log(n! / (n - x0)!): log-gamma down to n > x0 - 1 in exact mode, two
+    # log_factorial calls walled off below n = x0 in the Stirling modes
+    if mode == "exact":
+        v = n - x0 + 1.0
+        if v <= 0.0:
+            return -math.inf
+        return math.lgamma(n + 1.0) - math.lgamma(v)
+    if n - x0 < 0.0:
+        return -math.inf
+    return log_factorial(n, mode) - log_factorial(n - x0, mode)
+
+
+def _reference_loglik(pair, mode, tied, n_a, n_b, alpha, p1, p2a, p2b):
+    # the log-likelihood term by term, one _xlog call a term, in the order
+    # of additions the kernel must keep; tied=False (Model I) sets stratum
+    # B's dependence to 0
+    A, B = pair.a, pair.b
+    alpha_b = alpha if tied else 0.0
+    r11a = alpha + (1.0 - alpha) * p2a
+    r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
+    r11b = alpha_b + (1.0 - alpha_b) * p2b
+    r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
+    value = _lfac_ratio(n_a, A.x0, mode) + _lfac_ratio(n_b, B.x0, mode)
+    value += _xlog(A.x11, p1 * r11a) + _xlog(B.x11, p1 * r11b)
+    value += _xlog(A.x10 + B.x10, p1)
+    value += _xlog(A.x01 + B.x01, 1.0 - p1)
+    value += _xlog(A.x01, p2a) + _xlog(B.x01, p2b)
+    value += _xlog(A.x10, 1.0 - p2a) + _xlog(B.x10, 1.0 - p2b)
+    value += _xlog(A.x10 + A.x01 + (B.x10 + B.x01 if tied else 0), 1.0 - alpha)
+    value += _xlog(n_a - A.x0, (1.0 - p1) * r00a)
+    value += _xlog(n_b - B.x0, (1.0 - p1) * r00b)
+    return value
+
+
 def _model_ii_sums(n_a, n_b, alpha, p1, p2a, p2b, pair, mode):
     # Model II's log-likelihood and gradient written out as separate sums, in
     # the order the shared kernel must keep.
@@ -354,15 +399,7 @@ def _model_ii_sums(n_a, n_b, alpha, p1, p2a, p2b, pair, mode):
     r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
     r11b = alpha + (1.0 - alpha) * p2b
     r00b = alpha + (1.0 - alpha) * (1.0 - p2b)
-    value = _lfac_ratio(n_a, A.x0, mode) + _lfac_ratio(n_b, B.x0, mode)
-    value += _xlog(A.x11, p1 * r11a) + _xlog(B.x11, p1 * r11b)
-    value += _xlog(A.x10 + B.x10, p1)
-    value += _xlog(A.x01 + B.x01, 1.0 - p1)
-    value += _xlog(A.x01, p2a) + _xlog(B.x01, p2b)
-    value += _xlog(A.x10, 1.0 - p2a) + _xlog(B.x10, 1.0 - p2b)
-    value += _xlog(A.x10 + A.x01 + B.x10 + B.x01, 1.0 - alpha)
-    value += _xlog(n_a - A.x0, (1.0 - p1) * r00a)
-    value += _xlog(n_b - B.x0, (1.0 - p1) * r00b)
+    value = _reference_loglik(pair, mode, True, n_a, n_b, alpha, p1, p2a, p2b)
     grad = [
         _dlfac_ratio(n_a, A.x0, mode) + math.log((1.0 - p1) * r00a),
         _dlfac_ratio(n_b, B.x0, mode) + math.log((1.0 - p1) * r00b),
@@ -402,3 +439,81 @@ def test_model_ii_arithmetic_is_pinned(name, logfac):
         value, grad = _model_ii_sums(*vars(theta).values(), pair, logfac)
         assert loglik_model_ii(theta, pair, logfac) == value
         assert loglik_model_ii_grad(theta, pair, logfac) == grad
+
+
+# a zero in each count cell in turn, all but the both-lists cells zero, no
+# one seen in stratum B, and only stratum A's both-lists cell
+_KERNEL_PAIRS = [
+    VOLES,
+    StratumPair(DrsTable(0, 20, 11), DrsTable(54, 5, 13)),
+    StratumPair(DrsTable(46, 0, 11), DrsTable(54, 5, 13)),
+    StratumPair(DrsTable(46, 20, 0), DrsTable(54, 5, 13)),
+    StratumPair(DrsTable(46, 20, 11), DrsTable(0, 5, 13)),
+    StratumPair(DrsTable(46, 20, 11), DrsTable(54, 0, 13)),
+    StratumPair(DrsTable(46, 20, 11), DrsTable(54, 5, 0)),
+    StratumPair(DrsTable(46, 0, 0), DrsTable(54, 0, 0)),
+    StratumPair(DrsTable(46, 20, 11), DrsTable(0, 0, 0)),
+    StratumPair(DrsTable(46, 0, 0), DrsTable(0, 0, 0)),
+]
+_CLIP = 1e-8
+
+
+def _kernel_points(pair, mode, rng):
+    x0a, x0b = pair.a.x0, pair.b.x0
+    # random points as Python floats, sizes from x0 - 1 to about six times x0
+    for _ in range(40):
+        u, v = rng.random(2).tolist()
+        yield (x0a - 1.0 + 5.0 * u * (x0a + 1), x0b - 1.0 + 5.0 * v * (x0b + 1),
+               *rng.uniform(0.0, 1.0, 4).tolist())
+    inner = (0.3, 0.4, 0.6, 0.7)
+    # each size at its count (a zero coefficient), as an int and as a float,
+    # and for exact mode strictly between x0 - 1 and x0 (a negative one)
+    yield (x0a, x0b + 7, *inner)
+    yield (float(x0a), float(x0b), *inner)
+    yield (x0a + 3.0, float(x0b), *inner)
+    if mode == "exact":
+        yield (x0a - 0.5, x0b - 0.25, *inner)
+        yield (x0a - 1.0 + 1e-12, x0b + 2.0, *inner)
+    # probabilities on the fit's clip, each way
+    for p in (_CLIP, 1.0 - _CLIP):
+        yield (x0a + 5.0, x0b + 5.0, p, p, p, p)
+        yield (x0a + 5.0, x0b + 5.0, 0.5, p, 1.0 - p, p)
+    # probabilities of 0 and 1, where a term's log is of 0: -inf, or 0.0
+    # where its coefficient is 0 (at n = x0 for the never-seen cells)
+    for p in (0.0, 1.0):
+        yield (x0a + 5.0, x0b + 5.0, 0.3, p, p, p)
+        yield (x0a + 5.0, x0b + 5.0, 0.3, 0.4, p, 1.0 - p)
+        yield (float(x0a), float(x0b), 0.3, p, 0.5, 0.5)
+    # no dependence, and full dependence, whose log(1 - alpha) term is -inf
+    for alpha in (0.0, 1.0):
+        yield (x0a + 5.0, x0b + 5.0, alpha, 0.4, 0.6, 0.7)
+    # a NaN probability: a term of NaN is NaN, not -inf, which shows where
+    # the both-lists cells' terms are the only ones left
+    yield (float(x0a), float(x0b), 0.3, math.nan, 0.6, 0.7)
+    # a size of no float, an infinite size and a NaN size
+    for size in (10**400, math.inf, math.nan):
+        yield (size, x0b + 5.0, 0.3, 0.4, 0.6, 0.7)
+        yield (x0a + 5.0, size, 0.3, 0.4, 0.6, 0.7)
+
+
+def _outcome(loglik, point):
+    try:
+        return float.hex(loglik(*point))
+    except (DomainError, OverflowError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("mode", ["stirling1", "exact", "stirling3"])
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("pair", _KERNEL_PAIRS)
+def test_loglik_kernel_keeps_the_term_by_term_bits(pair, tied, mode):
+    loglik = _loglik_kernel(pair, mode, tied)[0]
+    rng = np.random.default_rng(7)
+    for point in _kernel_points(pair, mode, rng):
+        expected = _outcome(lambda *p: _reference_loglik(pair, mode, tied, *p), point)
+        assert _outcome(loglik, point) == expected, point
+    # log_factorial refuses an infinite or NaN size in the Stirling modes
+    if mode != "exact":
+        for size in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="^log_factorial requires a finite n >= 0"):
+                loglik(size, pair.b.x0 + 5.0, 0.3, 0.4, 0.6, 0.7)

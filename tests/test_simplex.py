@@ -135,3 +135,28 @@ def test_every_budget_stops_where_scipys_does(fun, x0):
         stopped += not _same(fun, x0, dict(_OPTIONS, maxiter=maxiter)).success
     assert stopped == 320
 
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("fsim", [
+    [3.0, 1.0, 2.0, -5.5, 7.25, 0.5, 4.0],  # distinct
+    [2.0, 1.0, 2.0, 1.0, 0.5, 2.0, 3.0],  # exact ties
+    [0.0, -0.0, 1.0, -1.0, 0.0, 2.0, -0.0],  # 0.0 and -0.0 tie
+    [1.0, math.inf, math.inf, math.inf, 0.0, math.inf, math.inf],
+    [math.inf, -math.inf, 0.0, 1.0, -1.0, 2.0, 3.0],  # distinct infinities
+    [1.0, _NAN, 0.5, 2.0],  # one NaN, the list equal to itself
+    [1.0, float("nan"), 0.5, 2.0, -3.0, 4.0, 0.25],
+    [_NAN, 1.0, _NAN, 0.5, float("nan"), 2.0, math.inf],  # several NaNs
+    [_NAN, _NAN, _NAN],
+    [5.0],
+])
+def test_sort_orders_vertices_as_argsort_does(fsim):
+    # the vertices and their values, labelled, in np.argsort's order, which
+    # is not stable: ties and NaN are where another sort would differ
+    labels = [f"v{i}" for i in range(len(fsim))]
+    sim, values = dualrec.mle._sort(labels, list(fsim))
+    order = np.argsort(fsim)
+    assert sim == [labels[i] for i in order]
+    assert [float.hex(v) for v in values] == [float.hex(fsim[i]) for i in order]
