@@ -319,6 +319,48 @@ def stirling1_ratio(n: float, x0: int) -> float:
     return (n * math.log(n) - n if n else 0.0) - (m * math.log(m) - m if m else 0.0)
 
 
+def _exact_ratio(n: float, x0: int) -> float:
+    # log(n! / (n - x0)!) via log-gamma, defined down to n > x0 - 1; -inf where
+    # n - x0 + 1 underflows to 0, as when a fit pins n at its transform floor
+    v = n - x0 + 1.0
+    return -math.inf if v <= 0.0 else math.lgamma(n + 1.0) - math.lgamma(v)
+
+
+def digamma(x: float) -> float:
+    """``psi(x)``, the derivative of ``lgamma``, for real ``x > 0``: AS 103
+    (Bernardo, Appl. Statist. 25, 1976).  ``psi(x) = psi(x + 1) - 1/x`` lifts
+    ``x`` to 6 or more, where the asymptotic series is good to about 1e-11."""
+    if x < 6.0:
+        return digamma(x + 1.0) - 1.0 / x
+    f = 1.0 / (x * x)
+    series = f * (1 / 12 - f * (1 / 120 - f * (1 / 252 - f * (1 / 240 - f / 132))))
+    return math.log(x) - 0.5 / x - series
+
+
+def lfac_ratio(mode: str):
+    """``(ratio, dratio)``: ``ratio(n, x0) = log(n! / (n - x0)!)``, ``n``
+    continuous, and its derivative in ``n``, in ``mode``'s form (as in
+    :func:`log_factorial`).  The Stirling ratios are -inf below ``n = x0``;
+    each derivative floors its lower argument at 1e-12 to stay finite at
+    that wall.  An unknown mode raises :class:`DomainError`."""
+    if mode == "exact":
+        return _exact_ratio, lambda n, x0: digamma(n + 1.0) - digamma(max(n - x0 + 1.0, 1e-12))
+    if mode == "stirling1":
+        return stirling1_ratio, lambda n, x0: math.log(n) - math.log(max(n - x0, 1e-12))
+    if mode != "stirling3":
+        raise DomainError(f"unknown log-factorial mode {mode!r}")
+
+    def ratio(n: float, x0: int) -> float:
+        m = n - x0
+        return -math.inf if m < 0.0 else log_factorial(n, mode) - log_factorial(m, mode)
+
+    def dratio(n: float, x0: int) -> float:
+        v = max(n - x0, 1e-12)
+        return math.log(n) + 0.5 / n - math.log(v) - 0.5 / v
+
+    return ratio, dratio
+
+
 def check_integer(name: str, value) -> int:
     """``value`` as an int; a DomainError naming ``name`` if it is not one
     (a bool is not, though ``operator.index`` reads it as 0 or 1)."""

@@ -21,9 +21,9 @@ start on an unconstrained transform of the parameter space:
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
-No fit imports scipy except one under ``logfac="exact"``, whose gradient
-takes scipy's digamma.  ``diagnostics["evaluations"]`` counts the simplex's
-objective evaluations over all starts (0 in closed form).
+No fit imports scipy: the simplex is the package's own, and ``exact``
+gradients take :func:`dualrec.core.digamma`.  ``diagnostics["evaluations"]``
+counts the simplex's objective evaluations over all starts (0 in closed form).
 
 A supplied start (``FitConfig.start``) runs alone, as does Model I's moment
 solution where no closed form holds.  Any other start is a guess: Model II's
@@ -318,7 +318,7 @@ class _Space:
         u.extend([_logit(alpha), _logit(p1), _logit(p2a), _logit(p2b)])
         return u
 
-    def chain_grad(self, natural, natural_grad) -> np.ndarray:
+    def chain_grad(self, natural, natural_grad) -> list[float]:
         # the decoded u and its gradient, ordered (n_a, n_b, alpha, p1, p2a, p2b)
         n_a, n_b, alpha, p1, p2a, p2b = natural
         g_na, g_nb, g_al, g_p1, g_p2a, g_p2b = natural_grad
@@ -332,7 +332,7 @@ class _Space:
         out.append(g_p1 * p1 * (1.0 - p1))
         out.append(g_p2a * p2a * (1.0 - p2a))
         out.append(g_p2b * p2b * (1.0 - p2b))
-        return np.asarray(out, dtype=float)
+        return out
 
 
 def _interior(pair: StratumPair, start, known_ratio: float | None) -> tuple[float, ...]:
@@ -468,7 +468,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
                    "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
         diagnostics={"converged": converged, "iterations": iterations, "objective": value,
-                     "grad_norm": float(np.linalg.norm(space.chain_grad(natural, grad(*natural)))),
+                     "grad_norm": math.hypot(*space.chain_grad(natural, grad(*natural))),
                      "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": len(starts),
                      "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
     )

@@ -36,6 +36,7 @@ log-gamma, which is what the fitting routines optimise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -50,9 +51,9 @@ from .core import (
     MtbParams,
     OutOfRange,
     StratumPair,
+    _got,
     check_real,
-    log_factorial,
-    stirling1_ratio,
+    lfac_ratio,
 )
 
 
@@ -163,9 +164,10 @@ def _validate_joint(theta, alpha_name: str) -> None:
     for name in ("p1", "p2a", "p2b"):
         check_real(name, getattr(theta, name), "(0,1)")
     check_real(alpha_name, getattr(theta, alpha_name), "[0,1]")
-    n_a, n_b = check_real("n_a", theta.n_a), check_real("n_b", theta.n_b)
-    if not (0.0 < n_a < math.inf and 0.0 < n_b < math.inf):
-        raise DomainError(f"population sizes must be finite and positive, got {n_a}, {n_b}")
+    for name in ("n_a", "n_b"):
+        n = check_real(name, getattr(theta, name))
+        if not 0.0 < n <= sys.float_info.max:  # an int past it has no float
+            raise DomainError(f"{name} must be positive and in the float range" + _got(n))
 
 
 @dataclass(frozen=True)
@@ -203,50 +205,6 @@ class ModelIIParams:
 # ---------------------------------------------------------------------------
 
 
-def _exact_ratio(n: float, x0: int) -> float:
-    # log( n! / (n - x0)! ) via log-gamma, so the continuous extension stays
-    # defined on the open region n > x0 - 1 that the optimiser's transform
-    # exposes
-    v = n - x0 + 1.0
-    if v <= 0.0:
-        # n - x0 + 1 underflows to 0 when the optimiser pins n at its
-        # transform floor; the likelihood limit there is -inf
-        return -math.inf
-    return math.lgamma(n + 1.0) - math.lgamma(v)
-
-
-def _lfac_ratio(mode: str):
-    # (n, x0) -> log( n! / (n - x0)! ), n treated as continuous, for one
-    # mode.  The Stirling forms have no continuation below n = x0, so that
-    # region is walled off.
-    if mode == "stirling1":
-        return stirling1_ratio
-    if mode == "exact":
-        return _exact_ratio
-
-    def ratio(n: float, x0: int) -> float:
-        if n - x0 < 0.0:
-            return -math.inf
-        return log_factorial(n, mode) - log_factorial(n - x0, mode)
-
-    return ratio
-
-
-def _dlfac_ratio(n: float, x0: int, mode: str) -> float:
-    # d/dn of _lfac_ratio, matching each mode's own functional form; the
-    # Stirling branches floor n - x0 away from zero so the derivative keeps
-    # pointing away from the wall instead of overflowing.
-    if mode == "exact":
-        from scipy.special import digamma
-        return float(digamma(n + 1.0) - digamma(max(n - x0 + 1.0, 1e-12)))
-    v = max(n - x0, 1e-12)
-    if mode == "stirling1":
-        return math.log(n) - math.log(v)
-    if mode == "stirling3":
-        return math.log(n) + 0.5 / n - math.log(v) - 0.5 / v
-    raise DomainError(f"unknown log-factorial mode {mode!r}")
-
-
 def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> tuple:
     """``theta``'s fields in declaration order, which is the kernel's
     argument order (n_a, n_b, alpha, p1, p2a, p2b), once its sizes are
@@ -273,7 +231,7 @@ def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
     w = 1 if tied else 0
     c10, c01, c_alpha = a10 + b10, a01 + b01, a10 + a01 + w * (b10 + b01)
     c_p1 = a11 + b11 + a10 + b10
-    lfac, dlfac = _lfac_ratio(mode), _dlfac_ratio
+    lfac, dlfac = lfac_ratio(mode)
     log, ninf = math.log, -math.inf
 
     def loglik(n_a: float, n_b: float, alpha: float, p1: float, p2a: float, p2b: float) -> float:
@@ -305,8 +263,8 @@ def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
         r00a = alpha + (1.0 - alpha) * (1.0 - p2a)
         r11b = alpha_b + (1.0 - alpha_b) * p2b
         r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
-        d_na = dlfac(n_a, x0a, mode) + math.log((1.0 - p1) * r00a)
-        d_nb = dlfac(n_b, x0b, mode) + math.log((1.0 - p1) * r00b)
+        d_na = dlfac(n_a, x0a) + math.log((1.0 - p1) * r00a)
+        d_nb = dlfac(n_b, x0b) + math.log((1.0 - p1) * r00b)
         d_alpha = (
             a11 * (1.0 - p2a) / r11a
             + w * b11 * (1.0 - p2b) / r11b

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma as scipy_digamma
 
 from dualrec.core import (
     BbmParams,
@@ -13,8 +14,10 @@ from dualrec.core import (
     EmptyTable,
     NegativeCount,
     clamp,
+    digamma,
     empirical_ci,
     floor_int,
+    lfac_ratio,
     log_factorial,
     round_half_even,
     round_half_up,
@@ -154,6 +157,23 @@ def test_log_factorial_refuses_arguments_that_overflow(n, mode):
     # bare OverflowError out
     with pytest.raises(DomainError, match="^n is too large for log_factorial, got "):
         log_factorial(n, mode)
+
+
+def test_digamma_matches_scipys():
+    xs = np.logspace(-12, 15, 60001)
+    for x, expected in zip(xs.tolist(), scipy_digamma(xs).tolist()):
+        assert abs(digamma(x) - expected) <= 1e-10 * max(1.0, abs(expected)), x
+
+
+def test_exact_ratio_derivative_matches_scipys_digamma_difference():
+    dratio = lfac_ratio("exact")[1]
+    rng = np.random.default_rng(21)
+    x0 = rng.integers(1, 10**4, 20000)
+    # sizes from just above the wall at x0 - 1 to about 3e6 past it
+    n = x0 - 1.0 + np.exp(rng.uniform(-20.0, 15.0, 20000))
+    expected = scipy_digamma(n + 1.0) - scipy_digamma(np.maximum(n - x0 + 1.0, 1e-12))
+    for n_k, x0_k, e in zip(n.tolist(), x0.tolist(), expected.tolist()):
+        assert dratio(n_k, x0_k) == pytest.approx(e, rel=1e-10), (n_k, x0_k)
 
 
 def test_log_factorial_monotone_and_stepwise():

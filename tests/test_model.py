@@ -15,6 +15,7 @@ from dualrec.core import (
     MtbParams,
     OutOfRange,
     StratumPair,
+    lfac_ratio,
     log_factorial,
 )
 from dualrec.datasets import DATASETS
@@ -31,7 +32,7 @@ from dualrec.model import (
     p2_from_marginal,
     to_mtb,
 )
-from dualrec.model import _dlfac_ratio, _loglik_kernel
+from dualrec.model import _loglik_kernel
 
 VOLES = StratumPair(DrsTable(46, 20, 11), DrsTable(54, 5, 13))
 
@@ -228,6 +229,20 @@ def test_param_types_validate_domains():
         ModelIIParams(n_a=100, n_b=100, alpha0=0.2, p1=1.0, p2a=0.5, p2b=0.5)
 
 
+@pytest.mark.parametrize("params", [ModelIParams, ModelIIParams])
+@pytest.mark.parametrize("name", ["n_a", "n_b"])
+def test_param_types_refuse_a_size_with_no_float(params, name):
+    # 10**400 passed the range check, and an exact log-likelihood or any
+    # gradient then let a bare OverflowError out
+    sizes = {"n_a": 300, "n_b": 300}
+    # a value too long to print is left out of the message
+    for size, shown in ((10**400, ", got 1000"), (10**5000, "$")):
+        sizes[name] = size
+        message = f"^{name} must be positive and in the float range{shown}"
+        with pytest.raises(DomainError, match=message):
+            params(sizes["n_a"], sizes["n_b"], 0.2, 0.5, 0.5, 0.5)
+
+
 def test_loglik_rejects_sizes_below_observed_totals():
     theta = ModelIParams(n_a=50, n_b=100, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
     with pytest.raises(InfeasibleN):
@@ -241,6 +256,9 @@ def test_loglik_gradient_rejects_unknown_factorial_mode():
     theta = ModelIParams(n_a=300, n_b=300, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
     with pytest.raises(DomainError, match="unknown log-factorial mode 'bogus'"):
         loglik_model_i_grad(theta, VOLES, logfac="bogus")
+    # the mode is checked when its ratio is bound, before any evaluation
+    with pytest.raises(DomainError, match="^unknown log-factorial mode 'bogus'$"):
+        lfac_ratio("bogus")
 
 
 def test_models_coincide_when_dependence_vanishes():
@@ -400,9 +418,10 @@ def _model_ii_sums(n_a, n_b, alpha, p1, p2a, p2b, pair, mode):
     r11b = alpha + (1.0 - alpha) * p2b
     r00b = alpha + (1.0 - alpha) * (1.0 - p2b)
     value = _reference_loglik(pair, mode, True, n_a, n_b, alpha, p1, p2a, p2b)
+    dlfac = lfac_ratio(mode)[1]
     grad = [
-        _dlfac_ratio(n_a, A.x0, mode) + math.log((1.0 - p1) * r00a),
-        _dlfac_ratio(n_b, B.x0, mode) + math.log((1.0 - p1) * r00b),
+        dlfac(n_a, A.x0) + math.log((1.0 - p1) * r00a),
+        dlfac(n_b, B.x0) + math.log((1.0 - p1) * r00b),
         A.x11 * (1.0 - p2a) / r11a
         + B.x11 * (1.0 - p2b) / r11b
         - (A.x10 + A.x01 + B.x10 + B.x01) / (1.0 - alpha)
