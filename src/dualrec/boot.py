@@ -97,10 +97,8 @@ def bootstrap(
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; valid: {', '.join(_SCHEMES)}")
-    if check_integer("b", b) < 2:
-        raise DomainError(f"need at least 2 resamples for a standard error, got {b}")
-    if check_integer("seed", seed) < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    check_integer("b", b, 2)  # two resamples at least, for a standard error
+    check_integer("seed", seed, 0)
     point = apply_method(method, data, ratio=ratio, fit_config=fit_config)
     if scheme == "parametric":
         gens = _generating_cells(method, data, point)

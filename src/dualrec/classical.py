@@ -86,8 +86,7 @@ def wolter_model1(data: StratumPair, r: float) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    if not 0 < check_real("r", r) < math.inf:
-        raise Infeasible(f"r must be finite and positive, got {r}")
+    check_real("r", r, "(0,inf)")
     den = A.x11 * (B.x1dot - B.x11) * (B.xdot1 - B.x11)
     if den == 0:
         raise DivisionByZero("x11A*(x1dotB - x11B)*(xdot1B - x11B) is zero")
@@ -108,16 +107,18 @@ def wolter_model2(data: StratumPair, r: float) -> EstimateResult:
 
     Stratum B is sized by the two-list classic (unfloored) and stratum A by
     the known ratio: ``n_b = x1dotB*xdot1B/x11B``, ``n_a = r*n_b``; both are
-    reported with the integer part taken.
+    reported with the integer part taken.  Infeasible when ``r*n_b``
+    overflows the float range.
     """
     validate_table(data.a)
     B = validate_table(data.b)
-    if not 0 < check_real("r", r) < math.inf:
-        raise Infeasible(f"r must be finite and positive, got {r}")
+    check_real("r", r, "(0,inf)")
     if B.x11 == 0:
         raise DivisionByZero("x11B is zero")
     n_b = _lp_size(B.x11, B.x10, B.x01)
     n_a = r * n_b
+    if math.isinf(n_a):
+        raise Infeasible(f"n_a = r * n_b overflows the float range at r = {r}")
     return EstimateResult(
         method="WOLTER-2",
         estimates={"n_a": float(floor_int(n_a)), "n_b": float(floor_int(n_b))},

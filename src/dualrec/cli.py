@@ -254,7 +254,7 @@ def _design_fields(doc: dict, where: str) -> DesignPoint:
         if f in doc:
             try:
                 values[f] = convert(doc[f])
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:  # an int with no float
                 raise _CliError(f"{where}: {f}: {e}")
     try:
         return DesignPoint(**values)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,8 +232,7 @@ class MtbParams:
         check_real("p1dot", self.p1dot, "(0,1)")
         check_real("p", self.p, "(0,1]")
         check_real("c", self.c, "(0,1]")
-        if not check_real("phi", self.phi) > 0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
+        check_real("phi", self.phi, "(0,inf)")
         if abs(self.c - self.phi * self.p) > 1e-12:
             raise DomainError("c must equal phi * p")
 
@@ -361,29 +361,47 @@ def lfac_ratio(mode: str):
     return ratio, dratio
 
 
-def check_integer(name: str, value) -> int:
+def check_integer(name: str, value, minimum: int) -> int:
     """``value`` as an int; a DomainError naming ``name`` if it is not one
-    (a bool is not, though ``operator.index`` reads it as 0 or 1)."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+    (a bool is not, though ``operator.index`` reads it as 0 or 1) or if it
+    is below ``minimum``."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if n < minimum:
+        raise DomainError(f"{name} must be at least {minimum}" + _got(n))
+    return n
+
+
+_FLOAT_MAX = sys.float_info.max
+# NaN fails every test; an int compares with _FLOAT_MAX exactly
+_INTERVALS = {
+    "(0,1)": lambda v: 0.0 < v < 1.0,
+    "(0,1]": lambda v: 0.0 < v <= 1.0,
+    "[0,1]": lambda v: 0.0 <= v <= 1.0,
+    "(0,inf)": lambda v: 0.0 < v <= _FLOAT_MAX,
+    "[0,inf)": lambda v: 0.0 <= v <= _FLOAT_MAX,
+    "(-inf,inf)": lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX,
+}
 
 
 def check_real(name: str, value, interval: str | None = None):
     """``value`` unchanged; a DomainError naming ``name`` if it is not a real
-    number (a bool is not) or, given a unit ``interval`` ``"(0,1)"``,
-    ``"(0,1]"`` or ``"[0,1]"``, if it lies outside it (NaN does)."""
+    number (a bool is not) or lies outside ``interval``, a key of
+    ``_INTERVALS``, whose ``inf`` ends also refuse an int with no float."""
+    v = value
     # a float skips the abstract-class check, which costs several times more
-    if isinstance(value, bool) or type(value) is not float and not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    if interval is not None and not (
-        (0.0 < value if interval[0] == "(" else 0.0 <= value)
-        and (value < 1.0 if interval[-1] == ")" else value <= 1.0)
-    ):
-        raise DomainError(f"{name} must be in {interval}" + _got(value))
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        if isinstance(v, np.floating):  # numpy would cast the bound to a narrower float
+            v = float(v)
+    if interval is not None and not _INTERVALS[interval](v):
+        bound = " and the float range" if "inf" in interval else ""
+        raise DomainError(f"{name} must be in {interval}{bound}" + _got(value))
     return value
 
 

@@ -64,7 +64,6 @@ from .core import (
     DrsTable,
     EstimateResult,
     StratumPair,
-    _got,
     check_integer,
     check_real,
     clamp,
@@ -210,8 +209,9 @@ class FitConfig:
     the Nelder-Mead simplex alone (:func:`minimize`), which on flat
     objectives stops near its start instead of drifting along the plateau.
 
-    Every field is checked when the config is built, so a
-    bad value raises ``DomainError`` before any fit runs.
+    Every field is checked when the config is built, so a bad value raises
+    ``DomainError`` before any fit runs; ``known_ratio`` must also have a
+    finite reciprocal, since a fit divides by it.
 
     ``objective_tolerance`` is floored per start at four float spacings of
     the starting objective, which changes it only above ~2e6 in magnitude.
@@ -232,29 +232,20 @@ class FitConfig:
             raise DomainError(
                 f"fitting supports logfac 'exact' or 'stirling1', got {self.logfac!r}"
             )
-        if check_integer("max_iterations", self.max_iterations) < 1:
-            raise DomainError(f"max_iterations must be positive, got {self.max_iterations}")
-        for name in ("objective_tolerance", "parameter_tolerance"):
-            if not 0.0 <= check_real(name, tol := getattr(self, name)) < math.inf:
-                raise DomainError(f"{name} must be finite and nonnegative, got {tol!r}")
-        if (r := self.known_ratio) is not None:
-            try:
-                finite = 0 < check_real("known_ratio", r) and math.isfinite(r)
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:  # the message leaves out an int past 4300 digits
-                raise DomainError("known_ratio must be finite and positive" + _got(r))
+        check_integer("max_iterations", self.max_iterations, 1)
+        check_real("objective_tolerance", self.objective_tolerance, "[0,inf)")
+        check_real("parameter_tolerance", self.parameter_tolerance, "[0,inf)")
+        if self.known_ratio is not None:
+            # a fit divides by it; one that rounds to 0.0 has no float reciprocal
+            r = float(check_real("known_ratio", self.known_ratio, "(0,inf)"))
+            check_real("1/known_ratio", 1.0 / r if r else math.inf, "(0,inf)")
         if self.start is not None:
             if len(self.start) != 6:
                 raise DomainError(
                     f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(self.start)} values"
                 )
-            try:
-                finite = all(math.isfinite(check_real("start", v)) for v in self.start)
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:
-                raise DomainError("start values must be finite")
+            for v in self.start:
+                check_real("start", v, "(-inf,inf)")
 
 
 def _logit(p: float) -> float:
@@ -524,10 +515,7 @@ def profile_objective(
     loglik = _loglik_kernel(data, logfac, tied)[0]
     out = []
     for value in grid:
-        try:
-            value = float(check_real("grid", value))
-        except OverflowError:
-            raise DomainError("grid values must be real numbers in the float range") from None
+        value = float(check_real("grid", value, "(-inf,inf)"))
         point = replace(theta, **{component: value})
         out.append((value, loglik(*_checked_fields(point, data))))
     return out

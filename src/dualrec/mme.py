@@ -21,7 +21,6 @@ clamped 0, 171) and does not patch them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .classical import _lp_size
 from .core import (
     DivisionByZero,
-    DomainError,
     DrsTable,
     EstimateResult,
     Infeasible,
@@ -227,9 +225,8 @@ def mme_model_ii_kernel(counts: np.ndarray):
 
 
 def _check_moment_inputs(n_a: float, r: float, p1: float, p_dot1b: float, p01b: float) -> None:
-    for name, value in (("n_a", n_a), ("r", r)):
-        if not 0.0 < check_real(name, value) < math.inf:
-            raise DomainError(f"{name} must be finite and positive, got {value}")
+    check_real("n_a", n_a, "(0,inf)")
+    check_real("r", r, "(0,inf)")
     for name, p in (("p1", p1), ("p_dot1b", p_dot1b), ("p01b", p01b)):
         check_real(name, p, "(0,1)")
 

@@ -36,7 +36,6 @@ log-gamma, which is what the fitting routines optimise.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -51,7 +50,6 @@ from .core import (
     MtbParams,
     OutOfRange,
     StratumPair,
-    _got,
     check_real,
     lfac_ratio,
 )
@@ -135,13 +133,14 @@ def p2_from_marginal(p_dot1: float, p1: float, alpha: float) -> float:
     """Recover the latent List 2 probability from a target List 2 marginal.
 
     Inverts ``p_dot1 = alpha*p1 + (1-alpha)*p2`` (positive dependence).
-    Raises :class:`DomainError` for a non-number argument or ``alpha``
-    outside ``[0, 1]``, :class:`DegenerateDependence` at ``alpha = 1``, and
+    Raises :class:`DomainError` for a non-number argument or one outside
+    its interval (``p_dot1`` in ``(0, 1]``, ``p1`` in ``(0, 1)``, ``alpha``
+    in ``[0, 1]``), :class:`DegenerateDependence` at ``alpha = 1``, and
     :class:`OutOfRange` when the implied ``p2`` is not in ``(0, 1]``, which
     signals an infeasible (marginal, alpha) combination.
     """
-    check_real("p_dot1", p_dot1)
-    check_real("p1", p1)
+    check_real("p_dot1", p_dot1, "(0,1]")
+    check_real("p1", p1, "(0,1)")
     if check_real("alpha", alpha, "[0,1]") == 1.0:
         raise DegenerateDependence("alpha = 1 leaves p2 unidentified")
     p2 = (p_dot1 - alpha * p1) / (1.0 - alpha)
@@ -164,10 +163,8 @@ def _validate_joint(theta, alpha_name: str) -> None:
     for name in ("p1", "p2a", "p2b"):
         check_real(name, getattr(theta, name), "(0,1)")
     check_real(alpha_name, getattr(theta, alpha_name), "[0,1]")
-    for name in ("n_a", "n_b"):
-        n = check_real(name, getattr(theta, name))
-        if not 0.0 < n <= sys.float_info.max:  # an int past it has no float
-            raise DomainError(f"{name} must be positive and in the float range" + _got(n))
+    check_real("n_a", theta.n_a, "(0,inf)")
+    check_real("n_b", theta.n_b, "(0,inf)")
 
 
 @dataclass(frozen=True)

@@ -114,14 +114,15 @@ class DesignPoint:
     def __post_init__(self) -> None:
         if self.model not in ("I", "II"):
             raise DomainError(f"model must be 'I' or 'II', got {self.model!r}")
-        if check_integer("n_a", self.n_a) <= 0 or check_integer("n_b", self.n_b) <= 0:
-            raise DomainError("population sizes must be positive")
-        if check_integer("replicates", self.replicates) <= 0:
-            raise DomainError("replicates must be positive")
-        if check_integer("seed", self.seed) < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("p1dot_a", "pdot1_a", "p1dot_b", "pdot1_b", "alpha"):
-            check_real(name, getattr(self, name))
+        check_integer("n_a", self.n_a, 1)
+        check_integer("n_b", self.n_b, 1)
+        check_integer("replicates", self.replicates, 1)
+        check_integer("seed", self.seed, 0)
+        check_real("p1dot_a", self.p1dot_a, "(0,1)")
+        check_real("pdot1_a", self.pdot1_a, "(0,1]")
+        check_real("p1dot_b", self.p1dot_b, "(0,1)")
+        check_real("pdot1_b", self.pdot1_b, "(0,1]")
+        check_real("alpha", self.alpha, "[0,1]")
         # each stratum's (cells, size) generator, A then B, built once; this
         # is also the feasibility check: p2 of each stratum must exist
         gens = (_generator(self.params_a()), _generator(self.params_b()))
@@ -418,8 +419,7 @@ def run_study(
     ``threads`` caps the worker processes, at most one per CPU and replicate;
     it must be an integer of at least 1.
     """
-    if check_integer("threads", threads) < 1:
-        raise DomainError(f"threads must be at least 1, got {threads}")
+    check_integer("threads", threads, 1)
     methods = tuple(estimators)
     for m in methods:
         if m not in ESTIMATORS:

@@ -208,3 +208,7 @@ def test_bootstrap_argument_validation():
         bootstrap(MEADOW_VOLES, "LP", b=10, seed=True)
     with pytest.raises(DomainError, match="b must be an integer, got True"):
         bootstrap(MEADOW_VOLES, "LP", b=True, seed=0)
+    with pytest.raises(DomainError, match="^b must be at least 2, got 1$"):
+        bootstrap(MEADOW_VOLES, "LP", b=1, seed=0)
+    with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
+        bootstrap(MEADOW_VOLES, "LP", b=10, seed=-1)

@@ -1,5 +1,7 @@
 """Tests for the comparator estimators and their feasibility conditions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,9 @@ def test_wolter_model1_infeasible_cases():
         wolter_model1(StratumPair(t, t), 1.0)  # K = 1 <= r
     with pytest.raises(Infeasible):
         wolter_model1(MEADOW_VOLES, 4.5)  # K ~ 3.97 <= r
-    with pytest.raises(Infeasible):
-        wolter_model1(MEADOW_VOLES, -2.0)
-    for r in (float("nan"), float("inf")):
-        with pytest.raises(Infeasible):
+    # a ratio outside (0, inf), or with no float, is out of its domain
+    for r in (-2.0, 0.0, float("nan"), float("inf"), 10**400):
+        with pytest.raises(DomainError, match=r"^r must be in \(0,inf\) and the float range"):
             wolter_model1(MEADOW_VOLES, r)
     # a non-number, or a bool, is not a ratio
     for r in ("2", None, True):
@@ -133,13 +134,25 @@ def test_wolter_model2_ratio_behaviour():
 
 
 def test_wolter_model2_errors():
-    with pytest.raises(Infeasible):
-        wolter_model2(MEADOW_VOLES, 0.0)
-    for r in (float("nan"), float("inf")):
-        with pytest.raises(Infeasible):
+    for r in (-2.0, 0.0, float("nan"), float("inf"), 10**400):
+        with pytest.raises(DomainError, match=r"^r must be in \(0,inf\) and the float range"):
             wolter_model2(MEADOW_VOLES, r)
     for r in (None, "2", False):
         with pytest.raises(DomainError, match=f"^r must be a real number, got {r!r}$"):
             wolter_model2(MEADOW_VOLES, r)
     with pytest.raises(DivisionByZero):
         wolter_model2(StratumPair(DrsTable(5, 4, 3), DrsTable(0, 4, 3)), 1.2)
+
+
+def test_wolter_model2_size_past_the_float_range_is_infeasible():
+    # a finite ratio times n_b can overflow; floor_int(inf) then let a bare
+    # OverflowError out
+    for r in (1e308, 2.5e306):
+        with pytest.raises(Infeasible) as err:
+            wolter_model2(MEADOW_VOLES, r)
+        assert str(err.value) == f"n_a = r * n_b overflows the float range at r = {r}"
+    # n_b = 59 * 67 / 54; just below the overflow the size is reported
+    assert wolter_model2(MEADOW_VOLES, 2e306).estimates["n_a"] == math.floor(2e306 * (59 * 67 / 54))
+    # an int ratio with no float is out of the ratio's domain
+    with pytest.raises(DomainError, match=r"^r must be in \(0,inf\) and the float range, got 1000"):
+        apply_method("WOLTER-2", MEADOW_VOLES, ratio=10**400)

@@ -281,6 +281,21 @@ def test_ratio_methods_require_ratio_flag(capsys):
         assert f"--ratio must be positive, got {float(ratio)}" in err
 
 
+def test_ratio_that_no_method_can_use_is_an_inline_row(capsys):
+    # r * n_b overflows for WOLTER-2 (a bare OverflowError printed a traceback
+    # and lost the LP row), and 1/r does for a known-ratio fit
+    for method, ratio, message in (
+        ("wolter2", "1e308", "WOLTER-2: infeasible - Infeasible: n_a = r * n_b overflows the float range at r = 1e+308"),
+        ("mle1", "1e-320", "MLE-I: infeasible - DomainError: 1/known_ratio must be in (0,inf) and the float range, got inf"),
+    ):
+        code, out, err = run(
+            capsys, "estimate", "--data", VOLES, "--method", f"{method},lp", "--ratio", ratio
+        )
+        assert code == 2
+        assert err == ""
+        assert out.splitlines()[1:] == [message, "LP: n_a = 81, n_b = 73"]
+
+
 def test_simulate_preset_study_row(capsys):
     code, out, _ = run(
         capsys,
@@ -476,6 +491,14 @@ def test_simulate_config_errors(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert f"design 1: {field}: expected an integer" in err
+
+    # a real field given an integer with no float is a usage error, not a traceback
+    design = {**_base_design(), "p1dot_a": "@"}
+    cfg.write_text(json.dumps([design]).replace('"@"', "1" + "0" * 400), encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {cfg}: design 1: p1dot_a: int too large to convert to float\n"
 
 
 def test_simulate_out_rerun_identical(capsys, tmp_path):

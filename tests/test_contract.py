@@ -3,18 +3,31 @@
 Every real parameter of a public type or function goes through
 ``core.check_real``: a string, ``None`` or a bool raises a ``DomainError``
 that names the argument, never a bare ``TypeError``, and numpy floats are
-real numbers like any other.
+real numbers like any other.  A value with no finite float (``10**400``,
++-inf, NaN) raises a ``DualrecError`` that names the argument, never a bare
+``OverflowError``.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from dualrec.core import BbmParams, CellProbabilities, DomainError, MtbParams, log_factorial
+from dualrec.classical import wolter_model1, wolter_model2
+from dualrec.core import (
+    BbmParams,
+    CellProbabilities,
+    DomainError,
+    DualrecError,
+    MtbParams,
+    log_factorial,
+)
+from dualrec.datasets import MEADOW_VOLES
 from dualrec.mle import FitConfig
 from dualrec.mme import delta_method_mean_variance, mme_asymptotic_mean_variance
 from dualrec.model import ModelIIParams, ModelIParams, p2_from_marginal
+from dualrec.sim import DesignPoint
 
 _MOMENTS = dict(n_a=1200, r=1.2, p1=0.6, p_dot1b=0.8, p01b=0.32)
 
@@ -29,7 +42,21 @@ _VALID = {
     mme_asymptotic_mean_variance: _MOMENTS,
     delta_method_mean_variance: _MOMENTS,
     log_factorial: dict(n=5.0),
+    wolter_model1: dict(r=1.2),
+    wolter_model2: dict(r=1.2),
+    DesignPoint: dict(p1dot_a=0.6, pdot1_a=0.8, p1dot_b=0.6, pdot1_b=0.8, alpha=0.4),
 }
+# the arguments that are not real numbers, held at valid values
+_FIXED = {
+    wolter_model1: dict(data=MEADOW_VOLES),
+    wolter_model2: dict(data=MEADOW_VOLES),
+    DesignPoint: dict(n_a=240, n_b=200, replicates=10),
+}
+
+
+def _call(fn, **reals):
+    return fn(**_FIXED.get(fn, {}), **reals)
+
 
 _NOT_NUMBERS = ("0.5", None, True)
 
@@ -37,7 +64,7 @@ _NOT_NUMBERS = ("0.5", None, True)
 @pytest.mark.parametrize("fn", _VALID, ids=lambda fn: fn.__name__)
 def test_valid_arguments_pass_as_python_or_numpy_numbers(fn):
     kwargs = _VALID[fn]
-    assert fn(**kwargs) == fn(**{k: np.float64(v) for k, v in kwargs.items()})
+    assert _call(fn, **kwargs) == _call(fn, **{k: np.float64(v) for k, v in kwargs.items()})
 
 
 @pytest.mark.parametrize(
@@ -51,7 +78,28 @@ def test_valid_arguments_pass_as_python_or_numpy_numbers(fn):
 )
 def test_non_number_raises_domain_error_naming_the_argument(fn, name, bad):
     with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be a real number, got {bad!r}')}$"):
-        fn(**{**_VALID[fn], name: bad})
+        _call(fn, **{**_VALID[fn], name: bad})
+
+
+# FitConfig's reals join the table here: its known_ratio may be None
+_REALS = {**_VALID, FitConfig: dict(objective_tolerance=1e-9, parameter_tolerance=1e-8, known_ratio=1.2)}
+_NO_FLOAT = {"int-1e400": 10**400, "inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+@pytest.mark.parametrize(
+    "fn,name,bad",
+    [
+        pytest.param(fn, name, bad, id=f"{fn.__name__}-{name}-{label}")
+        for fn, kwargs in _REALS.items()
+        for name in kwargs
+        for label, bad in _NO_FLOAT.items()
+    ],
+)
+def test_value_with_no_finite_float_raises_a_dualrec_error_naming_the_argument(fn, name, bad):
+    # 10**400 let a bare OverflowError out of the moment formulas, the Wolter
+    # estimators, MtbParams, p2_from_marginal and DesignPoint
+    with pytest.raises(DualrecError, match=rf"\b{name}\b"):
+        _call(fn, **{**_REALS[fn], name: bad})
 
 
 @pytest.mark.parametrize("name", ["objective_tolerance", "parameter_tolerance", "known_ratio"])

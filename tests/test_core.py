@@ -1,6 +1,7 @@
 """Tests for the core table types, validation, and numeric helpers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from dualrec.core import (
     DrsTable,
     EmptyTable,
     NegativeCount,
+    check_integer,
+    check_real,
     clamp,
     digamma,
     empirical_ci,
@@ -77,6 +80,44 @@ def test_table_counts_stay_below_2_to_the_63():
     for cells in ((2**63, 1, 1), (1, 2**600, 2**600)):
         with pytest.raises(DomainError, match=r"^x1[01] must be below 2\*\*63$"):
             DrsTable(*cells)
+
+
+@pytest.mark.parametrize(
+    "interval, inside, outside",
+    [
+        ("(0,1)", (1e-300, 0.5, np.float32(0.999)), (0.0, 1.0, 2, math.nan)),
+        ("(0,1]", (1e-300, 1.0, 1), (0.0, -1e-300, 1.0 + 1e-15, math.nan)),
+        ("[0,1]", (0.0, 0, 1.0, np.float16(0.5)), (-1e-300, 1.5, math.nan)),
+        ("(0,inf)", (5e-324, 1, 1e308, np.float32(3e38), 2**1023), (0.0, -1, math.inf, math.nan,
+                                                                    10**400, np.float32("inf"))),
+        ("[0,inf)", (0.0, 0, 1e308, sys.float_info.max), (-5e-324, math.inf, 10**400)),
+        ("(-inf,inf)", (-1e308, 0, -(2**1023), np.float64(1e308)), (math.inf, -math.inf, math.nan,
+                                                                     10**400, -(10**400),
+                                                                     np.longdouble(10) ** 400)),
+    ],
+)
+def test_check_real_intervals(interval, inside, outside):
+    for value in inside:
+        assert check_real("x", value, interval) is value
+    # an inf end is open and bounds the float range too, so an int with no
+    # float is refused like inf; a value too long to print is left out
+    bound = " and the float range" if "inf" in interval else ""
+    for value in outside:
+        with pytest.raises(DomainError) as err:
+            check_real("x", value, interval)
+        assert str(err.value) == f"x must be in {interval}{bound}, got {value}"
+    with pytest.raises(DomainError, match=r"^x must be in \(0,inf\) and the float range$"):
+        check_real("x", 10**5000, "(0,inf)")
+
+
+def test_check_integer_minimum():
+    assert check_integer("k", 3, 3) == 3
+    assert check_integer("k", np.int64(7), 0) == 7
+    for value, message in ((2, "k must be at least 3, got 2"), (-(10**5000), "k must be at least 3"),
+                           (3.0, "k must be an integer, got 3.0"), (True, "k must be an integer, got True")):
+        with pytest.raises(DomainError) as err:
+            check_integer("k", value, 3)
+        assert str(err.value) == message
 
 
 def test_validate_table_accepts_nonempty_and_rejects_empty():

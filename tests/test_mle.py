@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -531,28 +532,34 @@ def test_config_validation():
             FitConfig(start=(float("nan"), 100.0, 0.3, 0.5, 0.5, 0.5)),
         )
     # an int with no float is no finite start
-    with pytest.raises(DomainError, match="^start values must be finite$"):
+    with pytest.raises(DomainError, match=r"^start must be in \(-inf,inf\) and the float range, got 1000"):
         FitConfig(start=(10**400, 100.0, 0.3, 0.5, 0.5, 0.5))
     # nor a finite ratio, and one past 4300 digits is not printed
-    with pytest.raises(DomainError, match="^known_ratio must be finite and positive, got 1000"):
+    with pytest.raises(DomainError, match=r"^known_ratio must be in \(0,inf\) and the float range, got 1000"):
         FitConfig(known_ratio=10**400)
-    with pytest.raises(DomainError, match="^known_ratio must be finite and positive$"):
+    with pytest.raises(DomainError, match=r"^known_ratio must be in \(0,inf\) and the float range$"):
         FitConfig(known_ratio=10**5000)
     assert FitConfig(known_ratio=10**300).known_ratio == 10**300
+    # a fit divides by the ratio: one whose reciprocal overflows was accepted,
+    # and the fit then failed in log_factorial with no word of the ratio
+    for ratio in (1e-320, 5e-309, np.float64(1e-320), Fraction(1, 10**400)):
+        with pytest.raises(DomainError, match=r"^1/known_ratio must be in \(0,inf\) and the float range, got inf$"):
+            FitConfig(known_ratio=ratio)
+    assert FitConfig(known_ratio=6e-309).known_ratio == 6e-309
     # a numeric field that a fit could not use, or a tolerance it could never
     # meet, is refused when the config is built
     for value, message in (
         ("5", "max_iterations must be an integer, got '5'"),
         (True, "max_iterations must be an integer, got True"),
-        (0, "max_iterations must be positive, got 0"),
-        (-3, "max_iterations must be positive, got -3"),
+        (0, "max_iterations must be at least 1, got 0"),
+        (-3, "max_iterations must be at least 1, got -3"),
     ):
         with pytest.raises(DomainError) as err:
             mle_model_ii(MEADOW_VOLES, FitConfig(max_iterations=value))
         assert str(err.value) == message
     for name in ("objective_tolerance", "parameter_tolerance"):
         for value in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(DomainError, match=f"^{name} must be finite and nonnegative"):
+            with pytest.raises(DomainError, match=rf"^{name} must be in \[0,inf\) and the float range, got {value}$"):
                 FitConfig(**{name: value})
         for value in ("1e-3", True):
             with pytest.raises(DomainError, match=f"^{name} must be a real number, got {value!r}$"):
@@ -678,7 +685,7 @@ def test_profile_edge_cases():
     ("I", ["300"], "grid must be a real number, got '300'"),
     ("I", [True], "grid must be a real number, got True"),
     ("I", 5, "grid must be an iterable of real numbers, got 5"),
-    ("I", [10**400], "grid values must be real numbers in the float range"),
+    ("I", [10**400], r"^grid must be in \(-inf,inf\) and the float range, got 1000"),
     (["I"], [300.0], "model must be 'I' or 'II', got \\['I'\\]"),
 ])
 def test_profile_refuses_a_bad_grid_or_model(model, grid, message):

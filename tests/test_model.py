@@ -238,7 +238,7 @@ def test_param_types_refuse_a_size_with_no_float(params, name):
     # a value too long to print is left out of the message
     for size, shown in ((10**400, ", got 1000"), (10**5000, "$")):
         sizes[name] = size
-        message = f"^{name} must be positive and in the float range{shown}"
+        message = rf"^{name} must be in \(0,inf\) and the float range{shown}"
         with pytest.raises(DomainError, match=message):
             params(sizes["n_a"], sizes["n_b"], 0.2, 0.5, 0.5, 0.5)
 

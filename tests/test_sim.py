@@ -98,6 +98,30 @@ def test_design_validation():
         DesignPoint("0.6", 0.8, 0.6, 0.8, 0.4, 240, 200)
     with pytest.raises(DomainError, match="^pdot1_b must be a real number, got True$"):
         DesignPoint(0.6, 0.8, 0.6, True, 0.4, 240, 200)
+    # a marginal outside its interval is refused under its own name, where the
+    # stratum's p1 or p2_from_marginal's OutOfRange once named it
+    for args, message in (
+        ((1.5, 0.8, 0.6, 0.8, 0.4), "p1dot_a must be in (0,1), got 1.5"),
+        ((0.6, 1.2, 0.6, 0.8, 0.4), "pdot1_a must be in (0,1], got 1.2"),
+        ((0.6, 0.8, 0.0, 0.8, 0.4), "p1dot_b must be in (0,1), got 0.0"),
+        ((0.6, 0.8, 0.6, -0.1, 0.4), "pdot1_b must be in (0,1], got -0.1"),
+        ((0.6, 0.8, 0.6, 0.8, 1.1), "alpha must be in [0,1], got 1.1"),
+    ):
+        with pytest.raises(DomainError) as err:
+            DesignPoint(*args, 240, 200)
+        assert str(err.value) == message
+    assert DesignPoint(0.6, 1.0, 0.6, 1.0, 0.0, 240, 200).params_a().p2 == 1.0
+    # each integer field names its minimum
+    for kwargs, message in (
+        (dict(n_a=0), "n_a must be at least 1, got 0"),
+        (dict(n_b=-1), "n_b must be at least 1, got -1"),
+        (dict(replicates=0), "replicates must be at least 1, got 0"),
+        (dict(seed=-1), "seed must be at least 0, got -1"),
+    ):
+        with pytest.raises(DomainError) as err:
+            DesignPoint(**{**dict(p1dot_a=0.6, pdot1_a=0.8, p1dot_b=0.6, pdot1_b=0.8, alpha=0.4,
+                                  n_a=240, n_b=200), **kwargs})
+        assert str(err.value) == message
     # the multinomial draw takes sizes as int64
     with pytest.raises(DomainError):
         design_from_preset("P1", model="I", n_a=10**20, n_b=100, alpha=0.3)
