@@ -59,13 +59,12 @@ def nour(t: DrsTable) -> EstimateResult:
     is what reproduces the published reference values.
     """
     validate_table(t)
-    if t.x11 == 0:
+    x11, x10, x01 = t.x11, t.x10, t.x01
+    if x11 == 0:
         raise DivisionByZero("x11 is zero")
-    if t.x11 * t.x11 <= t.x10 * t.x01:
-        raise ConditionViolated(
-            f"requires x11^2 > x10*x01, got {t.x11}^2 <= {t.x10}*{t.x01}"
-        )
-    n = _nour_size(t.x11, t.x10, t.x01)
+    if x11 * x11 <= x10 * x01:
+        raise ConditionViolated(f"requires x11^2 > x10*x01, got {x11}^2 <= {x10}*{x01}")
+    n = _nour_size(x11, x10, x01)
     return EstimateResult(
         method="NOUR",
         estimates={"n": float(round_half_up(n))},

@@ -104,6 +104,10 @@ class DrsTable:
     x01: int
 
     def __post_init__(self) -> None:
+        x11, x10, x01 = self.x11, self.x10, self.x01
+        # ints in [0, 2**63), as draws give, pass as they are: their OR is in range iff all are
+        if type(x11) is type(x10) is type(x01) is int and 0 <= x11 | x10 | x01 < 2**63:
+            return
         for name in ("x11", "x10", "x01"):
             value = getattr(self, name)
             try:
@@ -258,6 +262,12 @@ class EstimateResult:
     se: dict[str, float] | None = None
     ci: dict[str, tuple[float, float]] | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    def __init__(self, method, estimates, se=None, ci=None, diagnostics=None):
+        # one write, not the generated frozen __init__'s five object.__setattr__
+        # calls; a study builds several a replicate.  No diagnostics is a new {}
+        self.__dict__.update(method=method, estimates=estimates, se=se, ci=ci,
+                             diagnostics={} if diagnostics is None else diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,13 @@ _MODELS = {"I": (ModelIParams, False), "II": (ModelIIParams, True)}
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     validate_table(pair.a)
     validate_table(pair.b)
-    space = _Space(pair, config.known_ratio)
+    r = config.known_ratio
+    # under a known ratio the fit's sizes reach x0A / r (n_b) and r x0B (n_a);
+    # past the float range the likelihood has no value there
+    if r is not None and max(pair.a.x0 / float(r), float(r) * pair.b.x0) == math.inf:
+        raise DomainError(f"known_ratio = {r} takes x0A / known_ratio or "
+                          "known_ratio * x0B past the float range")
+    space = _Space(pair, r)
     loglik, grad = _loglik_kernel(pair, config.logfac, _MODELS[model][1])
     base, guessed, closed = _start(model, pair, config, grad)
     if closed is not None:
@@ -475,7 +481,8 @@ def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateR
     face); for a numeric fit, that the simplex met its tolerances (floored, see
     :class:`FitConfig`) within the iteration budget, not stationarity.  With
     ``config.known_ratio = r`` the fit is over five free parameters with
-    ``n_b = n_a / r`` held exactly.
+    ``n_b = n_a / r`` held exactly; an ``r`` that takes ``x0A / r`` or
+    ``r * x0B`` past the float range raises :class:`DomainError`.
     """
     return _fit("I", data, config or FitConfig())
 

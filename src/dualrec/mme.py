@@ -21,6 +21,7 @@ clamped 0, 171) and does not patch them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .classical import _lp_size
 from .core import (
     DivisionByZero,
+    DomainError,
     DrsTable,
     EstimateResult,
     Infeasible,
@@ -67,19 +69,20 @@ def mme_model_i(data: StratumPair) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    if B.x11 == 0:
+    a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
+    if b11 == 0:
         raise DivisionByZero("x11B is zero")
-    if B.x01 == 0:
+    if b01 == 0:
         raise DivisionByZero("x01B is zero")
-    if A.x1dot == 0:
+    if a11 + a10 == 0:
         raise DivisionByZero("x1dotA is zero")
 
-    p1 = B.x11 / B.xdot1
-    p2b = B.x11 / B.x1dot
-    n_a, n_b, alpha_raw, p2a_den = _model_i_terms(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
+    p1 = b11 / (b11 + b01)
+    p2b = b11 / (b11 + b10)
+    n_a, n_b, alpha_raw, p2a_den = _model_i_terms(a11, a10, a01, b11, b10, b01)
     if p2a_den == 0:
         raise DivisionByZero("x10A*x01B + x01A*x11B is zero")
-    p2a = A.x01 * B.x11 / p2a_den
+    p2a = a01 * b11 / p2a_den
 
     alpha = clamp(alpha_raw, 0.0, 1.0)
     clamped = None if alpha == alpha_raw else ("low" if alpha_raw < 0.0 else "high")
@@ -93,7 +96,7 @@ def mme_model_i(data: StratumPair) -> EstimateResult:
     }
     if clamped == "low":
         # keep the (1-alpha)*p2a moment product intact at the boundary
-        p2a = A.x01 * B.x11 / (B.x01 * A.x1dot)
+        p2a = a01 * b11 / (b01 * (a11 + a10))
 
     return EstimateResult(
         method="MME-I",
@@ -120,18 +123,19 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    if A.x01 * B.x10 == A.x10 * B.x01:
+    a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
+    if a01 * b10 == a10 * b01:
         raise DivisionByZero("x01A*x10B - x10A*x01B is zero")
-    if A.x1dot == 0 or B.x1dot == 0 or A.x10 == 0:
+    if a11 + a10 == 0 or b11 + b10 == 0 or a10 == 0:
         raise DivisionByZero("a required margin (x1dotA, x1dotB, x10A) is zero")
 
-    p2a, p2b = _model_ii_p2(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
+    p2a, p2b = _model_ii_p2(a11, a10, a01, b11, b10, b01)
     if not 0.0 < p2a < 1.0:
         raise Infeasible(f"p2a = {p2a} outside (0, 1)")
     if not 0.0 < p2b < 1.0:
         raise Infeasible(f"p2b = {p2b} outside (0, 1)")
 
-    alpha0, p1, n_a, n_b = _model_ii_given_p2a(A.x11, A.x10, A.x01, B.x11, B.x10, p2a)
+    alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a)
     if not 0.0 <= alpha0 <= 1.0:
         raise Infeasible(f"alpha0 = {alpha0} outside [0, 1]")
     # once p2a, p2b and alpha0 pass, the checks on p1, n_a and n_b hold in
@@ -231,6 +235,19 @@ def _check_moment_inputs(n_a: float, r: float, p1: float, p_dot1b: float, p01b: 
         check_real(name, p, "(0,1)")
 
 
+def _finite(name: str, evaluate) -> float:
+    """``evaluate()``; a DomainError naming ``name`` where it overflows the
+    float range: to inf, in a ``**`` past it, or over a divisor that
+    underflows to 0."""
+    try:
+        value = evaluate()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows the float range")
+    return value
+
+
 def mme_asymptotic_mean_variance(
     n_a: float, r: float, p1: float, p_dot1b: float, p01b: float
 ) -> AsymptoticMoments:
@@ -248,8 +265,11 @@ def mme_asymptotic_mean_variance(
     simulated dispersions actually follow.
     """
     _check_moment_inputs(n_a, r, p1, p_dot1b, p01b)
-    mean = n_a + r * p01b / (p1 * p_dot1b**2)
-    variance = n_a * (1.0 - p1) + r * p01b * (1.0 + p1) / (p1**2 * p_dot1b**2)
+    mean = _finite("the mean", lambda: n_a + r * p01b / (p1 * p_dot1b**2))
+    variance = _finite(
+        "the variance",
+        lambda: n_a * (1.0 - p1) + r * p01b * (1.0 + p1) / (p1**2 * p_dot1b**2),
+    )
     return AsymptoticMoments(mean=mean, variance=variance, ratio_r=r)
 
 
@@ -269,12 +289,12 @@ def delta_method_mean_variance(
     matches Monte Carlo dispersion to within a few percent.
     """
     _check_moment_inputs(n_a, r, p1, p_dot1b, p01b)
-    n_b = n_a / r
+    n_b = _finite("n_b = n_a / r", lambda: n_a / r)
     p11b = p1 * p_dot1b
     e_s = n_a * p1
     v_s = n_a * p1 * (1.0 - p1)
-    e_r = p_dot1b / p11b + p01b / (n_b * p11b**2)
-    v_r = p_dot1b * p01b / (n_b * p11b**3)
-    mean = e_s * e_r
-    variance = e_s**2 * v_r + v_s * e_r**2 + v_s * v_r
+    e_r = _finite("E(R)", lambda: p_dot1b / p11b + p01b / (n_b * p11b**2))
+    v_r = _finite("V(R)", lambda: p_dot1b * p01b / (n_b * p11b**3))
+    mean = _finite("the mean", lambda: e_s * e_r)
+    variance = _finite("the variance", lambda: e_s**2 * v_r + v_s * e_r**2 + v_s * v_r)
     return AsymptoticMoments(mean=mean, variance=variance, ratio_r=r)

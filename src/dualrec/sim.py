@@ -13,13 +13,20 @@ Replicate ``i`` of a seeded study draws from the stream that is, bit for
 bit, ``np.random.default_rng(np.random.SeedSequence(seed).spawn(replicates)[i])``,
 computed without building either object, so results are bit-identical
 whether replicates run serially or across worker processes.
+
+A study still draws and refits one replicate at a time: each pair comes from
+:func:`generate_pair`, and each refit goes through :func:`apply_method`,
+which calls every estimator through its attribute of this module.  The
+benchmark's traced pass (``bench/tracing.py``) wraps those attributes to
+time each layer, so the bootstrap's columnar path (:func:`_replicate_counts`
+and the estimators' kernels) waits for built-in spans (ROADMAP item 7)
+before studies can take it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -193,8 +200,7 @@ def _generator(params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 def _draw_table(cells, size: int, rng: np.random.Generator) -> DrsTable:
     """One stratum's observed table: ``size`` individuals spread over
     ``cells`` (x11, x10, x01 and, if given, the unobserved x00)."""
-    x11, x10, x01 = rng.multinomial(size, cells).tolist()[:3]
-    return DrsTable(x11, x10, x01)
+    return DrsTable(*rng.multinomial(size, cells).tolist()[:3])
 
 
 def _draw_pair(gen_a, gen_b, rng: np.random.Generator) -> StratumPair:
@@ -370,15 +376,17 @@ def _replicate_values(draw, seed: int, ratios: dict, fit_config, lo: int, hi: in
     records in stream order, all NaN where the refit failed.
     """
     out = {m: [] for m in ratios}
+    calls = [(m, ratio, out[m].append) for m, ratio in ratios.items()]
+    failed = (math.nan, math.nan, math.nan)
     for rng in _streams(seed, lo, hi):
         pair = draw(rng)
-        for m, ratio in ratios.items():
-            try:
-                fit = apply_method(m, pair, ratio=ratio, fit_config=fit_config)
+        for m, ratio, append in calls:
+            try:  # positional, as the bench tracer reads (method, pair, *_)
+                fit = apply_method(m, pair, ratio, fit_config)
             except DualrecError:
-                out[m].append((math.nan, math.nan, math.nan))
+                append(failed)
                 continue
-            out[m].append(_fit_values(fit))
+            append(_fit_values(fit))
     return out
 
 
@@ -387,11 +395,12 @@ def _replicate_counts(gen_a, gen_b, seed: int, lo: int, hi: int) -> np.ndarray:
     ``seed``, as a ``(hi - lo, 6)`` float64 array of rows (x11A, x10A, x01A,
     x11B, x10B, x01B)."""
     (cells_a, size_a), (cells_b, size_b) = gen_a, gen_b
-    counts = np.empty((hi - lo, 6))
-    for row, rng in zip(counts, _streams(seed, lo, hi)):
-        draws = rng.multinomial(size_a, cells_a)[:3], rng.multinomial(size_b, cells_b)[:3]
-        np.concatenate(draws, out=row)
-    return counts
+    rows = [
+        rng.multinomial(size_a, cells_a).tolist()[:3]
+        + rng.multinomial(size_b, cells_b).tolist()[:3]
+        for rng in _streams(seed, lo, hi)
+    ]
+    return np.array(rows, dtype=float).reshape(hi - lo, 6)
 
 
 def _successes(recs):
@@ -432,6 +441,8 @@ def run_study(
     job = (partial(generate_pair, design), design.seed, ratios, fit_config)
     workers = min(threads, os.cpu_count() or 1, reps)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only for a pool
+
         chunk = math.ceil(reps / workers)
         ranges = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -449,9 +460,10 @@ def run_study(
             raise AllReplicatesFailed(f"{m} failed on all {reps} replicates")
         has_alpha = not bool(np.isnan(al).all())
 
+        # fsum is exact, so summing the floats of tolist() changes no bit
         def agg(values: np.ndarray, truth: float):
-            mean = float(math.fsum(values) / len(values))
-            rrmse = float(math.sqrt(math.fsum((values - truth) ** 2) / len(values)) / truth)
+            mean = math.fsum(values.tolist()) / len(values)
+            rrmse = math.sqrt(math.fsum(((values - truth) ** 2).tolist()) / len(values)) / truth
             return mean, rrmse, empirical_ci(values)
 
         mean_a, rrmse_a, ci_a = agg(na, design.n_a)
@@ -463,7 +475,7 @@ def run_study(
             mean_n_b=mean_b,
             rrmse_n_b=rrmse_b,
             ci_n_b=ci_b,
-            mean_alpha=float(math.fsum(al) / len(al)) if has_alpha else None,
+            mean_alpha=float(math.fsum(al.tolist()) / len(al)) if has_alpha else None,
             failures=failures,
             used=reps - failures,
         )

@@ -12,6 +12,7 @@ from dualrec.core import (
     CellProbabilities,
     DomainError,
     DrsTable,
+    DualrecError,
     EmptyTable,
     NegativeCount,
     check_integer,
@@ -80,6 +81,44 @@ def test_table_counts_stay_below_2_to_the_63():
     for cells in ((2**63, 1, 1), (1, 2**600, 2**600)):
         with pytest.raises(DomainError, match=r"^x1[01] must be below 2\*\*63$"):
             DrsTable(*cells)
+
+
+# (count, None if the table takes it, else the error class and message
+# with the cell's name left as {})
+_COUNT_CASES = {
+    "int": (7, None),
+    "np.int64": (np.int64(7), None),
+    "True": (True, (DomainError, "{} must be an integer, got True")),
+    "np.True_": (np.True_, (DomainError, "{} must be an integer, got np.True_")),
+    "3.0": (3.0, None),
+    "1.5": (1.5, (DomainError, "{} must be an integer, got 1.5")),
+    "nan": (math.nan, (DomainError, "{} must be an integer, got nan")),
+    "-1": (-1, (NegativeCount, "{} must be nonnegative, got -1")),
+    "2**63": (2**63, (DomainError, "{} must be below 2**63")),
+    "-(10**5000)": (-(10**5000), (NegativeCount, "{} must be nonnegative")),
+    "2**63-1": (2**63 - 1, None),
+}
+
+
+@pytest.mark.parametrize("case", _COUNT_CASES)
+@pytest.mark.parametrize("position", range(3))
+def test_table_checks_a_count_alike_beside_plain_ints(case, position):
+    # three ints in range skip the per-count checks; a count of any other
+    # kind or range, beside two such ints, meets them as it always has
+    value, error = _COUNT_CASES[case]
+    cells = [5, 0, 9]
+    cells[position] = value
+    if error is None:
+        t = DrsTable(*cells)
+        stored = [t.x11, t.x10, t.x01]
+        assert stored == cells
+        assert all(type(c) is int for c in stored)
+    else:
+        cls, message = error
+        with pytest.raises(DualrecError) as err:
+            DrsTable(*cells)
+        assert type(err.value) is cls
+        assert str(err.value) == message.format(("x11", "x10", "x01")[position])
 
 
 @pytest.mark.parametrize(

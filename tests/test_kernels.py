@@ -7,8 +7,8 @@ import pytest
 from dualrec import boot
 from dualrec.boot import bootstrap
 from dualrec.core import DrsTable, DualrecError, StratumPair
-from dualrec.datasets import MEADOW_VOLES
-from dualrec.sim import ESTIMATORS, _fit_values, _replicate_counts, apply_method
+from dualrec.datasets import DATASETS, MEADOW_VOLES
+from dualrec.sim import ESTIMATORS, _fit_values, _replicate_counts, _streams, apply_method
 
 KERNEL_METHODS = ("LP", "NOUR", "MME-I", "MME-II")
 
@@ -170,3 +170,31 @@ def test_model_i_sizes_below_x0_stay_visible():
     n_a, _, _, ok = ESTIMATORS["MME-I"].kernel.fn(counts)
     below = ok & (n_a < counts[:, :3].sum(axis=1))
     assert int(below.sum()) == PINNED_BELOW_X0
+
+
+def _concatenated_counts(gen_a, gen_b, seed: int, b: int) -> np.ndarray:
+    # the count array as it was once built: each row a preallocated float64
+    # row that the two int64 draws' first three cells are concatenated into
+    (cells_a, size_a), (cells_b, size_b) = gen_a, gen_b
+    counts = np.empty((b, 6))
+    for row, rng in zip(counts, _streams(seed, 0, b)):
+        draws = rng.multinomial(size_a, cells_a)[:3], rng.multinomial(size_b, cells_b)[:3]
+        np.concatenate(draws, out=row)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+@pytest.mark.parametrize("scheme", ("parametric", "nonparametric"))
+def test_replicate_counts_equal_the_concatenated_array_bit_for_bit(name, scheme):
+    pair = DATASETS[name]
+    if scheme == "parametric":
+        gens = [boot._generating_cells(m, pair, apply_method(m, pair)) for m in ("MME-I", "LP")]
+    else:  # the observed proportions, as bootstrap builds them
+        tables = (pair.a, pair.b)
+        gens = [[(np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0) for t in tables]]
+    for gen_a, gen_b in gens:
+        for seed in range(3):
+            rows = _replicate_counts(gen_a, gen_b, seed, 0, 500)
+            ref = _concatenated_counts(gen_a, gen_b, seed, 500)
+            assert rows.shape == ref.shape == (500, 6) and rows.dtype == ref.dtype
+            assert [v.hex() for v in rows.ravel().tolist()] == [v.hex() for v in ref.ravel().tolist()]

@@ -316,19 +316,35 @@ print(code, sys.modules["scipy"])
 """
 
 
-def test_nothing_imports_scipy():
-    # with scipy made unimportable, every estimator, fit kind, gradient mode,
-    # bootstrap scheme, a study and the CLI still run: numpy is the only
-    # run-time dependency
+def _run_with_src(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh interpreter that imports this
+    checkout's package."""
     env = dict(os.environ)
     root = Path(__file__).resolve().parents[1]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, str(root / "data" / "voles.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 None"
+    return proc
+
+
+def test_nothing_imports_scipy():
+    # with scipy made unimportable, every estimator, fit kind, gradient mode,
+    # bootstrap scheme, a study and the CLI still run: numpy is the only
+    # run-time dependency
+    voles = str(Path(__file__).resolve().parents[1] / "data" / "voles.csv")
+    assert _run_with_src(_NO_SCIPY, voles).stdout.splitlines()[-1] == "0 None"
+
+
+def test_bare_import_loads_neither_scipy_nor_a_process_pool():
+    # a study imports concurrent.futures (and with it multiprocessing) only
+    # when it starts worker processes
+    code = (
+        "import sys, dualrec, dualrec.cli\n"
+        "print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    assert _run_with_src(code).stdout.strip() == "[]"
 
 
 def test_grad_norm_of_a_tiny_known_ratio_fit_leaks_no_warning():
@@ -338,6 +354,21 @@ def test_grad_norm_of_a_tiny_known_ratio_fit_leaks_no_warning():
         warnings.simplefilter("error")
         fit = mle_model_i(MEADOW_VOLES, FitConfig(known_ratio=1e-300))
     assert math.isfinite(fit.diagnostics["grad_norm"])
+
+
+@pytest.mark.parametrize("fit", (mle_model_i, mle_model_ii))
+def test_fit_refuses_a_known_ratio_that_takes_a_size_past_the_float_range(fit):
+    # x0A / r or r * x0B overflowed inside the likelihood, and the fit failed
+    # in log_factorial with no word of the ratio
+    for ratio, shown in ((1e-307, "1e-307"), (1e307, "1e+307")):
+        with pytest.raises(DomainError) as err:
+            fit(MEADOW_VOLES, FitConfig(known_ratio=ratio))
+        assert str(err.value) == (f"known_ratio = {shown} takes x0A / known_ratio or "
+                                  "known_ratio * x0B past the float range")
+    # ratios short of that still fit, however meaningless the sizes
+    for ratio in (1e-300, 1e300):
+        estimates = fit(MEADOW_VOLES, FitConfig(known_ratio=ratio)).estimates
+        assert math.isfinite(estimates["n_a"]) and math.isfinite(estimates["n_b"])
 
 
 def test_fit_counts_its_objective_evaluations(monkeypatch):

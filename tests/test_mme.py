@@ -214,6 +214,23 @@ def test_asymptotic_moments_domain_checks():
                 fn(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "fn, args, quantity",
+    [
+        # a bare OverflowError from e_s**2
+        (delta_method_mean_variance, (1e308, 1.2, 0.6, 0.8, 0.32), "the variance"),
+        # a bare ZeroDivisionError: n_b * p11b**2 underflows to 0
+        (delta_method_mean_variance, (5e-324, 1.2, 0.6, 0.8, 0.32), "E(R)"),
+        # mean=inf was returned
+        (mme_asymptotic_mean_variance, (1e308, 1e308, 0.6, 0.8, 0.32), "the mean"),
+    ],
+)
+def test_asymptotic_moments_name_the_quantity_that_overflows(fn, args, quantity):
+    with pytest.raises(DomainError) as err:
+        fn(*args)
+    assert str(err.value) == f"{quantity} overflows the float range"
+
+
 def test_delta_method_variance_dominates_displayed_form():
     kwargs = dict(n_a=1200, r=1.2, p1=0.6, p_dot1b=0.8, p01b=0.32)
     shown = mme_asymptotic_mean_variance(**kwargs)

@@ -1,7 +1,9 @@
 """Tests for data generation, method dispatch, and replicate studies."""
 
+import concurrent.futures
 import inspect
 import math
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -482,12 +484,50 @@ def test_study_caps_worker_processes(monkeypatch, threads, cpus, reps, expected)
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=reps, seed=2)
     parallel = run_study(d, estimators=("LP",), threads=threads)
     assert pools == expected
     assert parallel == run_study(d, estimators=("LP",))
+
+
+# the module attributes bench/tracing.py wraps for a study's per-layer spans
+_TRACED = ("generate_pair", "apply_method", "lincoln_petersen", "nour", "mme_model_i",
+           "mme_model_ii")
+
+
+def test_study_reaches_every_traced_call_site_once_per_replicate_and_method(monkeypatch):
+    # a study may draw and refit its replicates by any route, so long as
+    # each replicate still passes through these attributes, the tracer reads
+    # (method, pair) from apply_method's positional arguments, and the
+    # wrapped study returns the same summary
+    d = design_from_preset("P3", model="II", n_a=240, n_b=200, alpha=0.4, replicates=300, seed=6)
+    methods = ("LP", "NOUR", "MME-I", "MME-II")
+    plain = run_study(d, methods)
+    calls, dispatched = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "apply_method":
+                dispatched.append(args[:2])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _TRACED:
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    assert run_study(d, methods) == plain
+    # LP and NOUR each fit both strata; none of this design's tables makes
+    # either fail on stratum A, which would skip stratum B
+    reps = d.replicates
+    assert calls == {"generate_pair": reps, "apply_method": reps * len(methods),
+                     "lincoln_petersen": 2 * reps, "nour": 2 * reps, "mme_model_i": reps,
+                     "mme_model_ii": reps}
+    assert all(len(args) == 2 and type(args[1]) is StratumPair for args in dispatched)
+    assert [args[0] for args in dispatched] == list(methods) * reps
+    assert plain.estimators["MME-II"].failures > 0  # the failure path is reached too
 
 
 @st.composite
