@@ -291,6 +291,10 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     Returns
     -------
     float
+
+    Raises :class:`DomainError` for a negative, infinite or NaN ``n``, an
+    ``n`` whose log-factorial has no float (from about 2.56e305), or an
+    unknown mode.
     """
     if type(n) is not float:  # the likelihood's floats skip the type check
         check_real("n", n)
@@ -304,13 +308,17 @@ def log_factorial(n: float, mode: str = "exact") -> float:
         if n == 0:
             return 0.0
         if mode == "stirling1":
-            return n * math.log(n) - n
-        if mode == "stirling3":
-            return n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
+            v = n * math.log(n) - n
+        elif mode == "stirling3":
+            v = n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
+        else:
+            raise DomainError(f"unknown log-factorial mode {mode!r}")
+        if v != math.inf:
+            return v
     except OverflowError:
-        # lgamma from about 2.6e305 on, or an int too large for a float
-        raise DomainError("n is too large for log_factorial" + _got(n)) from None
-    raise DomainError(f"unknown log-factorial mode {mode!r}")
+        pass
+    # lgamma or n ln n from about 2.56e305 on, or an int too large for a float
+    raise DomainError("n is too large for log_factorial" + _got(n))
 
 
 def stirling1_ratio(n: float, x0: int) -> float:

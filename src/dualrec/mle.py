@@ -51,9 +51,9 @@ stops there instead of sliding away.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
-from functools import reduce
-from operator import add
+from operator import add, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +110,15 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
     and ``fun`` is NaN where any vertex's value is.  Float arithmetic gives
     inf and NaN without raising, so a simplex on the wall (+inf) computes
     ``inf - inf`` quietly.
+
+    The vertices are kept in ``np.argsort`` order of their values, as scipy
+    keeps them.  Where a step replaced only the worst vertex, the other
+    ``n`` values are strictly increasing and the new value is a number
+    distinct from each of them, that order is unique, so one ``bisect``
+    insertion gives it.  Every other case (the start simplex, a shrink, a
+    call refused mid-step, any tie, ``-0.0`` against ``0.0`` and two
+    infinities included, and any NaN) takes :func:`_sort`, where numpy's
+    unstable sort alone places the tied and NaN values.
     """
     maxiter, maxfev = options["maxiter"], options["maxfev"]
     fatol, xatol = options["fatol"], options["xatol"]
@@ -137,9 +146,12 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
         pass
     sim, fsim = _sort(sim, fsim)
     sim, fsim = _sort(sim, fsim)  # scipy sorts twice here
+    # the values a step keeps are strictly increasing: none tied, none NaN
+    ordered = all(map(lt, fsim[: n - 1], fsim[1:n]))
 
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
+        new = None  # the worst vertex's replacement, (x, f)
         try:
             # fsim is in order, NaN last, so its last value is the one
             # farthest from the best, or NaN where any is
@@ -148,17 +160,21 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
                 abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
             ):
                 break
-            # np.add.reduce(sim[:-1], 0) / n: each coordinate summed row by row
-            xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+            # np.add.reduce(sim[:-1], 0) / n: the rows summed in order,
+            # never by sum(), which compensates floats from Python 3.12 on
+            total = best
+            for x in sim[1:-1]:
+                total = map(add, total, x)
+            xbar = [t / n for t in total]
             worst = sim[-1]
             xr = [2 * c - w for c, w in zip(xbar, worst)]
             fxr = call(xr)
             if fxr < fsim[0]:
                 xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
                 fxe = call(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                new = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
@@ -169,7 +185,7 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
                     fxc = call(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
+                    new = xc, fxc
                 else:
                     # each vertex moves before its call, so a call the
                     # budget refuses leaves it moved with its old value
@@ -179,13 +195,25 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
             iterations += 1
         except _Exhausted:
             pass
+        if new is not None:
+            x, f = new
+            k = bisect_left(fsim, f, 0, n)
+            # a number tied with no kept value has one place in the order
+            if ordered and f == f and (k == n or fsim[k] != f):
+                del sim[-1], fsim[-1]
+                sim.insert(k, x)
+                fsim.insert(k, f)
+                continue
+            sim[-1], fsim[-1] = x, f
         sim, fsim = _sort(sim, fsim)
+        ordered = all(map(lt, fsim[: n - 1], fsim[1:n]))
 
     f_min = fsim[0] if fsim[-1] == fsim[-1] else math.nan  # np.min(fsim)
     return _Simplex(sim[0], f_min, iterations, nfev, nfev < maxfev and iterations < maxiter)
 
 
 _PROB_CLIP = 1e-8
+_PROB_HI = 1.0 - _PROB_CLIP
 _U_BOUND = 35.0
 
 
@@ -249,7 +277,7 @@ class FitConfig:
 
 
 def _logit(p: float) -> float:
-    p = clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    p = clamp(p, _PROB_CLIP, _PROB_HI)
     return math.log(p / (1.0 - p))
 
 
@@ -286,20 +314,24 @@ class _Space:
             self.lo_a, self.lo_b, self.size = max(lo_a, known_ratio * lo_b), None, 5
 
     def to_natural(self, u: list[float]) -> list[float]:
-        # the inverse of from_natural
-        n_a = self.lo_a + math.exp(clamp(u[0], -_U_BOUND, _U_BOUND))
+        # the inverse of from_natural, the objective's and the fit's one
+        # decode; each bound is written inline, as core.clamp has it
+        exp = math.exp
+        v = u[0]
+        n_a = self.lo_a + exp(-_U_BOUND if v < -_U_BOUND else _U_BOUND if v > _U_BOUND else v)
         if self.r is None:
-            n_b = self.lo_b + math.exp(clamp(u[1], -_U_BOUND, _U_BOUND))
+            v = u[1]
+            n_b = self.lo_b + exp(-_U_BOUND if v < -_U_BOUND else _U_BOUND if v > _U_BOUND else v)
         else:
             n_b = n_a / self.r
         out = [n_a, n_b]
         for v in u[self.size - 4 :]:
             if v >= 0.0:
-                p = 1.0 / (1.0 + math.exp(-v))
+                p = 1.0 / (1.0 + exp(-v))
             else:
-                e = math.exp(v)
+                e = exp(v)
                 p = e / (1.0 + e)
-            out.append(clamp(p, _PROB_CLIP, 1.0 - _PROB_CLIP))
+            out.append(_PROB_CLIP if p < _PROB_CLIP else _PROB_HI if p > _PROB_HI else p)
         return out
 
     def from_natural(self, n_a, n_b, alpha, p1, p2a, p2b) -> list[float]:
@@ -524,5 +556,5 @@ def profile_objective(
     for value in grid:
         value = float(check_real("grid", value, "(-inf,inf)"))
         point = replace(theta, **{component: value})
-        out.append((value, loglik(*_checked_fields(point, data))))
+        out.append((value, loglik(*_checked_fields(point, data, logfac))))
     return out

@@ -52,6 +52,7 @@ from .core import (
     StratumPair,
     check_real,
     lfac_ratio,
+    log_factorial,
 )
 
 
@@ -202,14 +203,22 @@ class ModelIIParams:
 # ---------------------------------------------------------------------------
 
 
-def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair) -> tuple:
+def _checked_fields(theta: ModelIParams | ModelIIParams, data: StratumPair, mode: str) -> tuple:
     """``theta``'s fields in declaration order, which is the kernel's
     argument order (n_a, n_b, alpha, p1, p2a, p2b), once its sizes are
-    checked against the observed counts."""
+    checked against the observed counts and against the float range: a
+    size whose log-factorial in ``mode`` (a mode the kernel took) has no
+    float would make the likelihood overflow, or take ``inf - inf``."""
     if theta.n_a < data.a.x0:
         raise InfeasibleN(f"n_a = {theta.n_a} < observed x0A = {data.a.x0}")
     if theta.n_b < data.b.x0:
         raise InfeasibleN(f"n_b = {theta.n_b} < observed x0B = {data.b.x0}")
+    for name, n in (("n_a", theta.n_a), ("n_b", theta.n_b)):
+        try:
+            log_factorial(n, mode)
+        except DomainError:
+            raise DomainError(f"{name} = {n} is too large: its {mode} log-factorial "
+                              "overflows the float range") from None
     return tuple(vars(theta).values())
 
 
@@ -262,10 +271,13 @@ def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
         r00b = alpha_b + (1.0 - alpha_b) * (1.0 - p2b)
         d_na = dlfac(n_a, x0a) + math.log((1.0 - p1) * r00a)
         d_nb = dlfac(n_b, x0b) + math.log((1.0 - p1) * r00b)
+        # at alpha = 1, c_alpha * log(1 - alpha) falls to -inf, so its
+        # derivative is -inf where c_alpha > 0 and 0.0 where it is 0
+        q_alpha = 1.0 - alpha
         d_alpha = (
             a11 * (1.0 - p2a) / r11a
             + w * b11 * (1.0 - p2b) / r11b
-            - c_alpha / (1.0 - alpha)
+            - (c_alpha / q_alpha if q_alpha else math.inf if c_alpha else 0.0)
             + (n_a - x0a) * p2a / r00a
             + w * (n_b - x0b) * p2b / r00b
         )
@@ -296,14 +308,14 @@ def loglik_model_i(
     ``logfac`` mode selects exact, first-order or three-term approximations
     of the log-factorial terms.
     """
-    return _loglik_kernel(data, logfac, False)[0](*_checked_fields(theta, data))
+    return _loglik_kernel(data, logfac, False)[0](*_checked_fields(theta, data, logfac))
 
 
 def loglik_model_ii(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> float:
     """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
-    return _loglik_kernel(data, logfac, True)[0](*_checked_fields(theta, data))
+    return _loglik_kernel(data, logfac, True)[0](*_checked_fields(theta, data, logfac))
 
 
 def loglik_model_i_grad(
@@ -315,11 +327,11 @@ def loglik_model_i_grad(
     natural parameter scale; the size derivatives match the ``logfac`` mode
     used for the objective.
     """
-    return _loglik_kernel(data, logfac, False)[1](*_checked_fields(theta, data))
+    return _loglik_kernel(data, logfac, False)[1](*_checked_fields(theta, data, logfac))
 
 
 def loglik_model_ii_grad(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> list[float]:
     """Gradient of the Model II log-likelihood, ordered like Model I's."""
-    return _loglik_kernel(data, logfac, True)[1](*_checked_fields(theta, data))
+    return _loglik_kernel(data, logfac, True)[1](*_checked_fields(theta, data, logfac))

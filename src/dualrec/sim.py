@@ -429,9 +429,15 @@ def run_study(
     it must be an integer of at least 1.
     """
     check_integer("threads", threads, 1)
-    methods = tuple(estimators)
+    # a string is iterable too, letter by letter
+    try:
+        methods = None if isinstance(estimators, str) else tuple(estimators)
+    except TypeError:
+        methods = None
+    if methods is None:
+        raise DomainError(f"estimators must be a sequence of estimator names, got {estimators!r}")
     for m in methods:
-        if m not in ESTIMATORS:
+        if not isinstance(m, str) or m not in ESTIMATORS:
             raise DomainError(f"unknown estimator {m!r}; valid: {', '.join(ESTIMATORS)}")
     reps = design.replicates
     ratio = design.n_a / design.n_b

@@ -239,6 +239,16 @@ def test_log_factorial_refuses_arguments_that_overflow(n, mode):
         log_factorial(n, mode)
 
 
+@pytest.mark.parametrize("mode", ["stirling1", "stirling3"])
+@pytest.mark.parametrize("n", [3e305, 1e308])
+def test_log_factorial_refuses_a_stirling_form_that_overflows(n, mode):
+    # n ln n passes the float range from about 2.56e305, where both Stirling
+    # forms once returned inf
+    with pytest.raises(DomainError, match="^n is too large for log_factorial, got "):
+        log_factorial(n, mode)
+    assert math.isfinite(log_factorial(2.5e305, mode))
+
+
 def test_digamma_matches_scipys():
     xs = np.logspace(-12, 15, 60001)
     for x, expected in zip(xs.tolist(), scipy_digamma(xs).tolist()):

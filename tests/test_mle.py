@@ -710,6 +710,17 @@ def test_profile_edge_cases():
             profile_objective("I", MEADOW_VOLES, theta, "n_a", [size])
 
 
+@pytest.mark.parametrize("model, params", [("I", ModelIParams), ("II", ModelIIParams)])
+@pytest.mark.parametrize("logfac", ["exact", "stirling1"])
+def test_profile_refuses_a_size_whose_log_factorial_overflows(model, params, logfac):
+    # the exact form once let lgamma's OverflowError out, and first order
+    # once returned NaN (inf - inf)
+    theta = params(300.0, 300.0, 0.2, 0.5, 0.5, 0.5)
+    message = f"^n_b = 1e\\+308 is too large: its {logfac} log-factorial"
+    with pytest.raises(DomainError, match=message):
+        profile_objective(model, MEADOW_VOLES, theta, "n_b", [300.0, 1e308], logfac)
+
+
 @pytest.mark.parametrize("model, grid, message", [
     ("I", [None], "grid must be a real number, got None"),
     ("I", ["x"], "grid must be a real number, got 'x'"),

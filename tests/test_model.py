@@ -243,6 +243,49 @@ def test_param_types_refuse_a_size_with_no_float(params, name):
             params(sizes["n_a"], sizes["n_b"], 0.2, 0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize(("loglik", "params", "sizes", "mode", "name"), [
+    # lgamma's OverflowError once escaped the exact forms
+    (loglik_model_ii, ModelIIParams, (1e308, 1e308), "exact", "n_a"),
+    (loglik_model_i, ModelIParams, (3e305, 100), "exact", "n_a"),
+    (loglik_model_i, ModelIParams, (100, 3e305), "exact", "n_b"),
+    # the Stirling forms once returned NaN from inf - inf
+    (loglik_model_i, ModelIParams, (1e307, 100), "stirling1", "n_a"),
+    (loglik_model_i, ModelIParams, (1e307, 100), "stirling3", "n_a"),
+    (loglik_model_ii, ModelIIParams, (100, 1e307), "stirling1", "n_b"),
+    # the gradient shares the value's domain
+    (loglik_model_i_grad, ModelIParams, (1e308, 100), "exact", "n_a"),
+    (loglik_model_ii_grad, ModelIIParams, (100, 1e307), "stirling1", "n_b"),
+])
+def test_likelihood_refuses_a_size_whose_log_factorial_overflows(loglik, params, sizes, mode, name):
+    theta = params(*sizes, 0.2, 0.5, 0.5, 0.5)
+    size = re.escape(str(sizes[name == "n_b"]))
+    message = f"^{name} = {size} is too large: its {mode} log-factorial"
+    with pytest.raises(DomainError, match=message):
+        loglik(theta, VOLES, mode)
+    # just inside the float range every form has a value
+    assert math.isfinite(loglik_model_i(ModelIParams(2.5e305, 2.5e305, 0.2, 0.5, 0.5, 0.5),
+                                        VOLES, mode))
+
+
+@pytest.mark.parametrize("grad, params", [(loglik_model_i_grad, ModelIParams),
+                                          (loglik_model_ii_grad, ModelIIParams)])
+def test_gradient_at_full_dependence(grad, params):
+    # c_alpha / (1 - alpha) once raised a bare ZeroDivisionError at alpha = 1,
+    # where the log-likelihood is -inf: its alpha term is -inf where c_alpha
+    # (the counts of one-list cells alpha ties) is positive, else 0.0
+    theta = params(77, 72, 1.0, 0.5, 0.5, 0.5)
+    g = grad(theta, VOLES)
+    assert g[2] == -math.inf
+    assert all(math.isfinite(v) for i, v in enumerate(g) if i != 2)
+    both_lists = StratumPair(DrsTable(50, 0, 0), DrsTable(40, 0, 0))
+    theta = params(60, 50, 1.0, 0.5, 0.5, 0.5)
+    # r11 = r00 = 1, so the alpha component is (n_a - x0A) p2a plus, where
+    # alpha is shared (Model II), (n_b - x0B) p2b; a11 and b11 weigh 1 - p2 = 0.5
+    tied = params is ModelIIParams
+    expected = 50 * 0.5 + tied * 40 * 0.5 + 10 * 0.5 + tied * 10 * 0.5
+    assert grad(theta, both_lists)[2] == expected
+
+
 def test_loglik_rejects_sizes_below_observed_totals():
     theta = ModelIParams(n_a=50, n_b=100, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
     with pytest.raises(InfeasibleN):

@@ -322,6 +322,15 @@ def test_study_rejects_unknown_estimator():
         run_study(d, estimators=("MME-I", "BOGUS"))
 
 
+@pytest.mark.parametrize("estimators", ["MME-I", None, 3])
+def test_study_refuses_estimators_that_are_not_a_sequence_of_names(estimators):
+    # a string was iterated letter by letter ("unknown estimator 'M'"), and
+    # None let a bare TypeError out
+    d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=5)
+    with pytest.raises(DomainError, match="^estimators must be a sequence of estimator names"):
+        run_study(d, estimators)
+
+
 def test_study_counts_and_excludes_failures():
     d = design_from_preset(
         "P5", model="II", n_a=240, n_b=200, alpha=0.4, replicates=50, seed=5

@@ -96,11 +96,39 @@ def nan_corner(u):
     return sum((v - 0.3) ** 2 for v in u)
 
 
+def rounded(u):
+    # a quadratic rounded to 0.001, so a new vertex's value often ties an
+    # old one's exactly
+    return round(sum((v - c) ** 2 for v, c in zip(u, (0.5, -1.5, 0.2, 2.0, -0.4, 1.1))), 3)
+
+
+def signed_zero(u):
+    # 0.0 or -0.0 within a ball, by the side of a plane through it: the two
+    # zeros compare equal, so only the sort may order them
+    q = sum((v - c) ** 2 for v, c in zip(u, (0.5, 1.5, 0.2, 0.9, 1.1, 0.7)))
+    if q > 0.25:
+        return q - 0.25
+    return -0.0 if u[0] + u[3] < 1.4 else 0.0
+
+
+def box(u):
+    # +inf outside a box, which four vertices of the start simplex leave;
+    # the simplex collapses against its wall, where new values tie old ones
+    if any(v > 2.0 or v < -2.0 for v in u):
+        return math.inf
+    return sum((v - c) ** 2 for v, c in zip(u, (1.2, -0.3, 0.8, 1.9, 0.1, -1.1)))
+
+
 _CASES = [
     (flat, [3.0, 0.2, 3.0, -4.0, 0.1, 5.0]),
     (wall, [1.0] * 6),
     (nan_beyond, [0.0, 1.0, 0.5, 0.3, 0.0, 2.0]),
     (nan_corner, [0.0, 0.2, 0.5, 0.3, 0.0, 2.0]),
+    # a new vertex that ties an old one, where one bisect insertion would
+    # place it other than np.argsort does
+    (rounded, [3.0, 0.2, 3.0, -4.0, 0.1, 5.0]),
+    (signed_zero, [3.0, 0.2, 3.0, -4.0, 0.1, 5.0]),
+    (box, [1.9, -1.95, -1.95, -1.95, -1.95, 1.9]),
 ]
 
 
