@@ -6,8 +6,8 @@ Two subcommands:
   estimators (optionally with bootstrap standard errors), and print a
   per-method report.  ``--dump`` echoes the parsed dataset in canonical
   CSV form.
-* ``dualrec simulate`` — run replicate studies for built-in design presets
-  or a JSON config of designs, emitting one CSV/JSON row per
+* ``dualrec simulate`` — run one replicate study per design (a built-in
+  preset or each design of a JSON config), emitting one CSV/JSON row per
   (design, estimator).
 
 Exit codes: 0 success; 1 I/O, parse, or usage errors; 2 estimation
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .boot import _SCHEMES, bootstrap
-from .core import DomainError, DualrecError
+from .core import AllReplicatesFailed, DomainError, DualrecError
 from .datasets import csv_text, load_stratum_pair, pair_to_csv
 from .sim import ESTIMATORS, DesignPoint, apply_method, design_from_preset, run_study
 
@@ -319,34 +319,26 @@ def cmd_simulate(args) -> int:
 
     rows = []
     for name, design, methods in jobs:
+        reps = design.replicates
+        try:  # one study per design; its summary leaves out an estimator that always failed
+            studies = run_study(design, methods, threads=args.threads).estimators
+        except AllReplicatesFailed:  # every estimator failed on every replicate
+            studies = {}
         for method in methods:
-            try:
-                summary = run_study(design, [method], threads=args.threads)
-            except DualrecError as e:
-                rows.append(
-                    {
-                        "design": name,
-                        "estimator": method,
-                        "failures": design.replicates,
-                        "error": f"{type(e).__name__}: {e}",
-                    }
+            row, study = {"design": name, "estimator": method}, studies.get(method)
+            if study is None:
+                error = f"AllReplicatesFailed: {method} failed on all {reps} replicates"
+                row.update(failures=reps, error=error)
+            else:
+                row.update(
+                    mean_na=round(study.mean_n_a, 4),
+                    rrmse_na=round(study.rrmse_n_a, 4),
+                    ci_lo=round(study.ci_n_a[0], 4),
+                    ci_hi=round(study.ci_n_a[1], 4),
+                    mean_alpha="" if study.mean_alpha is None else round(study.mean_alpha, 4),
+                    failures=study.failures,
                 )
-                continue
-            study = summary.estimators[method]
-            rows.append(
-                {
-                    "design": name,
-                    "estimator": method,
-                    "mean_na": round(study.mean_n_a, 4),
-                    "rrmse_na": round(study.rrmse_n_a, 4),
-                    "ci_lo": round(study.ci_n_a[0], 4),
-                    "ci_hi": round(study.ci_n_a[1], 4),
-                    "mean_alpha": ""
-                    if study.mean_alpha is None
-                    else round(study.mean_alpha, 4),
-                    "failures": study.failures,
-                }
-            )
+            rows.append(row)
     table = csv_text(_STUDY_CSV_COLUMNS, rows)
     sys.stdout.write(table)
     failed = [row for row in rows if "error" in row]

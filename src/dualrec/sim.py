@@ -290,12 +290,8 @@ class StudySummary:
 
 def _fit_values(fit: EstimateResult) -> tuple[float, float, float]:
     """A fit's unrounded sizes and its dependence estimate (NaN if it has none)."""
-    d, e = fit.diagnostics, fit.estimates
-    return (
-        d.get("n_a_unrounded", e.get("n_a", math.nan)),
-        d.get("n_b_unrounded", e.get("n_b", math.nan)),
-        e.get("alpha", math.nan),
-    )
+    d = fit.diagnostics
+    return d["n_a_unrounded"], d["n_b_unrounded"], fit.estimates.get("alpha", math.nan)
 
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
@@ -425,6 +421,11 @@ def run_study(
     and the count of failed replicates (infeasible, condition-violating, or
     non-converged fits), which are excluded from all aggregates.
 
+    Every estimator is refitted on each replicate's one draw, so its summary
+    equals its single-estimator study.  One that failed on every replicate is
+    left out of ``estimators``; :class:`AllReplicatesFailed` is raised only
+    if none succeeded, naming each, as ``"MME-II failed on all 5 replicates"``.
+
     ``threads`` caps the worker processes, at most one per CPU and replicate;
     it must be an integer of at least 1.
     """
@@ -436,6 +437,8 @@ def run_study(
         methods = None
     if methods is None:
         raise DomainError(f"estimators must be a sequence of estimator names, got {estimators!r}")
+    if not methods:
+        raise DomainError("estimators must name at least one estimator, got none")
     for m in methods:
         if not isinstance(m, str) or m not in ESTIMATORS:
             raise DomainError(f"unknown estimator {m!r}; valid: {', '.join(ESTIMATORS)}")
@@ -460,10 +463,10 @@ def run_study(
         rows = _replicate_values(*job, 0, reps)
 
     summaries = {}
-    for m in methods:
+    for m in ratios:  # each named estimator once, in order
         na, nb, al, failures = _successes(rows[m])
         if failures == reps:
-            raise AllReplicatesFailed(f"{m} failed on all {reps} replicates")
+            continue
         has_alpha = not bool(np.isnan(al).all())
 
         # fsum is exact, so summing the floats of tolist() changes no bit
@@ -485,4 +488,6 @@ def run_study(
             failures=failures,
             used=reps - failures,
         )
+    if not summaries:
+        raise AllReplicatesFailed(f"{', '.join(ratios)} failed on all {reps} replicates")
     return StudySummary(design=design, estimators=summaries)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import dualrec.sim as sim
 from dualrec.cli import main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -369,6 +370,77 @@ def test_simulate_all_replicates_failed_row(capsys):
     lines = out.splitlines()
     assert lines[1] == "P6,MME-II,,,,,,5"
     assert "# P6/MME-II: AllReplicatesFailed: MME-II failed on all 5 replicates" in lines
+
+
+def test_simulate_draws_each_table_once_for_all_estimators(capsys, monkeypatch):
+    # the design's estimators are refitted on one study's draws, not one study each
+    draws = []
+    draw = sim.generate_pair
+    monkeypatch.setattr(sim, "generate_pair", lambda *a: draws.append(1) or draw(*a))
+    code, out, _ = run(
+        capsys, "simulate", "--preset", "P1", "--na", "240", "--nb", "200", "--alpha", "0.4",
+        "--replicates", "50", "--estimators", "mme1,lp,nour",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert len(draws) == 50
+
+
+_MIXED_DESIGN_ROWS = [
+    {"design": "mixed", "error": "AllReplicatesFailed: MME-II failed on all 40 replicates",
+     "estimator": "MME-II", "failures": 40},
+    {"ci_hi": 150.025, "ci_lo": 129.0, "design": "mixed", "estimator": "LP", "failures": 0,
+     "mean_alpha": "", "mean_na": 141.575, "rrmse_na": 0.4111},
+    {"design": "mixed", "error": "AllReplicatesFailed: MME-II failed on all 40 replicates",
+     "estimator": "MME-II", "failures": 40},
+    {"ci_hi": 150.025, "ci_lo": 129.0, "design": "mixed", "estimator": "NOUR", "failures": 0,
+     "mean_alpha": "", "mean_na": 141.575, "rrmse_na": 0.4111},
+    {"ci_hi": 163.7471, "ci_lo": 123.0548, "design": "mixed", "estimator": "MME-I",
+     "failures": 0, "mean_alpha": 0.1095, "mean_na": 142.2744, "rrmse_na": 0.4096},
+    {"ci_hi": 150.025, "ci_lo": 129.0, "design": "mixed", "estimator": "LP", "failures": 0,
+     "mean_alpha": "", "mean_na": 141.575, "rrmse_na": 0.4111},
+    {"design": "failing", "error": "AllReplicatesFailed: WOLTER-1 failed on all 40 replicates",
+     "estimator": "WOLTER-1", "failures": 40},
+    {"design": "failing", "error": "AllReplicatesFailed: MME-II failed on all 40 replicates",
+     "estimator": "MME-II", "failures": 40},
+]
+
+
+def test_simulate_rows_of_failing_estimators_and_repeated_tokens_are_pinned(capsys, tmp_path):
+    # one design with an estimator that fails on every replicate and repeated
+    # tokens, one whose estimators all fail; recorded when each estimator
+    # still ran its own study
+    design = {"p1dot_a": 0.5, "pdot1_a": 0.6, "p1dot_b": 0.5, "pdot1_b": 0.6, "alpha": 0.8,
+              "n_a": 240, "n_b": 200, "model": "II", "replicates": 40}
+    cfg = tmp_path / "designs.json"
+    cfg.write_text(json.dumps({"designs": [
+        dict(design, name="mixed", seed=7, estimators=["mme2", "lp", "mme2", "nour", "mme1", "lp"]),
+        dict(design, name="failing", seed=8, estimators=["wolter1", "mme2"]),
+    ]}), encoding="utf-8")
+    table = (
+        "design,estimator,mean_na,rrmse_na,ci_lo,ci_hi,mean_alpha,failures\n"
+        "mixed,MME-II,,,,,,40\n"
+        "mixed,LP,141.575,0.4111,129.0,150.025,,0\n"
+        "mixed,MME-II,,,,,,40\n"
+        "mixed,NOUR,141.575,0.4111,129.0,150.025,,0\n"
+        "mixed,MME-I,142.2744,0.4096,123.0548,163.7471,0.1095,0\n"
+        "mixed,LP,141.575,0.4111,129.0,150.025,,0\n"
+        "failing,WOLTER-1,,,,,,40\n"
+        "failing,MME-II,,,,,,40\n"
+    )
+    notes = (
+        "# mixed/MME-II: AllReplicatesFailed: MME-II failed on all 40 replicates\n"
+        "# mixed/MME-II: AllReplicatesFailed: MME-II failed on all 40 replicates\n"
+        "# failing/WOLTER-1: AllReplicatesFailed: WOLTER-1 failed on all 40 replicates\n"
+        "# failing/MME-II: AllReplicatesFailed: MME-II failed on all 40 replicates\n"
+    )
+    for name, text in (("rows.csv", table),
+                       ("rows.json", json.dumps(_MIXED_DESIGN_ROWS, indent=2, sort_keys=True) + "\n")):
+        out_path = tmp_path / name
+        code, out, err = run(capsys, "simulate", "--config", str(cfg), "--threads", "2",
+                             "--out", str(out_path))
+        assert (code, out, err) == (2, table + notes, "")
+        assert out_path.read_text(encoding="utf-8") == text
 
 
 def test_simulate_flag_validation(capsys, tmp_path):

@@ -178,6 +178,11 @@ def test_mtb_params_bound_their_probabilities(fields, message):
         MtbParams(**fields)
 
 
+def test_mtb_params_refuse_a_recapture_probability_off_phi_times_p():
+    with pytest.raises(DomainError, match=r"^c must equal phi \* p$"):
+        MtbParams(p1dot=0.5, p=0.5, c=0.6, phi=1.0)
+
+
 def test_to_mtb_rejects_full_dependence():
     with pytest.raises(DegenerateDependence):
         to_mtb(BbmParams(p1=0.6, p2=0.8, alpha=1.0, n=100))
@@ -197,6 +202,12 @@ def test_p2_from_marginal_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(DomainError) as err:
         p2_from_marginal(0.8, 0.6, alpha)
     assert str(err.value) == f"alpha must be in [0,1], got {alpha}"
+
+
+def test_p2_from_marginal_rounds_float_fuzz_onto_one():
+    # (0.9575 - 0.05 * 0.15) / 0.95 is 1.0000000000000002 in floats
+    assert (0.9575 - 0.05 * 0.15) / (1.0 - 0.05) > 1.0
+    assert p2_from_marginal(0.9575, 0.15, 0.05) == 1.0
 
 
 def test_p2_from_marginal_inverts_and_rejects():

@@ -351,6 +351,33 @@ def test_study_all_replicates_failed():
         run_study(d, estimators=("MME-II",))
 
 
+@pytest.mark.parametrize("estimators", [(), []])
+def test_study_refuses_no_estimators_before_any_draw(estimators, monkeypatch):
+    d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=5)
+    monkeypatch.setattr(sim, "generate_pair", lambda *a: pytest.fail("a table was drawn"))
+    with pytest.raises(DomainError, match="^estimators must name at least one estimator"):
+        run_study(d, estimators)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_study_leaves_out_an_estimator_that_failed_on_every_replicate(threads):
+    # MME-II fails on every replicate of this design (as above); the others
+    # are aggregated from the same draws, as their own studies would be
+    d = design_from_preset("P6", model="II", n_a=240, n_b=200, alpha=0.8, replicates=60, seed=3)
+    studies = run_study(d, ("MME-II", "LP", "NOUR"), threads=threads).estimators
+    assert list(studies) == ["LP", "NOUR"]
+    for m in ("LP", "NOUR"):
+        assert studies[m] == run_study(d, (m,)).estimators[m]
+
+
+def test_study_names_every_estimator_when_all_failed():
+    d = design_from_preset("P6", model="II", n_a=240, n_b=200, alpha=0.8, replicates=5, seed=0)
+    with pytest.raises(AllReplicatesFailed, match="^MME-II, WOLTER-1 failed on all 5 replicates$"):
+        run_study(d, ("MME-II", "WOLTER-1", "MME-II"))
+    with pytest.raises(AllReplicatesFailed, match="^MME-II failed on all 5 replicates$"):
+        run_study(d, ("MME-II", "MME-II"))
+
+
 def test_study_dependence_free_methods_report_no_alpha():
     d = design_from_preset(
         "P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=30, seed=2
@@ -459,6 +486,14 @@ def test_apply_method_calls_estimator_through_module_attribute(name, estimator_s
     with pytest.raises(_Reached):
         apply_method(name, MEADOW_VOLES, ratio=1.147)
     assert len(estimator_spies) == 1
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_every_estimator_reports_its_unrounded_sizes(name):
+    # a study aggregates these diagnostics, with no fallback to the rounded sizes
+    fit = apply_method(name, MEADOW_VOLES, ratio=1.147)
+    assert fit.diagnostics["n_a_unrounded"] == pytest.approx(fit.estimates["n_a"], abs=1.0)
+    assert fit.diagnostics["n_b_unrounded"] == pytest.approx(fit.estimates["n_b"], abs=1.0)
 
 
 def test_study_threads_must_be_a_positive_integer():
