@@ -146,7 +146,7 @@ def validate_table(t: DrsTable) -> DrsTable:
     Counts are already forced nonnegative by construction; this adds the
     emptiness check that estimators need (at least one individual seen).
     """
-    if t.x0 == 0:
+    if not (t.x11 or t.x10 or t.x01):  # x0 == 0, without the property's call
         raise EmptyTable("all observed cells are zero")
     return t
 
@@ -355,6 +355,10 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - series
 
 
+def _stirling1_dratio(n: float, x0: int) -> float:
+    return math.log(n) - math.log(max(n - x0, 1e-12))
+
+
 def lfac_ratio(mode: str):
     """``(ratio, dratio)``: ``ratio(n, x0) = log(n! / (n - x0)!)``, ``n``
     continuous, and its derivative in ``n``, in ``mode``'s form (as in
@@ -364,7 +368,7 @@ def lfac_ratio(mode: str):
     if mode == "exact":
         return _exact_ratio, lambda n, x0: digamma(n + 1.0) - digamma(max(n - x0 + 1.0, 1e-12))
     if mode == "stirling1":
-        return stirling1_ratio, lambda n, x0: math.log(n) - math.log(max(n - x0, 1e-12))
+        return stirling1_ratio, _stirling1_dratio
     if mode != "stirling3":
         raise DomainError(f"unknown log-factorial mode {mode!r}")
 

@@ -21,6 +21,11 @@ start on an unconstrained transform of the parameter space:
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
+A fit given no config takes :data:`DEFAULT_CONFIG`, the one ``FitConfig()``,
+built and checked once; a default Model I fit in closed form then costs its
+moment solution (:func:`dualrec.mme._model_i_moments`, with no
+``mme_model_i`` result), one likelihood and one gradient evaluation.
+
 No fit imports scipy: the simplex is the package's own, and ``exact``
 gradients take :func:`dualrec.core.digamma`.  ``diagnostics["evaluations"]``
 counts the simplex's objective evaluations over all starts (0 in closed form).
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from operator import add, lt
 from typing import NamedTuple
@@ -70,7 +76,7 @@ from .core import (
     round_half_even,
     validate_table,
 )
-from .mme import mme_model_i
+from .mme import _model_i_moments
 from .model import ModelIIParams, ModelIParams, _checked_fields, _loglik_kernel
 
 
@@ -267,13 +273,32 @@ class FitConfig:
             # a fit divides by it; one that rounds to 0.0 has no float reciprocal
             r = float(check_real("known_ratio", self.known_ratio, "(0,inf)"))
             check_real("1/known_ratio", 1.0 / r if r else math.inf, "(0,inf)")
-        if self.start is not None:
-            if len(self.start) != 6:
+        start = self.start
+        if start is not None:
+            # a set or a generator has no order, a 0-d array no length
+            if not isinstance(start, Sequence) and np.ndim(start) != 1:
+                raise DomainError("start must be a sequence of six reals "
+                                  f"(n_a, n_b, alpha, p1, p2a, p2b), got {start!r}")
+            if len(start) != 6:
                 raise DomainError(
-                    f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(self.start)} values"
+                    f"start must supply (n_a, n_b, alpha, p1, p2a, p2b), got {len(start)} values"
                 )
-            for v in self.start:
+            for v in start:
                 check_real("start", v, "(-inf,inf)")
+
+
+# the config of every fit given none: built, and so checked, once
+DEFAULT_CONFIG = FitConfig()
+
+
+def _config(config, name: str = "config") -> FitConfig:
+    """``config``, or :data:`DEFAULT_CONFIG` where it is None; a DomainError
+    naming ``name`` where it is neither."""
+    if config is None:
+        return DEFAULT_CONFIG
+    if not isinstance(config, FitConfig):
+        raise DomainError(f"{name} must be a FitConfig or None, got {config!r}")
+    return config
 
 
 def _logit(p: float) -> float:
@@ -373,8 +398,8 @@ def _interior(pair: StratumPair, start, known_ratio: float | None) -> tuple[floa
 
 
 def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None, grad) -> tuple | None:
-    """``(solver, natural parameters)`` of Model I's first-order maximiser,
-    from its unrounded ``moment`` solution and where that solution's
+    """``(solver, natural parameters, gradient)`` of Model I's first-order
+    maximiser, from its unrounded ``moment`` solution and where that solution's
     dependence ``clamped`` (see the module notes), or None where neither
     closed form holds.  ``grad`` is the first-order Model I gradient."""
     A, B = pair.a, pair.b
@@ -386,9 +411,11 @@ def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None, grad)
         natural, solver = (n_a, n_b, 0.0, p1, A.xdot1 / n_a, B.xdot1 / n_b), "face"
     else:
         return None
-    inside = all(0.0 < p < 1.0 for p in natural[3:])
-    if inside and (solver == "interior" or grad(*natural)[2] <= 0):
-        return solver, natural
+    if not all(0.0 < p < 1.0 for p in natural[3:]):
+        return None
+    gradient = grad(*natural)
+    if solver == "interior" or gradient[2] <= 0:
+        return solver, natural, gradient
     return None
 
 
@@ -401,8 +428,8 @@ def _start(
     II's neutral guess, Model I's moment solution, or Model I's ``2 x0``
     fallback where the moment equations divide by zero.
     ``guessed`` adds its jittered copies, those off the wall.  ``closed`` is
-    Model I's closed form ``(solver, natural)`` where one holds, else None;
-    only its face check reads ``grad``, the fit's bound gradient.
+    Model I's closed form ``(solver, natural, gradient)`` where one holds,
+    else None; only the closed form reads ``grad``, the fit's bound gradient.
     """
     if config.start is not None:
         return config.start, False, None
@@ -414,15 +441,13 @@ def _start(
         p1 = B.x11 / B.xdot1 if B.xdot1 else 0.5
         return (lp_or_double(A), lp_or_double(B), 0.1, p1, 0.5, 0.5), True, None
     try:
-        mm = mme_model_i(pair)
+        moment, clamped, _, _ = _model_i_moments(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
     except DivisionByZero:
         return (2.0 * A.x0, 2.0 * B.x0, 0.1, 0.5, 0.5, 0.5), True, None
-    e, d = mm.estimates, mm.diagnostics
-    moment = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
     # the moment solution maximises only the first-order objective, and
     # ignores a known ratio; elsewhere it is a guess
     if config.known_ratio is None and config.logfac == "stirling1":
-        return moment, False, _closed_model_i(pair, moment, d["alpha_clamped"], grad)
+        return moment, False, _closed_model_i(pair, moment, clamped, grad)
     return moment, True, None
 
 
@@ -444,7 +469,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     loglik, grad = _loglik_kernel(pair, config.logfac, _MODELS[model][1])
     base, guessed, closed = _start(model, pair, config, grad)
     if closed is not None:
-        solver, natural = closed
+        solver, natural, gradient = closed
         value, converged, iterations, starts, evaluations = loglik(*natural), True, 0, [], 0
     else:
 
@@ -489,6 +514,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 best = (res.fun, res.x, res.success, res.nit)
         fun, u_opt, converged, iterations = best
         solver, natural, value = "numeric", space.to_natural(u_opt), -fun
+        gradient = grad(*natural)
 
     # grad_norm is taken on the free scale
     n_a, n_b, alpha, p1, p2a, p2b = natural
@@ -497,7 +523,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
                    "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
         diagnostics={"converged": converged, "iterations": iterations, "objective": value,
-                     "grad_norm": math.hypot(*space.chain_grad(natural, grad(*natural))),
+                     "grad_norm": math.hypot(*space.chain_grad(natural, gradient)),
                      "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": len(starts),
                      "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
     )
@@ -516,12 +542,12 @@ def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateR
     ``n_b = n_a / r`` held exactly; an ``r`` that takes ``x0A / r`` or
     ``r * x0B`` past the float range raises :class:`DomainError`.
     """
-    return _fit("I", data, config or FitConfig())
+    return _fit("I", data, _config(config))
 
 
 def mle_model_ii(data: StratumPair, config: FitConfig | None = None) -> EstimateResult:
     """Maximum-likelihood fit of Model II (shared p1 and alpha across strata)."""
-    return _fit("II", data, config or FitConfig())
+    return _fit("II", data, _config(config))
 
 
 def profile_objective(

@@ -69,47 +69,38 @@ def mme_model_i(data: StratumPair) -> EstimateResult:
     """
     A = validate_table(data.a)
     B = validate_table(data.b)
-    a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
+    moments = _model_i_moments(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
+    (n_a, n_b, alpha, p1, p2a, p2b), clamped, alpha_raw, p2a_raw = moments
+    return EstimateResult(
+        method="MME-I",
+        estimates={"n_a": float(floor_int(n_a)), "n_b": float(floor_int(n_b)),
+                   "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
+        diagnostics={"n_a_unrounded": n_a, "n_b_unrounded": n_b, "alpha_clamped": clamped,
+                     "alpha_unclamped": alpha_raw, "p2a_unclamped": p2a_raw},
+    )
+
+
+def _model_i_moments(a11, a10, a01, b11, b10, b01):
+    """:func:`mme_model_i` on the six counts of a checked pair, unrounded:
+    ``((n_a, n_b, alpha, p1, p2a, p2b), clamped, alpha_unclamped,
+    p2a_unclamped)``, ``clamped`` None, ``"low"`` or ``"high"``."""
     if b11 == 0:
         raise DivisionByZero("x11B is zero")
     if b01 == 0:
         raise DivisionByZero("x01B is zero")
     if a11 + a10 == 0:
         raise DivisionByZero("x1dotA is zero")
-
-    p1 = b11 / (b11 + b01)
-    p2b = b11 / (b11 + b10)
     n_a, n_b, alpha_raw, p2a_den = _model_i_terms(a11, a10, a01, b11, b10, b01)
     if p2a_den == 0:
         raise DivisionByZero("x10A*x01B + x01A*x11B is zero")
-    p2a = a01 * b11 / p2a_den
-
+    p2a_raw = p2a = a01 * b11 / p2a_den
     alpha = clamp(alpha_raw, 0.0, 1.0)
     clamped = None if alpha == alpha_raw else ("low" if alpha_raw < 0.0 else "high")
-
-    diagnostics = {
-        "n_a_unrounded": n_a,
-        "n_b_unrounded": n_b,
-        "alpha_clamped": clamped,
-        "alpha_unclamped": alpha_raw,
-        "p2a_unclamped": p2a,
-    }
     if clamped == "low":
         # keep the (1-alpha)*p2a moment product intact at the boundary
         p2a = a01 * b11 / (b01 * (a11 + a10))
-
-    return EstimateResult(
-        method="MME-I",
-        estimates={
-            "n_a": float(floor_int(n_a)),
-            "n_b": float(floor_int(n_b)),
-            "p1": p1,
-            "p2a": p2a,
-            "p2b": p2b,
-            "alpha": alpha,
-        },
-        diagnostics=diagnostics,
-    )
+    natural = (n_a, n_b, alpha, b11 / (b11 + b01), p2a, b11 / (b11 + b10))
+    return natural, clamped, alpha_raw, p2a_raw
 
 
 def mme_model_ii(data: StratumPair) -> EstimateResult:

@@ -49,7 +49,7 @@ from .core import (
     check_real,
     empirical_ci,
 )
-from .mle import FitConfig, mle_model_i, mle_model_ii
+from .mle import FitConfig, _config, mle_model_i, mle_model_ii
 from .mme import mme_model_i, mme_model_i_kernel, mme_model_ii, mme_model_ii_kernel
 from .model import DependenceSign, cell_probabilities, p2_from_marginal
 
@@ -225,12 +225,15 @@ def apply_method(
     reported as ``n_a`` / ``n_b``.  Ratio-linked methods require ``ratio``.
     A likelihood fit that stops short of its tolerance raises
     :class:`DidNotConverge` so callers can count it as a failure.
+    ``fit_config`` must be None or a :class:`FitConfig`, whatever the method.
     """
     spec = ESTIMATORS.get(method)
     if spec is None:
         raise DomainError(f"unknown estimator {method!r}; valid: {', '.join(ESTIMATORS)}")
     if spec.needs_ratio and ratio is None:
         raise DomainError(f"{method} requires a known size ratio")
+    if fit_config is not None:
+        _config(fit_config, "fit_config")
     if method in ("LP", "NOUR"):
         fn = lincoln_petersen if method == "LP" else nour
         ra, rb = fn(pair.a), fn(pair.b)
@@ -247,9 +250,7 @@ def apply_method(
     if method == "MME-II":
         return mme_model_ii(pair)
     if method in ("MLE-I", "MLE-II"):
-        cfg = fit_config or FitConfig()
-        if ratio is not None:
-            cfg = replace(cfg, known_ratio=ratio)
+        cfg = fit_config if ratio is None else replace(_config(fit_config), known_ratio=ratio)
         fit = mle_model_i(pair, cfg) if method == "MLE-I" else mle_model_ii(pair, cfg)
         if not fit.diagnostics.get("converged", True):
             raise DidNotConverge(f"{method} stopped before meeting tolerance")
@@ -442,6 +443,7 @@ def run_study(
     for m in methods:
         if not isinstance(m, str) or m not in ESTIMATORS:
             raise DomainError(f"unknown estimator {m!r}; valid: {', '.join(ESTIMATORS)}")
+    _config(fit_config, "fit_config")
     reps = design.replicates
     ratio = design.n_a / design.n_b
     ratios = {m: ratio if ESTIMATORS[m].needs_ratio else None for m in methods}

@@ -193,6 +193,12 @@ def test_point_estimate_preconditions_propagate():
         bootstrap(ENCEPHALITIS, "NOUR", scheme="parametric", b=10, seed=0)
 
 
+@pytest.mark.parametrize("method", ["MLE-I", "MME-I"])
+def test_bootstrap_refuses_a_fit_config_that_is_not_one(method):
+    with pytest.raises(DomainError, match="^fit_config must be a FitConfig or None, got 'x'$"):
+        bootstrap(MEADOW_VOLES, method, b=10, seed=0, fit_config="x")
+
+
 def test_bootstrap_argument_validation():
     with pytest.raises(DomainError):
         bootstrap(MEADOW_VOLES, "LP", scheme="jackknife", b=10, seed=0)

@@ -109,3 +109,20 @@ def test_fit_config_reals_take_numpy_floats_and_refuse_non_numbers(name):
     for bad in _NOT_NUMBERS if name != "known_ratio" else ("0.5", True):
         with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be a real number, got {bad!r}')}$"):
             FitConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "start",
+    [5, 5.0, np.float64(5.0), np.array(5.0), (v for v in range(6)), {1, 2, 3, 4, 5, 6}],
+    ids=["int", "float", "numpy-float", "0-d-array", "generator", "set"],
+)
+def test_fit_config_start_that_is_not_a_sequence_raises_domain_error_naming_it(start):
+    with pytest.raises(DomainError, match=r"^start must be a sequence of six reals \(n_a, n_b, alpha, p1, p2a, p2b\), got "):
+        FitConfig(start=start)
+
+
+@pytest.mark.parametrize(
+    "start", [(300, 300, 0.2, 0.5, 0.5, 0.5), [300.0] * 2 + [0.5] * 4, np.full(6, 0.5), range(1, 7)]
+)
+def test_fit_config_start_takes_any_sequence_of_six_reals(start):
+    assert FitConfig(start=start).start is start

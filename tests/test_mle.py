@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -449,13 +450,13 @@ def test_model_i_numeric_fits_are_pinned_to_the_bit(config, a, b, n_a, n_b, obje
 def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
     # the moment solution is the start, the closed form and the fallback's
     # trigger alike, so each Model I fit computes it once
-    calls = []
+    calls, moments = [], dualrec.mle._model_i_moments
 
-    def counted(pair):
-        calls.append(pair)
-        return mme_model_i(pair)
+    def counted(*counts):
+        calls.append(counts)
+        return moments(*counts)
 
-    monkeypatch.setattr(dualrec.mle, "mme_model_i", counted)
+    monkeypatch.setattr(dualrec.mle, "_model_i_moments", counted)
     closed = MEADOW_VOLES
     no_closed_form = StratumPair(DrsTable(36, 0, 13), DrsTable(24, 8, 16))
     no_moment_solution = StratumPair(DrsTable(30, 10, 10), DrsTable(0, 10, 10))
@@ -463,7 +464,46 @@ def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
                          (no_moment_solution, "numeric")):
         calls.clear()
         assert mle_model_i(pair).diagnostics["solver"] == solver
-        assert calls == [pair]
+        assert calls == [(pair.a.x11, pair.a.x10, pair.a.x01, pair.b.x11, pair.b.x10, pair.b.x01)]
+
+
+def test_default_model_i_fit_builds_no_config_and_takes_one_gradient(monkeypatch):
+    # a fit given no config takes the shared default, and a closed form's
+    # KKT check and grad_norm share one gradient at the same point
+    built, points, kernel = [], [], dualrec.mle._loglik_kernel
+    post_init = FitConfig.__post_init__
+
+    def counted_post_init(config):
+        built.append(config)
+        post_init(config)
+
+    def counted_kernel(pair, mode, tied):
+        loglik, grad = kernel(pair, mode, tied)
+
+        def counted_grad(*point):
+            points.append(point)
+            return grad(*point)
+
+        return loglik, counted_grad
+
+    monkeypatch.setattr(FitConfig, "__post_init__", counted_post_init)
+    monkeypatch.setattr(dualrec.mle, "_loglik_kernel", counted_kernel)
+    FitConfig()
+    assert len(built) == 1  # the spy sees a config being built
+    for pair, solver in ((MEADOW_VOLES, "interior"), (ENCEPHALITIS, "face")):
+        for fit in (mle_model_i, lambda pair: sim.apply_method("MLE-I", pair)):
+            built.clear()
+            points.clear()
+            assert fit(pair).diagnostics["solver"] == solver
+            assert built == [] and len(points) == 1
+
+
+@pytest.mark.parametrize("config", ["x", 0, (), FitConfig])
+def test_fits_refuse_a_config_that_is_not_a_fit_config(config):
+    # chosen by "is None", so a falsy non-config is refused too
+    for fit in (mle_model_i, mle_model_ii):
+        with pytest.raises(DomainError, match=f"^config must be a FitConfig or None, got {re.escape(repr(config))}$"):
+            fit(MEADOW_VOLES, config)
 
 
 def test_each_fit_and_profile_binds_its_table_once(monkeypatch):

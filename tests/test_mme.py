@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dualrec.mme
 from dualrec.core import (
     DivisionByZero,
     DomainError,
     DrsTable,
+    DualrecError,
     Infeasible,
     StratumPair,
 )
@@ -111,6 +114,61 @@ def test_model_i_division_by_zero_cases():
         mme_model_i(StratumPair(DrsTable(0, 0, 3), DrsTable(5, 4, 3)))  # x1dotA = 0
     with pytest.raises(DivisionByZero, match=r"x10A\*x01B \+ x01A\*x11B is zero"):
         mme_model_i(StratumPair(DrsTable(5, 0, 0), DrsTable(8, 6, 9)))
+
+
+def _moments_outcome(solve, counts):
+    """``solve(counts)``'s float.hex-exact values as ``(n_a, n_b, alpha, p1,
+    p2a, p2b, alpha_unclamped, p2a_unclamped, clamped)``, or its error."""
+    try:
+        natural, clamped, alpha_raw, p2a_raw = solve(counts)
+    except DualrecError as e:
+        return type(e), str(e)
+    return (*(float.hex(v) for v in (*natural, alpha_raw, p2a_raw)), clamped)
+
+
+def _via_mme_model_i(counts):
+    fit = mme_model_i(StratumPair(DrsTable(*counts[:3]), DrsTable(*counts[3:])))
+    e, d = fit.estimates, fit.diagnostics
+    natural = (d["n_a_unrounded"], d["n_b_unrounded"], e["alpha"], e["p1"], e["p2a"], e["p2b"])
+    return natural, d["alpha_clamped"], d["alpha_unclamped"], d["p2a_unclamped"]
+
+
+# tables that reach each outcome: interior, alpha clamped low (encephalitis)
+# and high, and each division by zero.  Alpha's exact value is at most 1, so
+# only rounding lifts it past 1, which needs counts far past 10**6
+_CLAMPED = {
+    (46, 20, 11, 54, 5, 13): None,
+    (39, 290, 39, 20, 78, 15): "low",
+    (2344292163667771358, 0, 2798385421330477985, 1, 3989199911753110843, 1189125638686188299): "high",
+}
+_NO_SOLUTION = ((5, 4, 3, 0, 4, 3), (5, 4, 3, 5, 4, 0), (0, 0, 3, 5, 4, 3), (5, 0, 0, 8, 6, 9))
+
+
+def _with_each_outcome(test):
+    for counts in (*_CLAMPED, *_NO_SOLUTION):
+        test = example(counts=counts)(test)
+    return test
+
+
+@_with_each_outcome
+@given(counts=st.tuples(*[st.integers(0, 10**6)] * 6))
+@settings(max_examples=300, deadline=None)
+def test_model_i_moment_helper_matches_mme_model_i_to_the_bit(counts):
+    # the helper takes the counts of a checked pair, so neither table is empty
+    assume(sum(counts[:3]) > 0 and sum(counts[3:]) > 0)
+    helper = _moments_outcome(lambda c: dualrec.mme._model_i_moments(*c), counts)
+    assert helper == _moments_outcome(_via_mme_model_i, counts)
+
+
+def test_model_i_moment_helper_examples_reach_every_outcome():
+    for counts, clamped in _CLAMPED.items():
+        assert dualrec.mme._model_i_moments(*counts)[1] == clamped
+    messages = set()
+    for counts in _NO_SOLUTION:
+        with pytest.raises(DivisionByZero) as e:
+            dualrec.mme._model_i_moments(*counts)
+        messages.add(str(e.value))
+    assert len(messages) == 4
 
 
 def test_model_ii_voles_values():

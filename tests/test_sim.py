@@ -359,6 +359,22 @@ def test_study_refuses_no_estimators_before_any_draw(estimators, monkeypatch):
         run_study(d, estimators)
 
 
+@pytest.mark.parametrize("config", ["x", 0])
+def test_study_refuses_a_fit_config_that_is_not_one_before_any_draw(config, monkeypatch):
+    d = design_from_preset("P1", model="I", n_a=240, n_b=200, alpha=0.4, replicates=5)
+    monkeypatch.setattr(sim, "generate_pair", lambda *a: pytest.fail("a table was drawn"))
+    with pytest.raises(DomainError, match=f"^fit_config must be a FitConfig or None, got {config!r}$"):
+        run_study(d, ("MLE-I",), fit_config=config)
+
+
+@pytest.mark.parametrize("method", ["MLE-I", "MLE-II", "MME-I", "LP"])
+@pytest.mark.parametrize("config", ["x", 0])
+def test_apply_method_refuses_a_fit_config_that_is_not_one(method, config):
+    # whatever the method, though only the likelihood fits read it
+    with pytest.raises(DomainError, match=f"^fit_config must be a FitConfig or None, got {config!r}$"):
+        apply_method(method, MEADOW_VOLES, None, config)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_study_leaves_out_an_estimator_that_failed_on_every_replicate(threads):
     # MME-II fails on every replicate of this design (as above); the others
