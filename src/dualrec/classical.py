@@ -28,6 +28,7 @@ from .core import (
     check_real,
     floor_int,
     round_half_up,
+    validate_pair,
     validate_table,
 )
 
@@ -83,8 +84,7 @@ def wolter_model1(data: StratumPair, r: float) -> EstimateResult:
 
     Infeasible when ``K <= r`` (nonpositive denominator).
     """
-    A = validate_table(data.a)
-    B = validate_table(data.b)
+    A, B = validate_pair(data)
     check_real("r", r, "(0,inf)")
     den = A.x11 * (B.x1dot - B.x11) * (B.xdot1 - B.x11)
     if den == 0:
@@ -109,8 +109,7 @@ def wolter_model2(data: StratumPair, r: float) -> EstimateResult:
     reported with the integer part taken.  Infeasible when ``r*n_b``
     overflows the float range.
     """
-    validate_table(data.a)
-    B = validate_table(data.b)
+    _, B = validate_pair(data)
     check_real("r", r, "(0,inf)")
     if B.x11 == 0:
         raise DivisionByZero("x11B is zero")

@@ -145,7 +145,10 @@ def validate_table(t: DrsTable) -> DrsTable:
 
     Counts are already forced nonnegative by construction; this adds the
     emptiness check that estimators need (at least one individual seen).
+    Anything but a :class:`DrsTable` raises :class:`DomainError`.
     """
+    if not isinstance(t, DrsTable):
+        raise DomainError(f"a table must be a DrsTable, got {t!r}")
     if not (t.x11 or t.x10 or t.x01):  # x0 == 0, without the property's call
         raise EmptyTable("all observed cells are zero")
     return t
@@ -163,6 +166,25 @@ class StratumPair:
     b: DrsTable
     label_a: str = "A"
     label_b: str = "B"
+
+
+def check_pair(data) -> StratumPair:
+    """``data`` unchanged; a DomainError where it is not a :class:`StratumPair`
+    of two :class:`DrsTable` strata."""
+    if not (isinstance(data, StratumPair) and isinstance(data.a, DrsTable)
+            and isinstance(data.b, DrsTable)):
+        raise DomainError(f"data must be a StratumPair of two DrsTables, got {data!r}")
+    return data
+
+
+def validate_pair(data) -> tuple[DrsTable, DrsTable]:
+    """The two strata of ``data``, each a usable table: :func:`check_pair`,
+    then :func:`validate_table`'s emptiness check on each, written inline
+    since every estimator of a pair runs it."""
+    a, b = check_pair(data).a, data.b
+    if not (a.x11 or a.x10 or a.x01) or not (b.x11 or b.x10 or b.x01):
+        raise EmptyTable("all observed cells are zero")
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,13 @@ not clamp and ``p1``, ``p2a``, ``p2b`` lie in (0, 1); it reproduces all six
 cells, so it attains the saturated bound ``sum(x log x) - x0``.  ``"face"``,
 used when the dependence clamps low, is the ``alpha = 0`` solution
 ``p1 = (x11A + x11B)/(x.1A + x.1B)``, ``n_k = x10k/p1 + x.1k``,
-``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1) and the
-likelihood does not rise in ``alpha`` there (the KKT condition).
+``p2k = x.1k/n_k``, kept when its probabilities lie in (0, 1).  Its
+alpha-derivative, ``-(p1 x.1A - x11A)(p1 x.1A + x10A)/(p1 x.1A)``, is then
+negative, so the KKT condition of ``alpha >= 0`` holds without a test: the
+dependence clamps low exactly when ``x11A/x.1A < x11B/x.1B`` (its two
+quotients are correctly rounded, so a float clamp is an exact one), and
+their mediant ``p1`` exceeds ``x11A/x.1A``.  The float derivative is not
+used; on near-ties it can round positive from counts of about 10**6.
 
 Every other fit is ``"numeric"``: a derivative-free Nelder-Mead simplex
 (:func:`minimize`, whose iterates are scipy 1.17.1's to the bit), run once per
@@ -74,10 +79,10 @@ from .core import (
     check_real,
     clamp,
     round_half_even,
-    validate_table,
+    validate_pair,
 )
 from .mme import _model_i_moments
-from .model import ModelIIParams, ModelIParams, _checked_fields, _loglik_kernel
+from .model import ModelIIParams, ModelIParams, _check_args, _checked_fields, _loglik_kernel
 
 
 class _Simplex(NamedTuple):
@@ -236,12 +241,13 @@ class FitConfig:
 
     ``start`` optionally replaces the model's default starts (see the
     module notes) with one explicit natural-scale start
-    ``(n_a, n_b, alpha, p1, p2a, p2b)``, which is used alone; simulation
-    studies of locally-identified fits typically pass the design parameters
-    here.  ``max_iterations`` and the tolerances govern only numeric fits,
-    not Model I's closed forms (see the module notes); a numeric fit is
-    the Nelder-Mead simplex alone (:func:`minimize`), which on flat
-    objectives stops near its start instead of drifting along the plateau.
+    ``(n_a, n_b, alpha, p1, p2a, p2b)``, any sequence of six reals, kept as
+    a tuple of floats and used alone; simulation studies of
+    locally-identified fits typically pass the design parameters here.
+    ``max_iterations`` and the tolerances govern only numeric fits, not
+    Model I's closed forms (see the module notes); a numeric fit is the
+    Nelder-Mead simplex alone (:func:`minimize`), which on flat objectives
+    stops near its start instead of drifting along the plateau.
 
     Every field is checked when the config is built, so a bad value raises
     ``DomainError`` before any fit runs; ``known_ratio`` must also have a
@@ -285,6 +291,8 @@ class FitConfig:
                 )
             for v in start:
                 check_real("start", v, "(-inf,inf)")
+            # kept as a tuple of floats, so that a config hashes and compares
+            object.__setattr__(self, "start", tuple(map(float, start)))
 
 
 # the config of every fit given none: built, and so checked, once
@@ -397,11 +405,11 @@ def _interior(pair: StratumPair, start, known_ratio: float | None) -> tuple[floa
     )
 
 
-def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None, grad) -> tuple | None:
-    """``(solver, natural parameters, gradient)`` of Model I's first-order
-    maximiser, from its unrounded ``moment`` solution and where that solution's
+def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None) -> tuple | None:
+    """``(solver, natural parameters)`` of Model I's first-order maximiser,
+    from its unrounded ``moment`` solution and where that solution's
     dependence ``clamped`` (see the module notes), or None where neither
-    closed form holds.  ``grad`` is the first-order Model I gradient."""
+    closed form holds."""
     A, B = pair.a, pair.b
     if clamped is None:
         natural, solver = moment, "interior"
@@ -411,25 +419,17 @@ def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None, grad)
         natural, solver = (n_a, n_b, 0.0, p1, A.xdot1 / n_a, B.xdot1 / n_b), "face"
     else:
         return None
-    if not all(0.0 < p < 1.0 for p in natural[3:]):
-        return None
-    gradient = grad(*natural)
-    if solver == "interior" or gradient[2] <= 0:
-        return solver, natural, gradient
-    return None
+    return (solver, natural) if all(0.0 < p < 1.0 for p in natural[3:]) else None
 
 
-def _start(
-    model: str, pair: StratumPair, config: FitConfig, grad
-) -> tuple[tuple, bool, tuple | None]:
+def _start(model: str, pair: StratumPair, config: FitConfig) -> tuple[tuple, bool, tuple | None]:
     """Where a fit starts: ``(base, guessed, closed)``.
 
     ``base`` is the natural-scale start: a supplied ``config.start``, Model
     II's neutral guess, Model I's moment solution, or Model I's ``2 x0``
     fallback where the moment equations divide by zero.
     ``guessed`` adds its jittered copies, those off the wall.  ``closed`` is
-    Model I's closed form ``(solver, natural, gradient)`` where one holds,
-    else None; only the closed form reads ``grad``, the fit's bound gradient.
+    Model I's closed form ``(solver, natural)`` where one holds, else None.
     """
     if config.start is not None:
         return config.start, False, None
@@ -447,18 +447,12 @@ def _start(
     # the moment solution maximises only the first-order objective, and
     # ignores a known ratio; elsewhere it is a guess
     if config.known_ratio is None and config.logfac == "stirling1":
-        return moment, False, _closed_model_i(pair, moment, clamped, grad)
+        return moment, False, _closed_model_i(pair, moment, clamped)
     return moment, True, None
 
 
-# per model: parameter type, whether alpha is tied across strata (the
-# kernel's ``tied``)
-_MODELS = {"I": (ModelIParams, False), "II": (ModelIIParams, True)}
-
-
 def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
-    validate_table(pair.a)
-    validate_table(pair.b)
+    validate_pair(pair)
     r = config.known_ratio
     # under a known ratio the fit's sizes reach x0A / r (n_b) and r x0B (n_a);
     # past the float range the likelihood has no value there
@@ -466,10 +460,11 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         raise DomainError(f"known_ratio = {r} takes x0A / known_ratio or "
                           "known_ratio * x0B past the float range")
     space = _Space(pair, r)
-    loglik, grad = _loglik_kernel(pair, config.logfac, _MODELS[model][1])
-    base, guessed, closed = _start(model, pair, config, grad)
+    # Model II ties alpha across strata
+    loglik, grad = _loglik_kernel(pair, config.logfac, model == "II")
+    base, guessed, closed = _start(model, pair, config)
     if closed is not None:
-        solver, natural, gradient = closed
+        solver, natural = closed
         value, converged, iterations, starts, evaluations = loglik(*natural), True, 0, [], 0
     else:
 
@@ -514,7 +509,6 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 best = (res.fun, res.x, res.success, res.nit)
         fun, u_opt, converged, iterations = best
         solver, natural, value = "numeric", space.to_natural(u_opt), -fun
-        gradient = grad(*natural)
 
     # grad_norm is taken on the free scale
     n_a, n_b, alpha, p1, p2a, p2b = natural
@@ -523,7 +517,7 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
                    "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
         diagnostics={"converged": converged, "iterations": iterations, "objective": value,
-                     "grad_norm": math.hypot(*space.chain_grad(natural, gradient)),
+                     "grad_norm": math.hypot(*space.chain_grad(natural, grad(*natural))),
                      "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": len(starts),
                      "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
     )
@@ -535,9 +529,10 @@ def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateR
     Reports integerised sizes (half-to-even) with the continuous optima in
     diagnostics, the achieved log-likelihood under ``objective``, the
     ``solver`` path and a convergence flag.  For a closed form the flag means
-    its optimality condition holds exactly (the saturated bound, or KKT on the
-    face); for a numeric fit, that the simplex met its tolerances (floored, see
-    :class:`FitConfig`) within the iteration budget, not stationarity.  With
+    its optimality condition holds exactly (the saturated bound, or on the
+    face the KKT condition that the clamp implies); for a numeric fit, that
+    the simplex met its tolerances (floored, see :class:`FitConfig`) within
+    the iteration budget, not stationarity.  With
     ``config.known_ratio = r`` the fit is over five free parameters with
     ``n_b = n_a / r`` held exactly; an ``r`` that takes ``x0A / r`` or
     ``r * x0B`` past the float range raises :class:`DomainError`.
@@ -565,19 +560,17 @@ def profile_objective(
     sizes on the grid raise rather than being skipped.  ``grid`` is an
     iterable of real numbers; anything else raises ``DomainError``.
     """
-    if not isinstance(model, str) or model not in _MODELS:
+    if not isinstance(model, str) or model not in ("I", "II"):
         raise DomainError(f"model must be 'I' or 'II', got {model!r}")
-    params, tied = _MODELS[model]
-    if not isinstance(theta, params):
-        raise DomainError(f"model {model} takes {params.__name__}, got {type(theta).__name__}")
-    allowed = tuple(f.name for f in fields(params))
+    _check_args(model, theta, data)
+    allowed = tuple(f.name for f in fields(theta))
     if component not in allowed:
         raise DomainError(f"unknown component {component!r}; expected one of {allowed}")
     try:
         grid = list(grid)
     except TypeError:
         raise DomainError(f"grid must be an iterable of real numbers, got {grid!r}") from None
-    loglik = _loglik_kernel(data, logfac, tied)[0]
+    loglik = _loglik_kernel(data, logfac, model == "II")[0]
     out = []
     for value in grid:
         value = float(check_real("grid", value, "(-inf,inf)"))

@@ -37,7 +37,7 @@ from .core import (
     check_real,
     clamp,
     floor_int,
-    validate_table,
+    validate_pair,
 )
 
 
@@ -67,8 +67,7 @@ def mme_model_i(data: StratumPair) -> EstimateResult:
     moment equation it came from with the clamped value; diagnostics carry
     both the clamped and unclamped versions.
     """
-    A = validate_table(data.a)
-    B = validate_table(data.b)
+    A, B = validate_pair(data)
     moments = _model_i_moments(A.x11, A.x10, A.x01, B.x11, B.x10, B.x01)
     (n_a, n_b, alpha, p1, p2a, p2b), clamped, alpha_raw, p2a_raw = moments
     return EstimateResult(
@@ -112,8 +111,7 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     condition.  Even when feasible the estimator is high-variance, so the
     result is flagged as not recommended relative to the likelihood fit.
     """
-    A = validate_table(data.a)
-    B = validate_table(data.b)
+    A, B = validate_pair(data)
     a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
     if a01 * b10 == a10 * b01:
         raise DivisionByZero("x01A*x10B - x10A*x01B is zero")

@@ -50,6 +50,7 @@ from .core import (
     MtbParams,
     OutOfRange,
     StratumPair,
+    check_pair,
     check_real,
     lfac_ratio,
     log_factorial,
@@ -299,6 +300,24 @@ def _loglik_kernel(pair: StratumPair, mode: str, tied: bool):
     return loglik, grad
 
 
+def _check_args(model: str, theta, data) -> None:
+    """A DomainError where ``theta`` is not ``model``'s parameter type (a
+    Model II ``alpha0`` would be read as Model I's ``alpha_a``, and the other
+    way round) or ``data`` is not a pair of tables."""
+    params = ModelIParams if model == "I" else ModelIIParams
+    if not isinstance(theta, params):
+        raise DomainError(f"model {model} takes {params.__name__}, got {type(theta).__name__}")
+    check_pair(data)
+
+
+def _at(model: str, which: int, theta, data, logfac: str):
+    # the likelihood (which = 0) or its gradient (1) at theta
+    _check_args(model, theta, data)
+    # bound first, so that an unknown mode is named before any size check
+    evaluate = _loglik_kernel(data, logfac, model == "II")[which]
+    return evaluate(*_checked_fields(theta, data, logfac))
+
+
 def loglik_model_i(
     theta: ModelIParams, data: StratumPair, logfac: str = "exact"
 ) -> float:
@@ -306,16 +325,18 @@ def loglik_model_i(
 
     Population sizes are treated as continuous (log-gamma factorials); the
     ``logfac`` mode selects exact, first-order or three-term approximations
-    of the log-factorial terms.
+    of the log-factorial terms.  Parameters of the other model, or a
+    ``data`` that is not a :class:`StratumPair` of two tables, raise
+    :class:`DomainError`, as in each likelihood function here.
     """
-    return _loglik_kernel(data, logfac, False)[0](*_checked_fields(theta, data, logfac))
+    return _at("I", 0, theta, data, logfac)
 
 
 def loglik_model_ii(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> float:
     """Joint log-likelihood of Model II at ``theta`` for the observed pair."""
-    return _loglik_kernel(data, logfac, True)[0](*_checked_fields(theta, data, logfac))
+    return _at("II", 0, theta, data, logfac)
 
 
 def loglik_model_i_grad(
@@ -327,11 +348,11 @@ def loglik_model_i_grad(
     natural parameter scale; the size derivatives match the ``logfac`` mode
     used for the objective.
     """
-    return _loglik_kernel(data, logfac, False)[1](*_checked_fields(theta, data, logfac))
+    return _at("I", 1, theta, data, logfac)
 
 
 def loglik_model_ii_grad(
     theta: ModelIIParams, data: StratumPair, logfac: str = "exact"
 ) -> list[float]:
     """Gradient of the Model II log-likelihood, ordered like Model I's."""
-    return _loglik_kernel(data, logfac, True)[1](*_checked_fields(theta, data, logfac))
+    return _at("II", 1, theta, data, logfac)

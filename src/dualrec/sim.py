@@ -46,6 +46,7 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
+    check_pair,
     check_real,
     empirical_ci,
 )
@@ -236,7 +237,9 @@ def apply_method(
         _config(fit_config, "fit_config")
     if method in ("LP", "NOUR"):
         fn = lincoln_petersen if method == "LP" else nour
-        ra, rb = fn(pair.a), fn(pair.b)
+        # the pair's type only: each call validates its stratum, so an error
+        # in stratum A still comes before an empty stratum B
+        ra, rb = fn(check_pair(pair).a), fn(pair.b)
         return EstimateResult(
             method=method,
             estimates={"n_a": ra.estimates["n"], "n_b": rb.estimates["n"]},

@@ -5,7 +5,9 @@ Every real parameter of a public type or function goes through
 that names the argument, never a bare ``TypeError``, and numpy floats are
 real numbers like any other.  A value with no finite float (``10**400``,
 +-inf, NaN) raises a ``DualrecError`` that names the argument, never a bare
-``OverflowError``.
+``OverflowError``.  A table or a pair of the wrong type, and likelihood
+parameters of the other model, raise ``DomainError``, never a bare
+``AttributeError``.
 """
 
 import math
@@ -14,20 +16,37 @@ import re
 import numpy as np
 import pytest
 
-from dualrec.classical import wolter_model1, wolter_model2
+from dualrec.boot import bootstrap
+from dualrec.classical import lincoln_petersen, nour, wolter_model1, wolter_model2
 from dualrec.core import (
     BbmParams,
     CellProbabilities,
     DomainError,
     DualrecError,
     MtbParams,
+    StratumPair,
     log_factorial,
+    validate_pair,
+    validate_table,
 )
 from dualrec.datasets import MEADOW_VOLES
-from dualrec.mle import FitConfig
-from dualrec.mme import delta_method_mean_variance, mme_asymptotic_mean_variance
-from dualrec.model import ModelIIParams, ModelIParams, p2_from_marginal
-from dualrec.sim import DesignPoint
+from dualrec.mle import FitConfig, mle_model_i, mle_model_ii, profile_objective
+from dualrec.mme import (
+    delta_method_mean_variance,
+    mme_asymptotic_mean_variance,
+    mme_model_i,
+    mme_model_ii,
+)
+from dualrec.model import (
+    ModelIIParams,
+    ModelIParams,
+    loglik_model_i,
+    loglik_model_i_grad,
+    loglik_model_ii,
+    loglik_model_ii_grad,
+    p2_from_marginal,
+)
+from dualrec.sim import DesignPoint, apply_method
 
 _MOMENTS = dict(n_a=1200, r=1.2, p1=0.6, p_dot1b=0.8, p01b=0.32)
 
@@ -125,4 +144,81 @@ def test_fit_config_start_that_is_not_a_sequence_raises_domain_error_naming_it(s
     "start", [(300, 300, 0.2, 0.5, 0.5, 0.5), [300.0] * 2 + [0.5] * 4, np.full(6, 0.5), range(1, 7)]
 )
 def test_fit_config_start_takes_any_sequence_of_six_reals(start):
-    assert FitConfig(start=start).start is start
+    # kept as a tuple of floats, whatever sequence it came as
+    kept = FitConfig(start=start).start
+    assert type(kept) is tuple and kept == tuple(float(v) for v in start)
+    assert all(type(v) is float for v in kept)
+
+
+@pytest.mark.parametrize(
+    "start", [[300.0, 300.0, 0.1, 0.5, 0.5, 0.5], np.full(6, 0.5), (300, 300, 0.1, 0.5, 0.5, 0.5)],
+    ids=["list", "array", "tuple-of-ints"],
+)
+def test_fit_config_with_a_start_hashes_and_compares(start):
+    # a list start made the config unhashable, and an array start made == raise
+    config, again = FitConfig(start=start), FitConfig(start=start)
+    assert config == again and hash(config) == hash(again)
+    assert config == FitConfig(start=tuple(float(v) for v in start))
+    assert config != FitConfig(start=(1.0, 2.0, 3.0, 0.5, 0.5, 0.5))
+    assert len({config, again}) == 1
+
+
+_TUPLE = (MEADOW_VOLES.a, MEADOW_VOLES.b)
+_PAIR_ERROR = r"^data must be a StratumPair of two DrsTables, got "
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda data: mle_model_i(data),
+        lambda data: mle_model_ii(data),
+        lambda data: mme_model_i(data),
+        lambda data: mme_model_ii(data),
+        lambda data: wolter_model1(data, 1.2),
+        lambda data: wolter_model2(data, 1.2),
+        lambda data: bootstrap(data, "MME-I", b=10),
+        lambda data: apply_method("MLE-I", data),
+        lambda data: apply_method("LP", data),
+        lambda data: apply_method("NOUR", data),
+        lambda data: validate_pair(data),
+    ],
+    ids=["mle_model_i", "mle_model_ii", "mme_model_i", "mme_model_ii", "wolter_model1",
+         "wolter_model2", "bootstrap", "apply_method-MLE-I", "apply_method-LP",
+         "apply_method-NOUR", "validate_pair"],
+)
+@pytest.mark.parametrize(
+    "data", [_TUPLE, None, StratumPair((1, 2, 3), (4, 5, 6)), StratumPair(MEADOW_VOLES.a, None)],
+    ids=["tuple", "None", "pair-of-tuples", "pair-with-None"],
+)
+def test_a_pair_of_the_wrong_type_raises_domain_error(call, data):
+    with pytest.raises(DomainError, match=_PAIR_ERROR):
+        call(data)
+
+
+@pytest.mark.parametrize("fn", [lincoln_petersen, nour, validate_table])
+@pytest.mark.parametrize("table", [(1, 2, 3), None, MEADOW_VOLES], ids=["tuple", "None", "pair"])
+def test_a_table_of_the_wrong_type_raises_domain_error(fn, table):
+    with pytest.raises(DomainError, match=r"^a table must be a DrsTable, got "):
+        fn(table)
+
+
+_THETA = {"I": ModelIParams(300, 300, 0.2, 0.5, 0.5, 0.5),
+          "II": ModelIIParams(300, 300, 0.2, 0.5, 0.5, 0.5)}
+_LIKELIHOODS = {loglik_model_i: "I", loglik_model_i_grad: "I",
+                loglik_model_ii: "II", loglik_model_ii_grad: "II"}
+
+
+@pytest.mark.parametrize("fn", _LIKELIHOODS, ids=lambda fn: fn.__name__)
+def test_likelihood_refuses_the_other_models_parameters_and_a_non_pair(fn):
+    model = _LIKELIHOODS[fn]
+    other = "II" if model == "I" else "I"
+    fn(_THETA[model], MEADOW_VOLES)
+    # loglik_model_i read a Model II alpha0 as alpha_a, and returned 40.215
+    wrong = type(_THETA[other]).__name__
+    with pytest.raises(DomainError, match=f"^model {model} takes {type(_THETA[model]).__name__}, got {wrong}$"):
+        fn(_THETA[other], MEADOW_VOLES)
+    for data in (_TUPLE, StratumPair((1, 2, 3), (4, 5, 6))):
+        with pytest.raises(DomainError, match=_PAIR_ERROR):
+            fn(_THETA[model], data)
+    with pytest.raises(DomainError, match=_PAIR_ERROR):
+        profile_objective(model, _TUPLE, _THETA[model], "n_a", [300.0])

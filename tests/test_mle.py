@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualrec.core import DomainError, DrsTable, InfeasibleN, StratumPair
+from dualrec.core import DivisionByZero, DomainError, DrsTable, InfeasibleN, StratumPair
 from dualrec.datasets import CHILDREN_DEATH, ENCEPHALITIS, MEADOW_VOLES
 import dualrec.mle
+import dualrec.mme
 import dualrec.model
 from dualrec.mle import (
     FitConfig,
@@ -282,6 +285,63 @@ def test_closed_form_agrees_with_numeric_fits():
     assert min(solvers.values()) >= 10
 
 
+_COUNT = st.integers(0, 10**12)
+
+
+@st.composite
+def _near_ties(draw):
+    # x11A/x.1A a few counts below x11B/x.1B, where the dependence only just
+    # clamps low
+    b11, b01, da = (draw(st.integers(1, 10**12)) for _ in range(3))
+    a11 = max(-(-da * b11 // (b11 + b01)) - draw(st.integers(1, 3)), 0)
+    return (a11, draw(st.integers(0, 10) | _COUNT), da - a11), (b11, draw(_COUNT), b01)
+
+
+@given(tables=st.tuples(st.tuples(_COUNT, _COUNT, _COUNT), st.tuples(_COUNT, _COUNT, _COUNT))
+       | _near_ties())
+@settings(max_examples=300, deadline=None)
+def test_model_i_face_holds_wherever_the_dependence_clamps_low(tables):
+    (a11, a10, a01), (b11, b10, b01) = tables
+    try:
+        clamped = dualrec.mme._model_i_moments(a11, a10, a01, b11, b10, b01)[1]
+    except DivisionByZero:
+        return
+    assert clamped != "high"  # in exact arithmetic alpha <= x11A/x1.A <= 1
+    if clamped != "low":
+        return
+    da, db = a11 + a01, b11 + b01
+    assert a11 * db < b11 * da  # a float clamp is an exact one
+    pair = StratumPair(DrsTable(a11, a10, a01), DrsTable(b11, b10, b01))
+    n_a, n_b = _face(pair)
+    if not all(0.0 < p < 1.0 for p in ((a11 + b11) / (da + db), da / n_a, db / n_b)):
+        assert mle_model_i(pair).diagnostics["solver"] == "numeric"
+        return
+    d = mle_model_i(pair).diagnostics
+    assert d["solver"] == "face" and (d["n_a_unrounded"], d["n_b_unrounded"]) == (n_a, n_b)
+    # the first-order alpha-derivative at the exact face, the kernel's terms
+    # at alpha = 0 (a10 > 0 here, or p2a would be 1.0), is negative
+    p1 = Fraction(a11 + b11, da + db)
+    size = a10 / p1 + da
+    p2a = da / size
+    slope = a11 * (1 - p2a) / p2a - (a10 + a01) + (size - a11 - a10 - a01) * p2a / (1 - p2a)
+    assert slope == -(p1 * da - a11) * (p1 * da + a10) / (p1 * da) < 0
+
+
+def test_face_is_taken_where_its_float_alpha_derivative_rounds_positive():
+    # x11A/x.1A = 999999/1000000 and x11B/x.1B = 1000000/1000001 are
+    # neighbours, so the exact derivative at the face is only -5e-7 and the
+    # float one rounds to +6.6e-6.  A sign test sent this table to the
+    # numeric fit, which stops below the face
+    pair = StratumPair(DrsTable(999999, 1, 1), DrsTable(1000000, 1, 1))
+    n_a, n_b = _face(pair)
+    grad = dualrec.model._loglik_kernel(pair, "stirling1", False)[1]
+    assert grad(n_a, n_b, 0.0, 1999999 / 2000001, 1000000 / n_a, 1000001 / n_b)[2] > 0.0
+    d = mle_model_i(pair).diagnostics
+    assert d["solver"] == "face"
+    numeric = mle_model_i(pair, FitConfig(start=_moment_start(pair))).diagnostics
+    assert d["objective"] > numeric["objective"] and d["grad_norm"] < numeric["grad_norm"]
+
+
 _NO_SCIPY = """\
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -422,7 +482,8 @@ def test_model_ii_fits_are_pinned_to_the_bit(a, b, n_a, n_b, objective, converge
 # Model I's numeric fits, as recorded when the simplex became the only
 # optimiser: the exact objective, a known ratio, the 2 x0 fallback where the
 # moment equations divide by zero, first-order fits whose closed form fails
-# (moment p1 = 1; a face that fails KKT) and a supplied start.
+# (x10A = 0 puts p2a on 1.0: on the interior for (36, 0, 13)/(24, 8, 16), on
+# the face for (34, 0, 16)/(32, 7, 10)) and a supplied start.
 # (config, A cells, B cells, n_a, n_b, objective, converged)
 _MODEL_I_BITS = [
     ({"logfac": "exact"}, (30, 153, 8), (15, 173, 7), "0x1.fca1553caf443p+7", "0x1.0675266beacaep+8", "0x1.6a58fc40cdcf8p+10", True),
@@ -468,8 +529,8 @@ def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
 
 
 def test_default_model_i_fit_builds_no_config_and_takes_one_gradient(monkeypatch):
-    # a fit given no config takes the shared default, and a closed form's
-    # KKT check and grad_norm share one gradient at the same point
+    # a fit given no config takes the shared default, and a closed form
+    # evaluates the gradient once, for grad_norm
     built, points, kernel = [], [], dualrec.mle._loglik_kernel
     post_init = FitConfig.__post_init__
 
@@ -507,8 +568,8 @@ def test_fits_refuse_a_config_that_is_not_a_fit_config(config):
 
 
 def test_each_fit_and_profile_binds_its_table_once(monkeypatch):
-    # the objective, the face's KKT check, grad_norm
-    # and every profile point share one binding of the table's counts
+    # the objective, grad_norm and every profile point
+    # share one binding of the table's counts
     calls, kernel = [], dualrec.mle._loglik_kernel
 
     def counted(pair, mode, tied):
