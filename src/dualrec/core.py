@@ -103,26 +103,13 @@ class DrsTable:
     x10: int
     x01: int
 
-    def __post_init__(self) -> None:
-        x11, x10, x01 = self.x11, self.x10, self.x01
+    def __init__(self, x11, x10, x01):
         # ints in [0, 2**63), as draws give, pass as they are: their OR is in range iff all are
-        if type(x11) is type(x10) is type(x01) is int and 0 <= x11 | x10 | x01 < 2**63:
-            return
-        for name in ("x11", "x10", "x01"):
-            value = getattr(self, name)
-            try:
-                count = int(value)
-            except (TypeError, ValueError, OverflowError):
-                count = None  # non-numeric, NaN or infinite
-            if count is None or count != value or type(value) in _BOOL_TYPES:
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= count < 2**63:
-                if count < 0:
-                    raise NegativeCount(f"{name} must be nonnegative" + _got(count))
-                # the int64 bound that BbmParams puts on n; below it no
-                # estimator overflows a float (the count may be too long to print)
-                raise DomainError(f"{name} must be below 2**63")
-            object.__setattr__(self, name, count)
+        if not (type(x11) is type(x10) is type(x01) is int and 0 <= x11 | x10 | x01 < 2**63):
+            x11, x10, x01 = _count("x11", x11), _count("x10", x10), _count("x01", x01)
+        # one write, not the generated frozen __init__'s three object.__setattr__
+        # calls; a study builds two tables a replicate
+        self.__dict__.update(x11=x11, x10=x10, x01=x01)
 
     @property
     def x1dot(self) -> int:
@@ -138,6 +125,24 @@ class DrsTable:
     def x0(self) -> int:
         """Distinct individuals observed: x11 + x10 + x01."""
         return self.x11 + self.x10 + self.x01
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a cell count: an int in [0, 2**63), or a DomainError
+    (a NegativeCount below 0) naming ``name``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None  # non-numeric, NaN or infinite
+    if count is None or count != value or type(value) in _BOOL_TYPES:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= count < 2**63:
+        if count < 0:
+            raise NegativeCount(f"{name} must be nonnegative" + _got(count))
+        # the int64 bound that BbmParams puts on n; below it no
+        # estimator overflows a float (the count may be too long to print)
+        raise DomainError(f"{name} must be below 2**63")
+    return count
 
 
 def validate_table(t: DrsTable) -> DrsTable:
@@ -166,6 +171,11 @@ class StratumPair:
     b: DrsTable
     label_a: str = "A"
     label_b: str = "B"
+
+    def __init__(self, a, b, label_a="A", label_b="B"):
+        # one write, not the generated frozen __init__'s four object.__setattr__
+        # calls; a study builds one pair a replicate
+        self.__dict__.update(a=a, b=b, label_a=label_a, label_b=label_b)
 
 
 def check_pair(data) -> StratumPair:

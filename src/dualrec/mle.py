@@ -15,6 +15,18 @@ quotients are correctly rounded, so a float clamp is an exact one), and
 their mediant ``p1`` exceeds ``x11A/x.1A``.  The float derivative is not
 used; on near-ties it can round positive from counts of about 10**6.
 
+A closed form takes its diagnostics from the counts, not from the
+likelihood: it binds no likelihood and evaluates neither it nor its
+gradient.  ``objective`` is the value at the exact maximiser, summed by
+``math.fsum`` with ``0 log 0 = 0``: on the interior the saturated bound
+``sum(x log x) - x0A - x0B`` over the six cells; on the face, with
+``S11 = x11A + x11B``, ``S01 = x01A + x01B`` and ``S.1 = S11 + S01``,
+``sum_k (x.1k log x.1k + x10k log x10k) + S11 log S11 + S01 log S01
+- S.1 log S.1 - x0A - x0B``, the first-order likelihood at the face point.
+``grad_norm`` is 0.0, the exact free-scale gradient at both: the interior
+is stationary, and the face maximises over every coordinate but alpha,
+whose component is scaled by ``alpha = 0``.
+
 Every other fit is ``"numeric"``: a derivative-free Nelder-Mead simplex
 (:func:`minimize`, whose iterates are scipy 1.17.1's to the bit), run once per
 start on an unconstrained transform of the parameter space:
@@ -29,7 +41,7 @@ start on an unconstrained transform of the parameter space:
 A fit given no config takes :data:`DEFAULT_CONFIG`, the one ``FitConfig()``,
 built and checked once; a default Model I fit in closed form then costs its
 moment solution (:func:`dualrec.mme._model_i_moments`, with no
-``mme_model_i`` result), one likelihood and one gradient evaluation.
+``mme_model_i`` result) and a sum of at most seven ``x log x`` terms.
 
 No fit imports scipy: the simplex is the package's own, and ``exact``
 gradients take :func:`dualrec.core.digamma`.  ``diagnostics["evaluations"]``
@@ -406,20 +418,33 @@ def _interior(pair: StratumPair, start, known_ratio: float | None) -> tuple[floa
 
 
 def _closed_model_i(pair: StratumPair, moment: tuple, clamped: str | None) -> tuple | None:
-    """``(solver, natural parameters)`` of Model I's first-order maximiser,
-    from its unrounded ``moment`` solution and where that solution's
-    dependence ``clamped`` (see the module notes), or None where neither
-    closed form holds."""
+    """``(solver, natural parameters, objective)`` of Model I's first-order
+    maximiser, from its unrounded ``moment`` solution and where that
+    solution's dependence ``clamped`` (see the module notes), or None where
+    neither closed form holds.  The objective is the likelihood's value at
+    the exact maximiser, summed from the counts."""
     A, B = pair.a, pair.b
+    a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
     if clamped is None:
         natural, solver = moment, "interior"
+        counts = (a11, a10, a01, b11, b10, b01)
     elif clamped == "low":
-        p1 = (A.x11 + B.x11) / (A.xdot1 + B.xdot1)
-        n_a, n_b = A.x10 / p1 + A.xdot1, B.x10 / p1 + B.xdot1
-        natural, solver = (n_a, n_b, 0.0, p1, A.xdot1 / n_a, B.xdot1 / n_b), "face"
+        s11, s01 = a11 + b11, a01 + b01
+        p1 = s11 / (s11 + s01)
+        da, db = a11 + a01, b11 + b01
+        n_a, n_b = a10 / p1 + da, b10 / p1 + db
+        natural, solver = (n_a, n_b, 0.0, p1, da / n_a, db / n_b), "face"
+        counts = (da, a10, db, b10, s11, s01)
     else:
         return None
-    return (solver, natural) if all(0.0 < p < 1.0 for p in natural[3:]) else None
+    if not all(0.0 < p < 1.0 for p in natural[3:]):
+        return None
+    log = math.log
+    terms = [x * log(x) for x in counts if x]  # 0 log 0 = 0
+    if solver == "face":
+        terms.append(-(s11 + s01) * log(s11 + s01))
+    terms += (-(a11 + a10 + a01), -(b11 + b10 + b01))
+    return solver, natural, math.fsum(terms)
 
 
 def _start(model: str, pair: StratumPair, config: FitConfig) -> tuple[tuple, bool, tuple | None]:
@@ -459,14 +484,16 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
     if r is not None and max(pair.a.x0 / float(r), float(r) * pair.b.x0) == math.inf:
         raise DomainError(f"known_ratio = {r} takes x0A / known_ratio or "
                           "known_ratio * x0B past the float range")
-    space = _Space(pair, r)
-    # Model II ties alpha across strata
-    loglik, grad = _loglik_kernel(pair, config.logfac, model == "II")
     base, guessed, closed = _start(model, pair, config)
     if closed is not None:
-        solver, natural = closed
-        value, converged, iterations, starts, evaluations = loglik(*natural), True, 0, [], 0
+        # the exact maximiser's free-scale gradient is 0: the interior is
+        # stationary, and on the face the alpha component is scaled by alpha = 0
+        solver, natural, value = closed
+        converged, iterations, starts, evaluations, grad_norm = True, 0, [], 0, 0.0
     else:
+        space = _Space(pair, r)
+        # Model II ties alpha across strata
+        loglik, grad = _loglik_kernel(pair, config.logfac, model == "II")
 
         def objective(u) -> float:
             return -loglik(*space.to_natural(u))
@@ -509,15 +536,16 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
                 best = (res.fun, res.x, res.success, res.nit)
         fun, u_opt, converged, iterations = best
         solver, natural, value = "numeric", space.to_natural(u_opt), -fun
+        # grad_norm is taken on the free scale
+        grad_norm = math.hypot(*space.chain_grad(natural, grad(*natural)))
 
-    # grad_norm is taken on the free scale
     n_a, n_b, alpha, p1, p2a, p2b = natural
     return EstimateResult(
         method=f"MLE-{model}",
         estimates={"n_a": float(round_half_even(n_a)), "n_b": float(round_half_even(n_b)),
                    "p1": p1, "p2a": p2a, "p2b": p2b, "alpha": alpha},
         diagnostics={"converged": converged, "iterations": iterations, "objective": value,
-                     "grad_norm": math.hypot(*space.chain_grad(natural, grad(*natural))),
+                     "grad_norm": grad_norm,
                      "n_a_unrounded": n_a, "n_b_unrounded": n_b, "multistart": len(starts),
                      "logfac": config.logfac, "solver": solver, "evaluations": evaluations},
     )
@@ -527,12 +555,17 @@ def mle_model_i(data: StratumPair, config: FitConfig | None = None) -> EstimateR
     """Maximum-likelihood fit of Model I.
 
     Reports integerised sizes (half-to-even) with the continuous optima in
-    diagnostics, the achieved log-likelihood under ``objective``, the
-    ``solver`` path and a convergence flag.  For a closed form the flag means
-    its optimality condition holds exactly (the saturated bound, or on the
-    face the KKT condition that the clamp implies); for a numeric fit, that
-    the simplex met its tolerances (floored, see :class:`FitConfig`) within
-    the iteration budget, not stationarity.  With
+    diagnostics, the achieved log-likelihood under ``objective``, the norm
+    of its free-scale gradient under ``grad_norm``, the ``solver`` path and
+    a convergence flag.  For a closed form the flag means its optimality
+    condition holds exactly (the saturated bound, or on the face the KKT
+    condition that the clamp implies), ``objective`` is the likelihood at
+    the exact maximiser, summed from the counts, and ``grad_norm`` is 0.0,
+    the exact gradient there (see the module notes).  For a numeric fit the
+    flag means that the simplex met its tolerances (floored, see
+    :class:`FitConfig`) within the iteration budget, not stationarity, and
+    ``objective`` and ``grad_norm`` are evaluated in floats at the fitted
+    point.  With
     ``config.known_ratio = r`` the fit is over five free parameters with
     ``n_b = n_a / r`` held exactly; an ``r`` that takes ``x0A / r`` or
     ``r * x0B`` past the float range raises :class:`DomainError`.

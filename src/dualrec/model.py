@@ -74,6 +74,7 @@ def cell_probabilities(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> CellProbabilities:
     """Cell probabilities of the full 2x2 table for one stratum."""
+    _check_params(params)
     _check_sign(sign)
     return CellProbabilities(*_cells(params.p1, params.p2, params.alpha, sign))
 
@@ -95,6 +96,12 @@ def _cells(p1: float, p2: float, a: float, sign: DependenceSign = DependenceSign
     )
 
 
+def _check_params(params) -> None:
+    # anything else would fail on its first field as a bare AttributeError
+    if not isinstance(params, BbmParams):
+        raise DomainError(f"params must be a BbmParams, got {params!r}")
+
+
 def _check_sign(sign) -> None:
     # any other value would silently select the negative formulas
     if not isinstance(sign, DependenceSign):
@@ -105,6 +112,7 @@ def marginals_and_covariance(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> Marginals:
     """List-inclusion marginals and the between-list covariance."""
+    _check_params(params)
     _check_sign(sign)
     p1, p2, a = params.p1, params.p2, params.alpha
     if sign is DependenceSign.POSITIVE:
@@ -120,6 +128,7 @@ def to_mtb(params: BbmParams) -> MtbParams:
     probability ``c = p11 / p1``, i.e. a response ratio
     ``phi = 1 + alpha / ((1-alpha)*p2) >= 1``.
     """
+    _check_params(params)
     if params.alpha >= 1.0:
         raise DegenerateDependence("alpha = 1 has no finite response ratio")
     p = (1.0 - params.alpha) * params.p2

@@ -184,12 +184,33 @@ def generate_stratum(
     """Draw one stratum's observed table from the dependent-capture model:
     one multinomial over its cells, the draw that studies and the bootstrap
     use."""
-    return _draw_table(*_generator(params, sign), rng)
+    gen = _generator(params, sign)
+    try:
+        return _draw_table(*gen, rng)
+    except AttributeError:
+        _check_rng(rng)
+        raise
 
 
 def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:
     """Draw both strata of one replicate under the design."""
-    return _draw_pair(*design._gens, rng)
+    try:
+        return _draw_pair(*design._gens, rng)
+    except AttributeError:
+        # the types are checked only here, off the per-replicate path
+        _check_design(design)
+        _check_rng(rng)
+        raise
+
+
+def _check_design(design) -> None:
+    if not isinstance(design, DesignPoint):
+        raise DomainError(f"design must be a DesignPoint, got {design!r}")
+
+
+def _check_rng(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _generator(params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE):
@@ -433,6 +454,7 @@ def run_study(
     ``threads`` caps the worker processes, at most one per CPU and replicate;
     it must be an integer of at least 1.
     """
+    _check_design(design)
     check_integer("threads", threads, 1)
     # a string is iterable too, letter by letter
     try:

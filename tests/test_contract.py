@@ -6,7 +6,8 @@ that names the argument, never a bare ``TypeError``, and numpy floats are
 real numbers like any other.  A value with no finite float (``10**400``,
 +-inf, NaN) raises a ``DualrecError`` that names the argument, never a bare
 ``OverflowError``.  A table or a pair of the wrong type, and likelihood
-parameters of the other model, raise ``DomainError``, never a bare
+parameters of the other model, and stratum parameters, a design or a
+generator of the wrong type, raise ``DomainError``, never a bare
 ``AttributeError``.
 """
 
@@ -40,13 +41,18 @@ from dualrec.mme import (
 from dualrec.model import (
     ModelIIParams,
     ModelIParams,
+    cell_probabilities,
     loglik_model_i,
     loglik_model_i_grad,
     loglik_model_ii,
     loglik_model_ii_grad,
+    marginals_and_covariance,
     p2_from_marginal,
+    to_mtb,
 )
-from dualrec.sim import DesignPoint, apply_method
+from dualrec.sim import (
+    DesignPoint, apply_method, design_from_preset, generate_pair, generate_stratum, run_study
+)
 
 _MOMENTS = dict(n_a=1200, r=1.2, p1=0.6, p_dot1b=0.8, p01b=0.32)
 
@@ -222,3 +228,31 @@ def test_likelihood_refuses_the_other_models_parameters_and_a_non_pair(fn):
             fn(_THETA[model], data)
     with pytest.raises(DomainError, match=_PAIR_ERROR):
         profile_objective(model, _TUPLE, _THETA[model], "n_a", [300.0])
+
+
+_PARAMS = BbmParams(0.5, 0.5, 0.1, 100)
+_DESIGN = design_from_preset("P1", "I", 120, 100, 0.4, replicates=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: run_study("x", ("MME-I",)), "design must be a DesignPoint, got 'x'"),
+        (lambda: to_mtb(None), "params must be a BbmParams, got None"),
+        (lambda: cell_probabilities(None), "params must be a BbmParams, got None"),
+        (lambda: marginals_and_covariance(None), "params must be a BbmParams, got None"),
+        (lambda: generate_stratum(None, rng=np.random.default_rng(0)),
+         "params must be a BbmParams, got None"),
+        (lambda: generate_stratum(_PARAMS, rng=None), "rng must be a numpy Generator, got None"),
+        (lambda: generate_pair(None, np.random.default_rng(0)),
+         "design must be a DesignPoint, got None"),
+        (lambda: generate_pair(_DESIGN, None), "rng must be a numpy Generator, got None"),
+    ],
+    ids=["run_study", "to_mtb", "cell_probabilities", "marginals_and_covariance",
+         "generate_stratum-params", "generate_stratum-rng", "generate_pair-design",
+         "generate_pair-rng"],
+)
+def test_params_design_or_generator_of_the_wrong_type_raises_domain_error(call, message):
+    # each raised a bare AttributeError on its first field or method
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,8 @@
 """Tests for the core table types, validation, and numeric helpers."""
 
+import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -15,6 +17,7 @@ from dualrec.core import (
     DualrecError,
     EmptyTable,
     NegativeCount,
+    StratumPair,
     check_integer,
     check_real,
     clamp,
@@ -46,6 +49,28 @@ def test_table_margin_identity_over_random_tables():
         x11, x10, x01 = rng.integers(0, 500, size=3)
         t = DrsTable(int(x11), int(x10), int(x01))
         assert t.x1dot + t.x01 == t.xdot1 + t.x10 == t.x0
+
+
+def test_table_and_pair_keep_their_dataclass_behaviour():
+    # both write their fields in one __dict__ update, not the generated
+    # frozen __init__; the rest of the dataclass is as generated
+    a, b = DrsTable(46, 20, 11), DrsTable(x11=np.int64(30), x10=5, x01=8)
+    pair = StratumPair(a, b)
+    assert (pair.label_a, pair.label_b) == ("A", "B")
+    assert repr(pair) == ("StratumPair(a=DrsTable(x11=46, x10=20, x01=11), "
+                          "b=DrsTable(x11=30, x10=5, x01=8), label_a='A', label_b='B')")
+    assert type(b.x11) is int
+    again = StratumPair(DrsTable(46, 20, 11), DrsTable(30, 5, 8), "A", label_b="B")
+    assert pair == again and hash(pair) == hash(again)
+    assert pair != StratumPair(a, b, label_b="C") and a != DrsTable(46, 20, 12)
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    assert dataclasses.replace(pair, label_a="M") == StratumPair(a, b, "M")
+    assert dataclasses.astuple(a) == (46, 20, 11)
+    for obj, name in ((a, "x11"), (pair, "a"), (pair, "label_a")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
 
 
 def test_table_rejects_negative_and_fractional_counts():

@@ -8,8 +8,8 @@ three bundled datasets.  Each fit is recorded as ``float.hex`` of every
 estimate, both unrounded sizes, the objective and ``grad_norm``, with
 ``converged``, ``iterations``, ``evaluations``, ``multistart`` and
 ``solver``.  The sweep's sha256 and a 12-digit prefix of each fit's own
-sha256 are pinned, so a change that moves any bit of any fit names the
-first fit that moved.
+sha256 are pinned, so a change that moves any bit of any fit lists every
+fit that moved, with its pinned and its new prefix.
 """
 
 import hashlib
@@ -66,17 +66,17 @@ def _sweep() -> list[tuple[str, str]]:
             for label, model, pair, config in (*_bench_tables(), *_dataset_fits())]
 
 
-_SWEEP_SHA256 = "4f71d90e587946ba16f3881d2a6b885c9568415c51ab7fb6454d0e12c77f7d44"
+_SWEEP_SHA256 = "c0ac8df8d53336d2c3c519d99f717c4952ee561bfecc40197dcc781ac6b10157"
 _FIT_SHA256_PREFIXES = (
-    "0ea91778a639", "d9ef0e9cdabe", "8462b7dc1d9e", "5f09c29b9e1c", "9b9bcd01becf", "1ee497daa1d6",
-    "39438a139cc7", "425635adf2d3", "95db3c0f871f", "045d268d0755", "656c69aefad4", "7f905e3ed6ca",
-    "ca4d82392b2c", "f692133a4f42", "8a9a7d91b846", "6df59202a427", "e52096f4885e", "3cb172f4279b",
-    "5748b173fef0", "039a06ed2d79", "a8302861e77d", "4c37d9fc2aa8", "2dfea6a8325c", "cf7d7c62ef05",
-    "64702a4539dc", "121cbb78e772", "73d55a4c2d87", "af073a095db9", "25145bff7e46", "6779819d5c45",
-    "78430cbfa4f5", "3d7de8e63608", "49201e7d4b31", "3c1ca9c113d9", "1080a52f7c3d", "c09d13b80b77",
-    "4a5e28fa7ba1", "dddce99a14ac", "7f444afbd080", "f766cfb58244", "d6922fa8d0fc", "828429e5829e",
-    "dce823a93eba", "15476ea45d4f", "bf554532b1cb", "ad45f2c85e9c", "c4d048a9d3a6", "238deee44eb0",
-    "96de34823760", "80087e42d005", "15c324b8f2a5", "0cacaa6b63ac", "622941030f4f", "df92f8d535f3",
+    "6369cd32b3a6", "d9ef0e9cdabe", "55cd1fb055ea", "5f09c29b9e1c", "b24e8cef7825", "1ee497daa1d6",
+    "d8a387b9b87d", "425635adf2d3", "1243177c76e3", "045d268d0755", "9eea633f13d7", "7f905e3ed6ca",
+    "11febea183a5", "f692133a4f42", "2ddd3f19c308", "6df59202a427", "88ca24c87bc7", "3cb172f4279b",
+    "6bfbf9e86ada", "039a06ed2d79", "c84a60cfa2bc", "4c37d9fc2aa8", "89e8214e3a26", "cf7d7c62ef05",
+    "48ca240b09e3", "121cbb78e772", "3cadf0416a72", "af073a095db9", "52be60f57512", "6779819d5c45",
+    "13d9b3bd1c19", "3d7de8e63608", "1959976b625d", "3c1ca9c113d9", "f9639a325554", "c09d13b80b77",
+    "3383b44be5ec", "dddce99a14ac", "009e3434ab58", "f766cfb58244", "10611be97b1f", "828429e5829e",
+    "7f20271c086f", "15476ea45d4f", "112cab9f04d8", "ad45f2c85e9c", "8ad55d61ee70", "238deee44eb0",
+    "c6c36781cd6d", "80087e42d005", "78a7ddbc9a7c", "0cacaa6b63ac", "134b9bed354d", "df92f8d535f3",
     "f7a1a95a0679", "592e771389b7", "e0c8201d440e", "7679c2a61746", "c30d29254ead", "2f8de298c4de",
     "90b1aa78deda", "0eb3dbc04c66", "a4b7bbed7452", "46ad4ea8ad35", "69178896a142", "565f77bfc250",
     "3fdf2a3d0ac1", "77be5e3ff1e8", "a7722122373c", "70f6f9f4478c", "229c5718736c", "48bc779b9c31",
@@ -86,8 +86,9 @@ _FIT_SHA256_PREFIXES = (
 def test_fit_sweep_is_unchanged_to_the_bit():
     records = _sweep()
     assert len(records) == len(_FIT_SHA256_PREFIXES) == 72
-    for (label, record), pinned in zip(records, _FIT_SHA256_PREFIXES):
-        got = hashlib.sha256(record.encode()).hexdigest()[:12]
-        assert got == pinned, f"first fit that differs: {label}: {record}"
+    moved = [f"{label}: {pinned} -> {got}"
+             for (label, record), pinned in zip(records, _FIT_SHA256_PREFIXES)
+             if (got := hashlib.sha256(record.encode()).hexdigest()[:12]) != pinned]
+    assert not moved, f"{len(moved)} fits moved (pinned -> new prefix):\n" + "\n".join(moved)
     sweep = "\n".join(record for _, record in records)
     assert hashlib.sha256(sweep.encode()).hexdigest() == _SWEEP_SHA256

@@ -1,5 +1,6 @@
 """Tests for the likelihood fits of both two-stratum models."""
 
+import decimal
 import math
 import os
 import re
@@ -244,7 +245,7 @@ def test_clamped_fit_lands_on_the_face(a, b):
     assert d["grad_norm"] < 1e-10
 
 
-def test_closed_form_agrees_with_numeric_fits():
+def _seeded_tables() -> list:
     # 1056 seeded tables: six presets, both generating models, n_b 50 to
     # 10^4 and alpha 0.1 and 0.4, so the moment dependence clamps on some
     pairs = []
@@ -257,6 +258,11 @@ def test_closed_form_agrees_with_numeric_fits():
                     )
                     rng = np.random.default_rng([int(preset[1]), n_b, int(10 * alpha), len(model)])
                     pairs += [sim.generate_pair(design, rng) for _ in range(11)]
+    return pairs
+
+
+def test_closed_form_agrees_with_numeric_fits():
+    pairs = _seeded_tables()
     solvers = {"interior": 0, "face": 0, "numeric": 0}
     for pair in pairs:
         fit = mle_model_i(pair)
@@ -340,6 +346,61 @@ def test_face_is_taken_where_its_float_alpha_derivative_rounds_positive():
     assert d["solver"] == "face"
     numeric = mle_model_i(pair, FitConfig(start=_moment_start(pair))).diagnostics
     assert d["objective"] > numeric["objective"] and d["grad_norm"] < numeric["grad_norm"]
+
+
+_LN_CONTEXT = decimal.Context(prec=40)
+
+
+def _assert_closed_form_certificates(pair, fit) -> None:
+    """A closed form's objective is its formula of the counts (see the mle
+    module notes) and the likelihood at its point, and its grad_norm is 0."""
+    d, e = fit.diagnostics, fit.estimates
+    assert d["grad_norm"] == 0.0
+    a, b = pair.a, pair.b
+    # the formula as signed x log x terms, less x0A + x0B
+    if d["solver"] == "interior":
+        terms = [(1, x) for x in (a.x11, a.x10, a.x01, b.x11, b.x10, b.x01)]
+    else:
+        assert d["solver"] == "face"
+        s11, s01 = a.x11 + b.x11, a.x01 + b.x01
+        terms = [(1, a.xdot1), (1, a.x10), (1, b.xdot1), (1, b.x10), (1, s11), (1, s01),
+                 (-1, s11 + s01)]
+    x0 = a.x0 + b.x0
+    scale = math.fsum(x * math.log(x) for _, x in terms if x) + x0
+    with decimal.localcontext(_LN_CONTEXT):
+        exact = sum(sign * x * decimal.Decimal(x).ln() for sign, x in terms if x) - x0
+        # a term x log x is within two roundings of its value and fsum
+        # rounds once, so the sum is within 3 spacings of its terms' magnitude
+        assert abs(decimal.Decimal(d["objective"]) - exact) <= 3 * decimal.Decimal(math.ulp(scale))
+    n_a, n_b = d["n_a_unrounded"], d["n_b_unrounded"]
+    theta = ModelIParams(n_a, n_b, e["alpha"], e["p1"], e["p2a"], e["p2b"])
+    loglik = loglik_model_i(theta, pair, logfac="stirling1")
+    # the likelihood's float value cancels its size terms, as large as n log n
+    bulk = n_a * math.log(n_a) + n_b * math.log(n_b) + scale
+    assert abs(loglik - d["objective"]) <= 2e-15 * bulk
+
+
+def test_closed_form_objective_is_its_formula_and_the_likelihood_at_its_point():
+    solvers = {"interior": 0, "face": 0, "numeric": 0}
+    for pair in _seeded_tables():
+        fit = mle_model_i(pair)
+        solvers[fit.diagnostics["solver"]] += 1
+        if fit.diagnostics["solver"] != "numeric":
+            _assert_closed_form_certificates(pair, fit)
+    assert solvers["interior"] >= 10 and solvers["face"] >= 10
+
+
+_SMALL_OR_LARGE = st.integers(0, 10) | _COUNT
+
+
+@given(tables=st.tuples(st.tuples(*[_SMALL_OR_LARGE] * 3), st.tuples(*[_SMALL_OR_LARGE] * 3))
+       | _near_ties())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_certificates_hold_on_counts_up_to_10_12(tables):
+    pair = StratumPair(DrsTable(*tables[0]), DrsTable(*tables[1]))
+    # the numeric fallbacks, which would cost most of the time, do not run
+    if dualrec.mle._start("I", pair, dualrec.mle.DEFAULT_CONFIG)[2] is not None:
+        _assert_closed_form_certificates(pair, mle_model_i(pair))
 
 
 _NO_SCIPY = """\
@@ -528,35 +589,30 @@ def test_model_i_fit_solves_the_moment_equations_once(monkeypatch):
         assert calls == [(pair.a.x11, pair.a.x10, pair.a.x01, pair.b.x11, pair.b.x10, pair.b.x01)]
 
 
-def test_default_model_i_fit_builds_no_config_and_takes_one_gradient(monkeypatch):
-    # a fit given no config takes the shared default, and a closed form
-    # evaluates the gradient once, for grad_norm
-    built, points, kernel = [], [], dualrec.mle._loglik_kernel
-    post_init = FitConfig.__post_init__
+def test_default_model_i_closed_form_builds_no_config_space_or_likelihood(monkeypatch):
+    # a fit given no config takes the shared default, and a closed form takes
+    # its objective and grad_norm from the counts: it builds no _Space, binds
+    # no likelihood and evaluates no gradient
+    built, post_init = [], FitConfig.__post_init__
 
     def counted_post_init(config):
         built.append(config)
         post_init(config)
 
-    def counted_kernel(pair, mode, tied):
-        loglik, grad = kernel(pair, mode, tied)
-
-        def counted_grad(*point):
-            points.append(point)
-            return grad(*point)
-
-        return loglik, counted_grad
+    def refused(*args):
+        raise AssertionError("a closed form builds no _Space and binds no likelihood")
 
     monkeypatch.setattr(FitConfig, "__post_init__", counted_post_init)
-    monkeypatch.setattr(dualrec.mle, "_loglik_kernel", counted_kernel)
+    monkeypatch.setattr(dualrec.mle, "_Space", refused)
+    monkeypatch.setattr(dualrec.mle, "_loglik_kernel", refused)
     FitConfig()
     assert len(built) == 1  # the spy sees a config being built
     for pair, solver in ((MEADOW_VOLES, "interior"), (ENCEPHALITIS, "face")):
         for fit in (mle_model_i, lambda pair: sim.apply_method("MLE-I", pair)):
             built.clear()
-            points.clear()
-            assert fit(pair).diagnostics["solver"] == solver
-            assert built == [] and len(points) == 1
+            d = fit(pair).diagnostics
+            assert d["solver"] == solver and d["grad_norm"] == 0.0
+            assert built == []
 
 
 @pytest.mark.parametrize("config", ["x", 0, (), FitConfig])
@@ -568,8 +624,8 @@ def test_fits_refuse_a_config_that_is_not_a_fit_config(config):
 
 
 def test_each_fit_and_profile_binds_its_table_once(monkeypatch):
-    # the objective, grad_norm and every profile point
-    # share one binding of the table's counts
+    # a numeric fit's objective and grad_norm, and every profile point, share
+    # one binding of the table's counts; a closed form binds none
     calls, kernel = [], dualrec.mle._loglik_kernel
 
     def counted(pair, mode, tied):
@@ -579,14 +635,14 @@ def test_each_fit_and_profile_binds_its_table_once(monkeypatch):
     monkeypatch.setattr(dualrec.mle, "_loglik_kernel", counted)
     monkeypatch.setattr(dualrec.model, "_loglik_kernel", counted)
     short = FitConfig(max_iterations=50)
-    fits = ((mle_model_i, MEADOW_VOLES, FitConfig(), "interior"),
-            (mle_model_i, ENCEPHALITIS, FitConfig(), "face"),
-            (mle_model_i, MEADOW_VOLES, replace(short, logfac="exact"), "numeric"),
-            (mle_model_ii, MEADOW_VOLES, short, "numeric"))
-    for fit, pair, config, solver in fits:
+    fits = ((mle_model_i, MEADOW_VOLES, FitConfig(), "interior", 0),
+            (mle_model_i, ENCEPHALITIS, FitConfig(), "face", 0),
+            (mle_model_i, MEADOW_VOLES, replace(short, logfac="exact"), "numeric", 1),
+            (mle_model_ii, MEADOW_VOLES, short, "numeric", 1))
+    for fit, pair, config, solver, binds in fits:
         calls.clear()
         assert fit(pair, config).diagnostics["solver"] == solver
-        assert calls == [pair]
+        assert calls == [pair] * binds
     for model, params in (("I", ModelIParams), ("II", ModelIIParams)):
         theta = params(300.0, 300.0, 0.2, 0.5, 0.5, 0.5)
         calls.clear()
