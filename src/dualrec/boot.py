@@ -46,6 +46,7 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
+    check_name,
 )
 from .mle import FitConfig
 from .model import _cells
@@ -95,8 +96,7 @@ def bootstrap(
     unrounded scale.  Diagnostics gain the scheme, the resample count, the
     failure count, and the seed.
     """
-    if scheme not in _SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; valid: {', '.join(_SCHEMES)}")
+    check_name("scheme", scheme, _SCHEMES)
     check_integer("b", b, 2)  # two resamples at least, for a standard error
     check_integer("seed", seed, 0)
     point = apply_method(method, data, ratio=ratio, fit_config=fit_config)

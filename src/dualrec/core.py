@@ -306,6 +306,9 @@ class EstimateResult:
 # Numeric helpers
 # ---------------------------------------------------------------------------
 
+_LOGFAC_MODES = ("exact", "stirling1", "stirling3")
+
+
 def log_factorial(n: float, mode: str = "exact") -> float:
     """Natural log of ``n!`` for real ``n >= 0``.
 
@@ -334,17 +337,15 @@ def log_factorial(n: float, mode: str = "exact") -> float:
     # NaN for an infinite or NaN one, and 0 >= -n holds just when n >= 0
     if not n - n >= -n:
         raise DomainError(f"log_factorial requires a finite n >= 0, got {n}")
+    check_name("log-factorial mode", mode, _LOGFAC_MODES)
     try:  # free on the likelihood's path until something overflows
         if mode == "exact":
             return math.lgamma(n + 1.0)
         if n == 0:
             return 0.0
-        if mode == "stirling1":
-            v = n * math.log(n) - n
-        elif mode == "stirling3":
-            v = n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
-        else:
-            raise DomainError(f"unknown log-factorial mode {mode!r}")
+        v = n * math.log(n) - n
+        if mode == "stirling3":
+            v += 0.5 * math.log(2.0 * math.pi * n)
         if v != math.inf:
             return v
     except OverflowError:
@@ -397,12 +398,11 @@ def lfac_ratio(mode: str):
     :func:`log_factorial`).  The Stirling ratios are -inf below ``n = x0``;
     each derivative floors its lower argument at 1e-12 to stay finite at
     that wall.  An unknown mode raises :class:`DomainError`."""
+    check_name("log-factorial mode", mode, _LOGFAC_MODES)
     if mode == "exact":
         return _exact_ratio, lambda n, x0: digamma(n + 1.0) - digamma(max(n - x0 + 1.0, 1e-12))
     if mode == "stirling1":
         return stirling1_ratio, _stirling1_dratio
-    if mode != "stirling3":
-        raise DomainError(f"unknown log-factorial mode {mode!r}")
 
     def ratio(n: float, x0: int) -> float:
         m = n - x0
@@ -456,6 +456,24 @@ def check_real(name: str, value, interval: str | None = None):
     if interval is not None and not _INTERVALS[interval](v):
         bound = " and the float range" if "inf" in interval else ""
         raise DomainError(f"{name} must be in {interval}{bound}" + _got(value))
+    return value
+
+
+def check_type(name: str, value, cls: type, noun: str | None = None):
+    """``value`` unchanged; a DomainError naming ``name`` if it is not an
+    instance of ``cls``, described as ``noun`` (``"a <cls name>"`` by
+    default), as ``"rng must be a numpy Generator, got None"``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be {noun or 'a ' + cls.__name__}, got {value!r}")
+    return value
+
+
+def check_name(kind: str, value, names):
+    """``value`` unchanged if it is one of the strings ``names``; else, an
+    unhashable value included, a DomainError naming ``kind`` that lists
+    ``names``, as ``"unknown scheme 'x'; valid: parametric, nonparametric"``."""
+    if not (isinstance(value, str) and value in names):
+        raise DomainError(f"unknown {kind} {value!r}; valid: {', '.join(names)}")
     return value
 
 

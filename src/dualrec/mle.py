@@ -34,7 +34,9 @@ start on an unconstrained transform of the parameter space:
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
   feasibility boundary open while letting the optimiser roam freely (past
   2**53, where ``x0 - 1.0`` rounds, from the smallest float not below
-  ``x0``, so no size falls below its count);
+  ``x0``); the objective is +inf wherever a size is below its count, in
+  every mode, so no fit reports one (the exact log-gamma ratio is finite
+  down to ``x0 - 1``, the Stirling ratios are already -inf there);
 * probabilities enter through the logistic transform, clipped to
   ``(1e-8, 1 - 1e-8)`` so the log-likelihood stays finite.
 
@@ -88,7 +90,9 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
+    check_name,
     check_real,
+    check_type,
     clamp,
     round_half_even,
     validate_pair,
@@ -277,13 +281,9 @@ class FitConfig:
     start: tuple[float, float, float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.logfac not in ("exact", "stirling1"):
-            # the three-term form diverges as n approaches the observed count,
-            # so it is usable for likelihood evaluation but not as a fitting
-            # objective
-            raise DomainError(
-                f"fitting supports logfac 'exact' or 'stirling1', got {self.logfac!r}"
-            )
+        # the three-term form diverges as n approaches the observed count, so
+        # it is usable for likelihood evaluation but not as a fitting objective
+        check_name("fitting logfac", self.logfac, ("exact", "stirling1"))
         check_integer("max_iterations", self.max_iterations, 1)
         check_real("objective_tolerance", self.objective_tolerance, "[0,inf)")
         check_real("parameter_tolerance", self.parameter_tolerance, "[0,inf)")
@@ -316,9 +316,7 @@ def _config(config, name: str = "config") -> FitConfig:
     naming ``name`` where it is neither."""
     if config is None:
         return DEFAULT_CONFIG
-    if not isinstance(config, FitConfig):
-        raise DomainError(f"{name} must be a FitConfig or None, got {config!r}")
-    return config
+    return check_type(name, config, FitConfig, "a FitConfig or None")
 
 
 def _logit(p: float) -> float:
@@ -454,7 +452,8 @@ def _start(model: str, pair: StratumPair, config: FitConfig) -> tuple[tuple, boo
     II's neutral guess, Model I's moment solution, or Model I's ``2 x0``
     fallback where the moment equations divide by zero.
     ``guessed`` adds its jittered copies, those off the wall.  ``closed`` is
-    Model I's closed form ``(solver, natural)`` where one holds, else None.
+    Model I's closed form ``(solver, natural, objective)`` where one holds,
+    else None.
     """
     if config.start is not None:
         return config.start, False, None
@@ -494,9 +493,11 @@ def _fit(model: str, pair: StratumPair, config: FitConfig) -> EstimateResult:
         space = _Space(pair, r)
         # Model II ties alpha across strata
         loglik, grad = _loglik_kernel(pair, config.logfac, model == "II")
+        x0a, x0b = pair.a.x0, pair.b.x0
 
         def objective(u) -> float:
-            return -loglik(*space.to_natural(u))
+            natural = space.to_natural(u)  # +inf below the counts: the wall
+            return math.inf if natural[0] < x0a or natural[1] < x0b else -loglik(*natural)
 
         base = _interior(pair, base, config.known_ratio)
         u0 = space.from_natural(*base)
@@ -593,12 +594,9 @@ def profile_objective(
     sizes on the grid raise rather than being skipped.  ``grid`` is an
     iterable of real numbers; anything else raises ``DomainError``.
     """
-    if not isinstance(model, str) or model not in ("I", "II"):
-        raise DomainError(f"model must be 'I' or 'II', got {model!r}")
+    check_name("model", model, ("I", "II"))
     _check_args(model, theta, data)
-    allowed = tuple(f.name for f in fields(theta))
-    if component not in allowed:
-        raise DomainError(f"unknown component {component!r}; expected one of {allowed}")
+    check_name("component", component, [f.name for f in fields(theta)])
     try:
         grid = list(grid)
     except TypeError:

@@ -52,6 +52,7 @@ from .core import (
     StratumPair,
     check_pair,
     check_real,
+    check_type,
     lfac_ratio,
     log_factorial,
 )
@@ -74,8 +75,9 @@ def cell_probabilities(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> CellProbabilities:
     """Cell probabilities of the full 2x2 table for one stratum."""
-    _check_params(params)
-    _check_sign(sign)
+    # other params fail as a bare AttributeError; another sign picks the negative formulas
+    check_type("params", params, BbmParams)
+    check_type("sign", sign, DependenceSign)
     return CellProbabilities(*_cells(params.p1, params.p2, params.alpha, sign))
 
 
@@ -96,24 +98,12 @@ def _cells(p1: float, p2: float, a: float, sign: DependenceSign = DependenceSign
     )
 
 
-def _check_params(params) -> None:
-    # anything else would fail on its first field as a bare AttributeError
-    if not isinstance(params, BbmParams):
-        raise DomainError(f"params must be a BbmParams, got {params!r}")
-
-
-def _check_sign(sign) -> None:
-    # any other value would silently select the negative formulas
-    if not isinstance(sign, DependenceSign):
-        raise DomainError(f"sign must be a DependenceSign, got {sign!r}")
-
-
 def marginals_and_covariance(
     params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE
 ) -> Marginals:
     """List-inclusion marginals and the between-list covariance."""
-    _check_params(params)
-    _check_sign(sign)
+    check_type("params", params, BbmParams)
+    check_type("sign", sign, DependenceSign)
     p1, p2, a = params.p1, params.p2, params.alpha
     if sign is DependenceSign.POSITIVE:
         return Marginals(p1, a * p1 + (1.0 - a) * p2, a * p1 * (1.0 - p1))
@@ -128,7 +118,7 @@ def to_mtb(params: BbmParams) -> MtbParams:
     probability ``c = p11 / p1``, i.e. a response ratio
     ``phi = 1 + alpha / ((1-alpha)*p2) >= 1``.
     """
-    _check_params(params)
+    check_type("params", params, BbmParams)
     if params.alpha >= 1.0:
         raise DegenerateDependence("alpha = 1 has no finite response ratio")
     p = (1.0 - params.alpha) * params.p2

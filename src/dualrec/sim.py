@@ -46,8 +46,10 @@ from .core import (
     EstimateResult,
     StratumPair,
     check_integer,
+    check_name,
     check_pair,
     check_real,
+    check_type,
     empirical_ci,
 )
 from .mle import FitConfig, _config, mle_model_i, mle_model_ii
@@ -120,8 +122,7 @@ class DesignPoint:
     _gens: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.model not in ("I", "II"):
-            raise DomainError(f"model must be 'I' or 'II', got {self.model!r}")
+        check_name("model", self.model, ("I", "II"))
         check_integer("n_a", self.n_a, 1)
         check_integer("n_b", self.n_b, 1)
         check_integer("replicates", self.replicates, 1)
@@ -156,11 +157,7 @@ def design_from_preset(
     seed: int = 0,
 ) -> DesignPoint:
     """Build a DesignPoint from one of the named marginal presets."""
-    if preset not in PRESETS:
-        raise DomainError(
-            f"unknown preset {preset!r}; valid presets: {', '.join(sorted(PRESETS))}"
-        )
-    p1dot, pdot1 = PRESETS[preset]
+    p1dot, pdot1 = PRESETS[check_name("preset", preset, PRESETS)]
     return DesignPoint(
         p1dot_a=p1dot,
         pdot1_a=pdot1,
@@ -188,7 +185,7 @@ def generate_stratum(
     try:
         return _draw_table(*gen, rng)
     except AttributeError:
-        _check_rng(rng)
+        check_type("rng", rng, np.random.Generator, "a numpy Generator")
         raise
 
 
@@ -198,19 +195,9 @@ def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:
         return _draw_pair(*design._gens, rng)
     except AttributeError:
         # the types are checked only here, off the per-replicate path
-        _check_design(design)
-        _check_rng(rng)
+        check_type("design", design, DesignPoint)
+        check_type("rng", rng, np.random.Generator, "a numpy Generator")
         raise
-
-
-def _check_design(design) -> None:
-    if not isinstance(design, DesignPoint):
-        raise DomainError(f"design must be a DesignPoint, got {design!r}")
-
-
-def _check_rng(rng) -> None:
-    if not isinstance(rng, np.random.Generator):
-        raise DomainError(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _generator(params: BbmParams, sign: DependenceSign = DependenceSign.POSITIVE):
@@ -249,9 +236,12 @@ def apply_method(
     :class:`DidNotConverge` so callers can count it as a failure.
     ``fit_config`` must be None or a :class:`FitConfig`, whatever the method.
     """
-    spec = ESTIMATORS.get(method)
+    try:
+        spec = ESTIMATORS.get(method)
+    except TypeError:  # unhashable
+        spec = None
     if spec is None:
-        raise DomainError(f"unknown estimator {method!r}; valid: {', '.join(ESTIMATORS)}")
+        check_name("estimator", method, ESTIMATORS)
     if spec.needs_ratio and ratio is None:
         raise DomainError(f"{method} requires a known size ratio")
     if fit_config is not None:
@@ -454,7 +444,7 @@ def run_study(
     ``threads`` caps the worker processes, at most one per CPU and replicate;
     it must be an integer of at least 1.
     """
-    _check_design(design)
+    check_type("design", design, DesignPoint)
     check_integer("threads", threads, 1)
     # a string is iterable too, letter by letter
     try:
@@ -466,8 +456,7 @@ def run_study(
     if not methods:
         raise DomainError("estimators must name at least one estimator, got none")
     for m in methods:
-        if not isinstance(m, str) or m not in ESTIMATORS:
-            raise DomainError(f"unknown estimator {m!r}; valid: {', '.join(ESTIMATORS)}")
+        check_name("estimator", m, ESTIMATORS)
     _config(fit_config, "fit_config")
     reps = design.replicates
     ratio = design.n_a / design.n_b

@@ -462,7 +462,7 @@ def test_simulate_flag_validation(capsys, tmp_path):
 
     code, _, err = run(capsys, "simulate", "--preset", "P7", "--na", "1", "--nb", "1", "--alpha", "0")
     assert code == 1
-    assert "valid presets: P1, P2, P3, P4, P5, P6" in err
+    assert "unknown preset 'P7'; valid: P1, P2, P3, P4, P5, P6" in err
 
     # a size the multinomial draw cannot take is refused before any replicate
     code, out, err = run(

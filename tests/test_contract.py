@@ -8,7 +8,9 @@ real numbers like any other.  A value with no finite float (``10**400``,
 ``OverflowError``.  A table or a pair of the wrong type, and likelihood
 parameters of the other model, and stratum parameters, a design or a
 generator of the wrong type, raise ``DomainError``, never a bare
-``AttributeError``.
+``AttributeError``.  A name argument that is not one of its strings (a list,
+``None``, an int, an array) raises a ``DomainError`` that lists the valid
+names, never a bare ``TypeError`` or ``ValueError``.
 """
 
 import math
@@ -256,3 +258,51 @@ def test_params_design_or_generator_of_the_wrong_type_raises_domain_error(call, 
     # each raised a bare AttributeError on its first field or method
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_ESTIMATOR_NAMES = "LP, NOUR, MME-I, MLE-I, MME-II, MLE-II, WOLTER-1, WOLTER-2"
+_LOGFAC_NAMES = "exact, stirling1, stirling3"
+
+# each name argument: (its kind in the message, a call that passes the
+# value, the valid names as listed)
+_NAME_ARGUMENTS = {
+    "apply_method": ("estimator", lambda v: apply_method(v, MEADOW_VOLES), _ESTIMATOR_NAMES),
+    "run_study": ("estimator", lambda v: run_study(_DESIGN, (v,)), _ESTIMATOR_NAMES),
+    "bootstrap-method": ("estimator", lambda v: bootstrap(MEADOW_VOLES, v, b=2), _ESTIMATOR_NAMES),
+    "bootstrap-scheme": ("scheme", lambda v: bootstrap(MEADOW_VOLES, "MME-I", v, b=2),
+                         "parametric, nonparametric"),
+    "design_from_preset": ("preset", lambda v: design_from_preset(v, "I", 240, 200, 0.4),
+                           "P1, P2, P3, P4, P5, P6"),
+    "DesignPoint-model": ("model", lambda v: DesignPoint(0.6, 0.8, 0.6, 0.8, 0.4, 240, 200, v),
+                          "I, II"),
+    "profile-model": ("model",
+                      lambda v: profile_objective(v, MEADOW_VOLES, _THETA["I"], "n_a", [300.0]),
+                      "I, II"),
+    "profile-component": ("component",
+                          lambda v: profile_objective("I", MEADOW_VOLES, _THETA["I"], v, [300.0]),
+                          "n_a, n_b, alpha_a, p1, p2a, p2b"),
+    "FitConfig-logfac": ("fitting logfac", lambda v: FitConfig(logfac=v), "exact, stirling1"),
+    "log_factorial": ("log-factorial mode", lambda v: log_factorial(3.0, v), _LOGFAC_NAMES),
+    "loglik_model_i": ("log-factorial mode",
+                       lambda v: loglik_model_i(_THETA["I"], MEADOW_VOLES, v), _LOGFAC_NAMES),
+}
+
+
+@pytest.mark.parametrize("value", [[], {}, None, 1, "bogus", np.array(["I", "exact"])],
+                         ids=["list", "dict", "None", "int", "bogus", "array"])
+@pytest.mark.parametrize("argument", _NAME_ARGUMENTS)
+def test_a_name_argument_refuses_anything_but_its_names(argument, value):
+    # apply_method([], pair), bootstrap(pair, []) and design_from_preset([], ...)
+    # looked the list up in a dict and raised a bare TypeError (unhashable);
+    # log_factorial compared an array with each mode, a bare ValueError
+    kind, call, names = _NAME_ARGUMENTS[argument]
+    message = f"^unknown {kind} {re.escape(repr(value))}; valid: {re.escape(names)}$"
+    with pytest.raises(DomainError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("n", [0, 0.0])
+def test_log_factorial_checks_its_mode_at_zero(n):
+    # n == 0 returned 0.0 before the mode was looked at
+    with pytest.raises(DomainError, match=f"^unknown log-factorial mode 'bogus'; valid: {_LOGFAC_NAMES}$"):
+        log_factorial(n, "bogus")

@@ -548,7 +548,7 @@ def test_model_ii_fits_are_pinned_to_the_bit(a, b, n_a, n_b, objective, converge
 # (config, A cells, B cells, n_a, n_b, objective, converged)
 _MODEL_I_BITS = [
     ({"logfac": "exact"}, (30, 153, 8), (15, 173, 7), "0x1.fca1553caf443p+7", "0x1.0675266beacaep+8", "0x1.6a58fc40cdcf8p+10", True),
-    ({"logfac": "exact"}, (57, 1, 30), (44, 0, 30), "0x1.5e7575996a035p+6", "0x1.2445da3be970ep+6", "0x1.c8031045855a0p+8", True),
+    ({"logfac": "exact"}, (57, 1, 30), (44, 0, 30), "0x1.6000000000012p+6", "0x1.2800000000000p+6", "0x1.bc7b5728fd772p+8", True),
     ({"known_ratio": 1.2}, (46, 20, 11), (54, 5, 13), "0x1.5f826b401cd02p+6", "0x1.24ecaeb56d582p+6", "0x1.71dc3a1a623a2p+8", True),
     ({"known_ratio": 1.2}, (36, 0, 13), (24, 8, 16), "0x1.001fdc26329d5p+6", "0x1.aadfc43fa9b0ep+5", "0x1.951314b457edep+7", True),
     ({}, (30, 10, 10), (0, 10, 10), "0x1.ca5ba6fca5d6bp+28", "0x1.ca40afa5e00bdp+26", "0x1.f08eab88f6449p+6", False),
@@ -669,14 +669,33 @@ def test_start_count_follows_where_the_start_came_from():
     fit = mle_model_ii(off_the_wall)
     assert fit.diagnostics["multistart"] == 5
     assert fit.diagnostics["evaluations"] == 6616
-    assert starts(mle_model_i, FitConfig(logfac="exact")) == 5
+    # the exact objective is walled below the counts too, so three of voles'
+    # copies start on the wall there
+    assert starts(mle_model_i, FitConfig(logfac="exact")) == 2
     no_moment_solution = StratumPair(DrsTable(30, 10, 10), DrsTable(0, 10, 10))
     assert starts(mle_model_i, pair=no_moment_solution) == 5
     # the moment solution is not the exact objective's maximiser: on this
-    # table a single start from it stops 2.4 log-likelihood units short
+    # table a single start from it stops short of the multistart's 444.48
     pair = StratumPair(DrsTable(57, 1, 30), DrsTable(44, 0, 30))
     fit = mle_model_i(pair, FitConfig(logfac="exact"))
-    assert fit.diagnostics["objective"] == pytest.approx(456.0119670343938, abs=1e-6)
+    assert fit.diagnostics["objective"] == pytest.approx(444.4817987078487, abs=1e-6)
+
+
+@pytest.mark.parametrize("fit", [mle_model_i, mle_model_ii])
+@pytest.mark.parametrize("config", [FitConfig(logfac="exact"),
+                                    FitConfig(logfac="exact", known_ratio=1.0)],
+                         ids=["exact", "exact-known-ratio"])
+@pytest.mark.parametrize("a, b", [((57, 1, 30), (44, 0, 30)), ((0, 0, 1), (0, 0, 1))])
+def test_exact_fits_never_report_a_size_below_its_count(fit, config, a, b):
+    # log-gamma has finite values down to x0 - 1, where the fits once ended:
+    # unrounded n_a 87.61 and n_b 73.07 on the first table, and sizes of
+    # about 0.056, reported as 0, where one individual was seen
+    pair = StratumPair(DrsTable(*a), DrsTable(*b))
+    result = fit(pair, config)
+    d = result.diagnostics
+    assert d["n_a_unrounded"] >= pair.a.x0 and d["n_b_unrounded"] >= pair.b.x0
+    assert result.estimates["n_a"] >= pair.a.x0 and result.estimates["n_b"] >= pair.b.x0
+    assert math.isfinite(d["objective"])
 
 
 def test_config_fields_are_checked_when_built():
@@ -885,7 +904,7 @@ def test_profile_refuses_a_size_whose_log_factorial_overflows(model, params, log
     ("I", [True], "grid must be a real number, got True"),
     ("I", 5, "grid must be an iterable of real numbers, got 5"),
     ("I", [10**400], r"^grid must be in \(-inf,inf\) and the float range, got 1000"),
-    (["I"], [300.0], "model must be 'I' or 'II', got \\['I'\\]"),
+    (["I"], [300.0], "^unknown model \\['I'\\]; valid: I, II$"),
 ])
 def test_profile_refuses_a_bad_grid_or_model(model, grid, message):
     theta = ModelIParams(n_a=300, n_b=300, alpha_a=0.2, p1=0.5, p2a=0.5, p2b=0.5)
