@@ -26,6 +26,15 @@ size, so the kernel runs while the larger size squared (LP, MME-I), cubed
 (MME-II) or to the fourth power (NOUR) is below 2**53; past that, and for
 the other methods, :func:`apply_method` refits each resample.
 
+A nonparametric draw depends only on the observed tables, ``b`` and the
+seed, so the kernel path keeps its last one: a nonparametric bootstrap of
+a closed-form method on the same tables, ``b`` and seed refits that array
+instead of drawing it again (``dualrec estimate --bootstrap`` bootstraps
+every method on one pair and seed).  What stays in memory is one read-only
+``(b, 6)`` float64 array (48 KB at b = 1000) until the next nonparametric
+kernel bootstrap replaces it.  Parametric draws are not shared: their
+generator is the method's own point fit, which no other method has.
+
 Resamples whose refit fails (infeasible moment solution, violated
 condition, non-convergence) are counted and excluded from the standard
 error and interval; if fewer than two succeed, too few for a standard
@@ -55,6 +64,10 @@ from .sim import _replicate_counts, _replicate_values, _successes
 
 _SCHEMES = ("parametric", "nonparametric")
 
+# the last nonparametric kernel draw: ((table A, table B, b, seed), counts),
+# replaced whole so that a reader never pairs one draw's key with another's array
+_last_draw = (None, None)
+
 
 def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
     """Per-stratum (cell probabilities, size) of the parametric generator."""
@@ -78,6 +91,19 @@ def _independence_cells(table: DrsTable, n_hat: float):
     return np.array(_cells(table.x1dot / n, table.xdot1 / n, 0.0)), n
 
 
+def _nonparametric_counts(data: StratumPair, gens, b: int, seed: int) -> np.ndarray:
+    """The nonparametric resample tables of ``data``, read-only: the last
+    draw if it had the same tables, ``b`` and seed, else a new one, kept."""
+    global _last_draw
+    key = (data.a, data.b, b, seed)
+    last_key, counts = _last_draw
+    if last_key != key:
+        counts = _replicate_counts(*gens, seed, 0, b)
+        counts.flags.writeable = False
+        _last_draw = key, counts
+    return counts
+
+
 def bootstrap(
     data: StratumPair,
     method: str,
@@ -95,6 +121,11 @@ def bootstrap(
     estimate where the method produces one.  Sizes are resampled on their
     unrounded scale.  Diagnostics gain the scheme, the resample count, the
     failure count, and the seed.
+
+    A nonparametric bootstrap on the kernel path refits the last such
+    call's resample tables when it had the same tables, ``b`` and seed, so
+    several closed-form methods on one pair draw once, with the same output.
+    Parametric draws come from the method's own fit and are never shared.
     """
     check_name("scheme", scheme, _SCHEMES)
     check_integer("b", b, 2)  # two resamples at least, for a standard error
@@ -108,7 +139,11 @@ def bootstrap(
         gens = [(np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0) for t in tables]
     kernel = ESTIMATORS[method].kernel
     if kernel is not None and max(size for _, size in gens) ** kernel.degree < 2**53:
-        n_a, n_b, alpha, ok = kernel.fn(_replicate_counts(*gens, seed, 0, b))
+        if scheme == "parametric":
+            counts = _replicate_counts(*gens, seed, 0, b)
+        else:
+            counts = _nonparametric_counts(data, gens, b, seed)
+        n_a, n_b, alpha, ok = kernel.fn(counts)
         columns = n_a[ok], n_b[ok], alpha[ok]
         failures = b - int(ok.sum())
     else:

@@ -318,20 +318,32 @@ _BLOCK = 1024  # child seeds hashed per pass
 
 def _hasher(hc: int, mult: int):
     """SeedSequence's hashmix with hash constant ``hc``, advanced by ``mult``
-    on every call; ``v`` is a Python int or a uint64 array of 32-bit words."""
+    on every call.  ``hashmix(v)`` hashes a Python int; ``hashmix(v, calls)``
+    makes ``calls`` calls at once on uint32 words, whose products wrap at
+    2**32 as SeedSequence's do: row ``j`` of the ``(calls, k)`` result is
+    call ``j`` on ``v``, or on row ``j`` of ``v``."""
 
-    def hashmix(v):
+    def hashmix(v, calls=0):
         nonlocal hc
-        v = v ^ hc
-        hc = hc * mult & _M32
-        v = v * hc & _M32
+        if not calls:
+            v = v ^ hc
+            hc = hc * mult & _M32
+            v = v * hc & _M32
+            return v ^ v >> 16
+        consts = [hc]
+        for _ in range(calls):
+            consts.append(consts[-1] * mult & _M32)
+        hc = consts[-1]
+        c = np.array(consts, dtype=np.uint32)[:, None]
+        v = (v ^ c[:-1]) * c[1:]
         return v ^ v >> 16
 
     return hashmix
 
 
 def _mix(x, y):
-    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``: Python
+    ints, or uint32 arrays."""
     r = _MIX_L * x - _MIX_R * y & _M32
     return r ^ r >> 16
 
@@ -350,13 +362,17 @@ def _child_words(seed: int, idx: np.ndarray) -> np.ndarray:
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:] + [idx & _M32]:
+    for w in words[4:]:
         pool = [_mix(p, hashmix(w)) for p in pool]
-    high = idx >> 32
+    # the index words go into all four pool words at once, a (4, k) array
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = _mix(pool, hashmix(idx.astype(np.uint32), 4))  # the low word
+    high = (idx >> 32).astype(np.uint32)
     if high.any():
-        pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
-    out = list(map(_hasher(_INIT_B, _MULT_B), pool + pool))
-    return np.stack([out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)], axis=1)
+        pool = np.where(high > 0, _mix(pool, hashmix(high, 4)), pool)
+    # the eight output words, each uint64 two of them, low word first
+    out = _hasher(_INIT_B, _MULT_B)(np.concatenate((pool, pool)), 8)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
 
 
 def _streams(seed: int, lo: int, hi: int):

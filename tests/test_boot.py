@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualrec import boot
 from dualrec.boot import bootstrap
 from dualrec.core import (
     AllResamplesFailed,
@@ -53,8 +54,13 @@ def test_degenerate_table_gives_zero_se():
     assert res.ci["n_a"] == (5.0, 5.0)
 
 
-def test_bootstrap_reruns_bit_identically():
+def test_bootstrap_reruns_bit_identically(monkeypatch):
+    # each call draws its own resamples: the shared nonparametric draw is
+    # cleared before it, so the second call does not refit the first's array
+    monkeypatch.setattr(boot, "_last_draw", (None, None))
     a = bootstrap(MEADOW_VOLES, "LP", scheme="nonparametric", b=100, seed=42)
+    assert boot._last_draw[1] is not None
+    boot._last_draw = (None, None)
     b = bootstrap(MEADOW_VOLES, "LP", scheme="nonparametric", b=100, seed=42)
     assert a == b
 

@@ -137,13 +137,20 @@ def _bound_pair(method: str, size: int) -> StratumPair:
     return StratumPair(DrsTable(x11, x10, size - x11 - x10), MEADOW_VOLES.b)
 
 
-@pytest.mark.parametrize("method", KERNEL_METHODS)
-def test_bootstrap_takes_the_kernel_only_inside_its_exactness_bound(method, monkeypatch):
+def _kernel_bound(method: str) -> int:
+    """The largest stratum size at which ``method``'s kernel runs: the size
+    to the power ``degree`` is below 2**53."""
     degree = ESTIMATORS[method].kernel.degree
     bound = int(round(2 ** (53 / degree)))
     while bound**degree >= 2**53:
         bound -= 1
-    assert (bound + 1) ** degree >= 2**53
+    return bound
+
+
+@pytest.mark.parametrize("method", KERNEL_METHODS)
+def test_bootstrap_takes_the_kernel_only_inside_its_exactness_bound(method, monkeypatch):
+    bound = _kernel_bound(method)
+    assert (bound + 1) ** ESTIMATORS[method].kernel.degree >= 2**53
     loops = []
     original = boot._replicate_values
     monkeypatch.setattr(boot, "_replicate_values", lambda *a: loops.append(1) or original(*a))
@@ -198,3 +205,79 @@ def test_replicate_counts_equal_the_concatenated_array_bit_for_bit(name, scheme)
             ref = _concatenated_counts(gen_a, gen_b, seed, 500)
             assert rows.shape == ref.shape == (500, 6) and rows.dtype == ref.dtype
             assert [v.hex() for v in rows.ravel().tolist()] == [v.hex() for v in ref.ravel().tolist()]
+
+
+def _counted_draws(monkeypatch) -> list:
+    """Clear the shared nonparametric draw and record each call bootstrap
+    makes to ``_replicate_counts``."""
+    calls, draw = [], boot._replicate_counts
+    monkeypatch.setattr(boot, "_last_draw", (None, None))
+    monkeypatch.setattr(boot, "_replicate_counts", lambda *a: calls.append(a) or draw(*a))
+    return calls
+
+
+def _fresh(pair, method, **kwargs):
+    """The bootstrap with the shared draw cleared first."""
+    boot._last_draw = (None, None)
+    return bootstrap(pair, method, **kwargs)
+
+
+def _assert_same_bits(res, ref):
+    assert res == ref
+    assert {k: v.hex() for k, v in res.se.items()} == {k: v.hex() for k, v in ref.se.items()}
+    assert {k: (lo.hex(), hi.hex()) for k, (lo, hi) in res.ci.items()} == {
+        k: (lo.hex(), hi.hex()) for k, (lo, hi) in ref.ci.items()
+    }
+
+
+@pytest.mark.parametrize("methods", (("MME-I", "LP"), ("LP", "NOUR")))
+def test_nonparametric_kernel_bootstraps_share_one_draw(methods, monkeypatch):
+    calls = _counted_draws(monkeypatch)
+    results = [bootstrap(MEADOW_VOLES, m, scheme="nonparametric", b=300, seed=11) for m in methods]
+    assert len(calls) == 1
+    counts = boot._last_draw[1]
+    assert counts.shape == (300, 6) and counts.flags.writeable is False
+    with pytest.raises(ValueError):
+        counts[0, 0] = 0.0
+    for method, res in zip(methods, results):
+        _assert_same_bits(res, _fresh(MEADOW_VOLES, method, scheme="nonparametric", b=300, seed=11))
+    assert len(calls) == 1 + len(methods)
+
+
+def test_other_tables_b_seed_or_scheme_draw_again(monkeypatch):
+    calls = _counted_draws(monkeypatch)
+    a = MEADOW_VOLES.a
+    changed = StratumPair(DrsTable(a.x11 + 1, a.x10, a.x01), MEADOW_VOLES.b)
+    runs = (
+        (MEADOW_VOLES, "nonparametric", 100, 3, 1),
+        (MEADOW_VOLES, "nonparametric", 100, 3, 0),  # the same draw
+        (MEADOW_VOLES, "nonparametric", 100, 4, 1),  # another seed
+        (MEADOW_VOLES, "nonparametric", 101, 4, 1),  # another b
+        (changed, "nonparametric", 101, 4, 1),  # one count changed
+        (changed, "parametric", 101, 4, 1),  # a parametric draw is never shared ...
+        (changed, "parametric", 101, 4, 1),
+        (changed, "nonparametric", 101, 4, 0),  # ... nor replaces the shared one
+    )
+    for pair, scheme, b, seed, draws in runs:
+        before, memo = len(calls), boot._last_draw
+        bootstrap(pair, "LP", scheme=scheme, b=b, seed=seed)
+        assert len(calls) - before == draws, (pair, scheme, b, seed)
+        if scheme == "parametric":
+            assert boot._last_draw is memo
+
+
+@pytest.mark.parametrize("method", ("NOUR", "MLE-I"))
+def test_a_bootstrap_off_the_kernel_path_leaves_the_shared_draw(method, monkeypatch):
+    # NOUR on a pair one individual past its kernel bound, and MLE-I, which
+    # has no kernel: a poisoned draw under their key is neither read nor
+    # replaced
+    pair = _bound_pair("NOUR", _kernel_bound("NOUR") + 1) if method == "NOUR" else MEADOW_VOLES
+    ref = _fresh(pair, method, scheme="nonparametric", b=20, seed=5)
+    calls = _counted_draws(monkeypatch)
+    poisoned = np.zeros((20, 6))
+    poisoned.flags.writeable = False
+    memo = ((pair.a, pair.b, 20, 5), poisoned)
+    boot._last_draw = memo
+    res = bootstrap(pair, method, scheme="nonparametric", b=20, seed=5)
+    assert boot._last_draw is memo and calls == []
+    _assert_same_bits(res, ref)
