@@ -17,23 +17,23 @@ Resample ``i`` draws from the stream that is, bit for bit,
 computed without building either object, so the collection of resamples
 does not depend on evaluation order.
 
-The closed-form methods (LP, NOUR, MME-I, MME-II) refit all resamples at
-once: the tables go into one ``(b, 6)`` count array, which the method's
-:class:`~dualrec.sim.Kernel` refits in float64.  That is exact, and equal
-bit for bit to refitting each table with Python ints, while every integer
-the formulas form stays below 2**53.  Each count is at most its stratum's
-size, so the kernel runs while the larger size squared (LP, MME-I), cubed
-(MME-II) or to the fourth power (NOUR) is below 2**53; past that, and for
-the other methods, :func:`apply_method` refits each resample.
+Either scheme draws all ``b`` resample tables into one read-only ``(b, 6)``
+int64 count array.  The closed-form methods (LP, NOUR, MME-I, MME-II)
+refit it at once with their :class:`~dualrec.sim.Kernel`, in float64.
+That is exact, and equal bit for bit to refitting each table with Python
+ints, while every integer the formulas form stays below 2**53.  Each count
+is at most its stratum's size, so the kernel runs while the larger size
+squared (LP, MME-I), cubed (MME-II) or to the fourth power (NOUR) is below
+2**53; past that, and for the other methods, :func:`apply_method` refits
+the table pair of each row.
 
 A nonparametric draw depends only on the observed tables, ``b`` and the
-seed, so the kernel path keeps its last one: a nonparametric bootstrap of
-a closed-form method on the same tables, ``b`` and seed refits that array
-instead of drawing it again (``dualrec estimate --bootstrap`` bootstraps
-every method on one pair and seed).  What stays in memory is one read-only
-``(b, 6)`` float64 array (48 KB at b = 1000) until the next nonparametric
-kernel bootstrap replaces it.  Parametric draws are not shared: their
-generator is the method's own point fit, which no other method has.
+seed, so the last one is cached: a nonparametric bootstrap of any method
+on the same tables, ``b`` and seed refits it instead of drawing again
+(``dualrec estimate --bootstrap`` bootstraps every method on one pair and
+seed).  It holds one array (48 KB at b = 1000) until a nonparametric
+bootstrap with another key replaces it.  Parametric draws are not shared:
+their generator is the method's own point fit, which no other method has.
 
 Resamples whose refit fails (infeasible moment solution, violated
 condition, non-convergence) are counted and excluded from the standard
@@ -43,7 +43,7 @@ error, the bootstrap itself fails.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,14 +59,10 @@ from .core import (
 )
 from .mle import FitConfig
 from .model import _cells
-from .sim import ESTIMATORS, _draw_pair, _fit_values, _generator, apply_method
+from .sim import ESTIMATORS, _fit_values, _generator, apply_method
 from .sim import _replicate_counts, _replicate_values, _successes
 
 _SCHEMES = ("parametric", "nonparametric")
-
-# the last nonparametric kernel draw: ((table A, table B, b, seed), counts),
-# replaced whole so that a reader never pairs one draw's key with another's array
-_last_draw = (None, None)
 
 
 def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
@@ -91,17 +87,17 @@ def _independence_cells(table: DrsTable, n_hat: float):
     return np.array(_cells(table.x1dot / n, table.xdot1 / n, 0.0)), n
 
 
-def _nonparametric_counts(data: StratumPair, gens, b: int, seed: int) -> np.ndarray:
-    """The nonparametric resample tables of ``data``, read-only: the last
-    draw if it had the same tables, ``b`` and seed, else a new one, kept."""
-    global _last_draw
-    key = (data.a, data.b, b, seed)
-    last_key, counts = _last_draw
-    if last_key != key:
-        counts = _replicate_counts(*gens, seed, 0, b)
-        counts.flags.writeable = False
-        _last_draw = key, counts
-    return counts
+@lru_cache(maxsize=1)
+def _nonparametric_counts(table_a: DrsTable, table_b: DrsTable, b: int, seed: int) -> np.ndarray:
+    """The nonparametric resample tables: each stratum's ``x0`` individuals
+    spread over its three observed cells with their observed proportions.
+    The point fit has checked that neither ``x0`` is 0."""
+    gens = []
+    for label, t in (("A", table_a), ("B", table_b)):
+        if t.x0 >= 2**63:  # the multinomial draw takes sizes as int64, as in BbmParams
+            raise DomainError(f"stratum {label}'s x0 must be below 2**63 to resample, got {t.x0}")
+        gens.append((np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0))
+    return _replicate_counts(*gens, seed, 0, b)
 
 
 def bootstrap(
@@ -122,10 +118,10 @@ def bootstrap(
     unrounded scale.  Diagnostics gain the scheme, the resample count, the
     failure count, and the seed.
 
-    A nonparametric bootstrap on the kernel path refits the last such
-    call's resample tables when it had the same tables, ``b`` and seed, so
-    several closed-form methods on one pair draw once, with the same output.
-    Parametric draws come from the method's own fit and are never shared.
+    A nonparametric bootstrap refits the last such call's resample tables
+    when it had the same tables, ``b`` and seed, so several methods on one
+    pair draw once, with the same output.  Parametric draws come from the
+    method's own fit and are never shared.
     """
     check_name("scheme", scheme, _SCHEMES)
     check_integer("b", b, 2)  # two resamples at least, for a standard error
@@ -133,22 +129,19 @@ def bootstrap(
     point = apply_method(method, data, ratio=ratio, fit_config=fit_config)
     if scheme == "parametric":
         gens = _generating_cells(method, data, point)
+        size = max(n for _, n in gens)
+        counts = _replicate_counts(*gens, seed, 0, b)
     else:
-        # observed proportions; the point fit has checked that neither x0 is 0
-        tables = (data.a, data.b)
-        gens = [(np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0) for t in tables]
+        size = max(data.a.x0, data.b.x0)
+        counts = _nonparametric_counts(data.a, data.b, b, seed)
     kernel = ESTIMATORS[method].kernel
-    if kernel is not None and max(size for _, size in gens) ** kernel.degree < 2**53:
-        if scheme == "parametric":
-            counts = _replicate_counts(*gens, seed, 0, b)
-        else:
-            counts = _nonparametric_counts(data, gens, b, seed)
-        n_a, n_b, alpha, ok = kernel.fn(counts)
+    if kernel is not None and size**kernel.degree < 2**53:
+        n_a, n_b, alpha, ok = kernel.fn(counts.astype(float))
         columns = n_a[ok], n_b[ok], alpha[ok]
         failures = b - int(ok.sum())
     else:
-        draw = partial(_draw_pair, *gens)
-        recs = _replicate_values(draw, seed, {method: ratio}, fit_config, 0, b)[method]
+        pairs = (StratumPair(DrsTable(*row[:3]), DrsTable(*row[3:])) for row in counts.tolist())
+        recs = _replicate_values(pairs, {method: ratio}, fit_config)[method]
         *columns, failures = _successes(recs)
     if b - failures < 2:
         raise AllResamplesFailed(

@@ -178,7 +178,10 @@ def _write_out(path: str, rows, csv_table: str) -> None:
     """Write ``rows`` to ``path`` as JSON, or as their ``csv_table``, by its suffix."""
     is_json = Path(path).suffix.lower() == ".json"
     text = json.dumps(rows, indent=2, sort_keys=True) + "\n" if is_json else csv_table
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:  # a missing directory, a directory in the way, no permission
+        raise _CliError(f"cannot write {path}: {e}")
 
 
 def cmd_estimate(args) -> int:

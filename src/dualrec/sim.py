@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -192,7 +191,8 @@ def generate_stratum(
 def generate_pair(design: DesignPoint, rng: np.random.Generator) -> StratumPair:
     """Draw both strata of one replicate under the design."""
     try:
-        return _draw_pair(*design._gens, rng)
+        gen_a, gen_b = design._gens
+        return StratumPair(_draw_table(*gen_a, rng), _draw_table(*gen_b, rng))
     except AttributeError:
         # the types are checked only here, off the per-replicate path
         check_type("design", design, DesignPoint)
@@ -210,11 +210,6 @@ def _draw_table(cells, size: int, rng: np.random.Generator) -> DrsTable:
     """One stratum's observed table: ``size`` individuals spread over
     ``cells`` (x11, x10, x01 and, if given, the unobserved x00)."""
     return DrsTable(*rng.multinomial(size, cells).tolist()[:3])
-
-
-def _draw_pair(gen_a, gen_b, rng: np.random.Generator) -> StratumPair:
-    """Stratum A then stratum B, each from its ``(cells, size)`` generator."""
-    return StratumPair(_draw_table(*gen_a, rng), _draw_table(*gen_b, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +389,17 @@ def _streams(seed: int, lo: int, hi: int):
             yield rng
 
 
-def _replicate_values(draw, seed: int, ratios: dict, fit_config, lo: int, hi: int):
-    """Refit each method on the pairs drawn from replicate streams [lo, hi)
-    of ``seed`` (see :func:`_streams`).
+def _replicate_values(pairs, ratios: dict, fit_config):
+    """Refit each method on each stratum pair of the iterable ``pairs``.
 
-    ``draw(rng)`` returns one stratum pair; ``ratios`` maps each method to the
-    ratio it is applied with.  Returns per-method ``(n_a, n_b, alpha)``
-    records in stream order, all NaN where the refit failed.
+    ``ratios`` maps each method to the ratio it is applied with.  Returns
+    per-method ``(n_a, n_b, alpha)`` records in the order of ``pairs``, all
+    NaN where the refit failed.
     """
     out = {m: [] for m in ratios}
     calls = [(m, ratio, out[m].append) for m, ratio in ratios.items()]
     failed = (math.nan, math.nan, math.nan)
-    for rng in _streams(seed, lo, hi):
-        pair = draw(rng)
+    for pair in pairs:
         for m, ratio, append in calls:
             try:  # positional, as the bench tracer reads (method, pair, *_)
                 fit = apply_method(m, pair, ratio, fit_config)
@@ -417,17 +410,28 @@ def _replicate_values(draw, seed: int, ratios: dict, fit_config, lo: int, hi: in
     return out
 
 
+def _study_values(design: DesignPoint, ratios: dict, fit_config, lo: int, hi: int):
+    """:func:`_replicate_values` on the design's replicates [lo, hi), drawn by
+    :func:`generate_pair`, read from the module on each call so that a wrapper
+    installed on the attribute (a tracer, say) sees every draw."""
+    pairs = (generate_pair(design, rng) for rng in _streams(design.seed, lo, hi))
+    return _replicate_values(pairs, ratios, fit_config)
+
+
 def _replicate_counts(gen_a, gen_b, seed: int, lo: int, hi: int) -> np.ndarray:
-    """The tables :func:`_draw_pair` draws from replicate streams [lo, hi) of
-    ``seed``, as a ``(hi - lo, 6)`` float64 array of rows (x11A, x10A, x01A,
-    x11B, x10B, x01B)."""
+    """The tables :func:`generate_pair` draws from the ``(cells, size)``
+    generators ``gen_a``, ``gen_b`` and replicate streams [lo, hi) of ``seed``,
+    as a read-only ``(hi - lo, 6)`` int64 array of rows (x11A, x10A, x01A,
+    x11B, x10B, x01B), exact since no size reaches 2**63."""
     (cells_a, size_a), (cells_b, size_b) = gen_a, gen_b
     rows = [
         rng.multinomial(size_a, cells_a).tolist()[:3]
         + rng.multinomial(size_b, cells_b).tolist()[:3]
         for rng in _streams(seed, lo, hi)
     ]
-    return np.array(rows, dtype=float).reshape(hi - lo, 6)
+    counts = np.array(rows, dtype=np.int64).reshape(hi - lo, 6)
+    counts.flags.writeable = False
+    return counts
 
 
 def _successes(recs):
@@ -477,9 +481,7 @@ def run_study(
     reps = design.replicates
     ratio = design.n_a / design.n_b
     ratios = {m: ratio if ESTIMATORS[m].needs_ratio else None for m in methods}
-    # generate_pair is read from the module on each call, so that a wrapper
-    # installed on the module attribute (a tracer, say) sees every draw
-    job = (partial(generate_pair, design), design.seed, ratios, fit_config)
+    job = (design, ratios, fit_config)
     workers = min(threads, os.cpu_count() or 1, reps)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only for a pool
@@ -487,12 +489,12 @@ def run_study(
         chunk = math.ceil(reps / workers)
         ranges = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_replicate_values, *job, lo, hi) for lo, hi in ranges]
+            futures = [pool.submit(_study_values, *job, lo, hi) for lo, hi in ranges]
             parts = [f.result() for f in futures]
         # ranges are ascending, so the parts concatenate in replicate order
         rows = {m: [rec for part in parts for rec in part[m]] for m in methods}
     else:
-        rows = _replicate_values(*job, 0, reps)
+        rows = _study_values(*job, 0, reps)
 
     summaries = {}
     for m in ratios:  # each named estimator once, in order

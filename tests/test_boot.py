@@ -54,14 +54,16 @@ def test_degenerate_table_gives_zero_se():
     assert res.ci["n_a"] == (5.0, 5.0)
 
 
-def test_bootstrap_reruns_bit_identically(monkeypatch):
-    # each call draws its own resamples: the shared nonparametric draw is
+def test_bootstrap_reruns_bit_identically():
+    # each call draws its own resamples: the cached nonparametric draw is
     # cleared before it, so the second call does not refit the first's array
-    monkeypatch.setattr(boot, "_last_draw", (None, None))
+    draws = boot._nonparametric_counts
+    draws.cache_clear()
     a = bootstrap(MEADOW_VOLES, "LP", scheme="nonparametric", b=100, seed=42)
-    assert boot._last_draw[1] is not None
-    boot._last_draw = (None, None)
+    assert draws.cache_info().currsize == 1
+    draws.cache_clear()
     b = bootstrap(MEADOW_VOLES, "LP", scheme="nonparametric", b=100, seed=42)
+    assert draws.cache_info()[:2] == (0, 1)  # (hits, misses): drawn again
     assert a == b
 
 
@@ -192,6 +194,15 @@ def test_parametric_size_past_int64_is_refused():
     pair = StratumPair(DrsTable(1, 4 * 10**9, 4 * 10**9), DrsTable(5, 3, 2))
     with pytest.raises(DomainError, match=r"^n must be positive and below 2\*\*63"):
         bootstrap(pair, "LP", b=5)
+
+
+@pytest.mark.parametrize("method", ["LP", "NOUR", "MME-I", "MLE-I"])
+def test_nonparametric_stratum_of_2_63_individuals_is_refused(method):
+    # each cell is below 2**63, as DrsTable allows, but stratum A's x0 is
+    # not, and the multinomial draw takes it as an int64
+    pair = StratumPair(DrsTable(2**63 - 1, 2**63 - 1, 1), DrsTable(5, 3, 2))
+    with pytest.raises(DomainError, match=r"^stratum A's x0 must be below 2\*\*63"):
+        bootstrap(pair, method, scheme="nonparametric", b=3)
 
 
 def test_point_estimate_preconditions_propagate():

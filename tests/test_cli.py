@@ -175,6 +175,26 @@ def test_bootstrap_size_past_int64_is_an_infeasible_row(capsys, tmp_path):
     assert "LP: infeasible - DomainError: n must be positive and below 2**63" in out
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_path_is_an_input_error(capsys, tmp_path, command, where):
+    out = tmp_path / "x.json"
+    if where == "missing directory":
+        out = tmp_path / "nope" / "x.json"
+    else:
+        out.mkdir()
+    argv = {
+        "estimate": ("--data", VOLES, "--method", "lp"),
+        "simulate": ("--preset", "P1", "--na", "40", "--nb", "40", "--alpha", "0.2",
+                     "--replicates", "20"),
+    }[command]
+    code, out_text, err = run(capsys, command, *argv, "--out", str(out))
+    assert code == 1
+    assert out_text  # the report is printed before the write fails
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 @pytest.mark.parametrize("b", ["1", "-3"])
 def test_estimate_bootstrap_count_checked(capsys, b):
     code, out, err = run(

@@ -8,7 +8,9 @@ from dualrec import boot
 from dualrec.boot import bootstrap
 from dualrec.core import DrsTable, DualrecError, StratumPair
 from dualrec.datasets import DATASETS, MEADOW_VOLES
-from dualrec.sim import ESTIMATORS, _fit_values, _replicate_counts, _streams, apply_method
+from dualrec.sim import (
+    ESTIMATORS, _fit_values, _replicate_counts, _streams, apply_method, design_from_preset, generate_pair
+)
 
 KERNEL_METHODS = ("LP", "NOUR", "MME-I", "MME-II")
 
@@ -179,15 +181,16 @@ def test_model_i_sizes_below_x0_stay_visible():
     assert int(below.sum()) == PINNED_BELOW_X0
 
 
-def _concatenated_counts(gen_a, gen_b, seed: int, b: int) -> np.ndarray:
-    # the count array as it was once built: each row a preallocated float64
-    # row that the two int64 draws' first three cells are concatenated into
-    (cells_a, size_a), (cells_b, size_b) = gen_a, gen_b
-    counts = np.empty((b, 6))
-    for row, rng in zip(counts, _streams(seed, 0, b)):
-        draws = rng.multinomial(size_a, cells_a)[:3], rng.multinomial(size_b, cells_b)[:3]
-        np.concatenate(draws, out=row)
-    return counts
+def _concatenated_tables(gen_a, gen_b, seed: int, b: int) -> list:
+    # the cells of the two tables that generate_pair draws from each stream,
+    # as one row of Python ints, for a design carrying these generators
+    design = design_from_preset("P1", "I", 1, 1, 0.0)
+    object.__setattr__(design, "_gens", (gen_a, gen_b))
+    rows = []
+    for rng in _streams(seed, 0, b):
+        pair = generate_pair(design, rng)
+        rows.append([pair.a.x11, pair.a.x10, pair.a.x01, pair.b.x11, pair.b.x10, pair.b.x01])
+    return rows
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
@@ -196,29 +199,31 @@ def test_replicate_counts_equal_the_concatenated_array_bit_for_bit(name, scheme)
     pair = DATASETS[name]
     if scheme == "parametric":
         gens = [boot._generating_cells(m, pair, apply_method(m, pair)) for m in ("MME-I", "LP")]
+        # a model generator far past 2**53, which a float64 row would round
+        gens.append(design_from_preset("P1", "II", 2**60, 2**60 - 1, 0.3)._gens)
     else:  # the observed proportions, as bootstrap builds them
         tables = (pair.a, pair.b)
         gens = [[(np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0) for t in tables]]
     for gen_a, gen_b in gens:
         for seed in range(3):
             rows = _replicate_counts(gen_a, gen_b, seed, 0, 500)
-            ref = _concatenated_counts(gen_a, gen_b, seed, 500)
-            assert rows.shape == ref.shape == (500, 6) and rows.dtype == ref.dtype
-            assert [v.hex() for v in rows.ravel().tolist()] == [v.hex() for v in ref.ravel().tolist()]
+            assert rows.shape == (500, 6) and rows.dtype == np.int64
+            assert rows.flags.writeable is False
+            assert rows.tolist() == _concatenated_tables(gen_a, gen_b, seed, 500)
 
 
 def _counted_draws(monkeypatch) -> list:
-    """Clear the shared nonparametric draw and record each call bootstrap
+    """Clear the cached nonparametric draw and record each call bootstrap
     makes to ``_replicate_counts``."""
     calls, draw = [], boot._replicate_counts
-    monkeypatch.setattr(boot, "_last_draw", (None, None))
+    boot._nonparametric_counts.cache_clear()
     monkeypatch.setattr(boot, "_replicate_counts", lambda *a: calls.append(a) or draw(*a))
     return calls
 
 
 def _fresh(pair, method, **kwargs):
-    """The bootstrap with the shared draw cleared first."""
-    boot._last_draw = (None, None)
+    """The bootstrap with the cached draw cleared first."""
+    boot._nonparametric_counts.cache_clear()
     return bootstrap(pair, method, **kwargs)
 
 
@@ -235,13 +240,26 @@ def test_nonparametric_kernel_bootstraps_share_one_draw(methods, monkeypatch):
     calls = _counted_draws(monkeypatch)
     results = [bootstrap(MEADOW_VOLES, m, scheme="nonparametric", b=300, seed=11) for m in methods]
     assert len(calls) == 1
-    counts = boot._last_draw[1]
+    info = boot._nonparametric_counts.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(methods) - 1, 1, 1)
+    counts = boot._nonparametric_counts(MEADOW_VOLES.a, MEADOW_VOLES.b, 300, 11)
     assert counts.shape == (300, 6) and counts.flags.writeable is False
     with pytest.raises(ValueError):
-        counts[0, 0] = 0.0
+        counts[0, 0] = 0
     for method, res in zip(methods, results):
         _assert_same_bits(res, _fresh(MEADOW_VOLES, method, scheme="nonparametric", b=300, seed=11))
     assert len(calls) == 1 + len(methods)
+
+
+def test_every_nonparametric_method_refits_one_draw(monkeypatch):
+    # kernel and per-resample methods alike, one pair, b and seed
+    runs = (("LP", None), ("MME-I", None), ("MLE-I", None), ("WOLTER-1", 1.1))
+    calls = _counted_draws(monkeypatch)
+    kwargs = {"scheme": "nonparametric", "b": 60, "seed": 9}
+    results = [bootstrap(MEADOW_VOLES, m, ratio=r, **kwargs) for m, r in runs]
+    assert len(calls) == 1
+    for (method, ratio), res in zip(runs, results):
+        _assert_same_bits(res, _fresh(MEADOW_VOLES, method, ratio=ratio, **kwargs))
 
 
 def test_other_tables_b_seed_or_scheme_draw_again(monkeypatch):
@@ -259,25 +277,27 @@ def test_other_tables_b_seed_or_scheme_draw_again(monkeypatch):
         (changed, "nonparametric", 101, 4, 0),  # ... nor replaces the shared one
     )
     for pair, scheme, b, seed, draws in runs:
-        before, memo = len(calls), boot._last_draw
+        before, info = len(calls), boot._nonparametric_counts.cache_info()
         bootstrap(pair, "LP", scheme=scheme, b=b, seed=seed)
         assert len(calls) - before == draws, (pair, scheme, b, seed)
-        if scheme == "parametric":
-            assert boot._last_draw is memo
+        after = boot._nonparametric_counts.cache_info()
+        if scheme == "parametric":  # the cache is neither read nor written
+            assert after == info
+        else:
+            assert (after.hits - info.hits, after.misses - info.misses) == (1 - draws, draws)
 
 
 @pytest.mark.parametrize("method", ("NOUR", "MLE-I"))
 def test_a_bootstrap_off_the_kernel_path_leaves_the_shared_draw(method, monkeypatch):
     # NOUR on a pair one individual past its kernel bound, and MLE-I, which
-    # has no kernel: a poisoned draw under their key is neither read nor
-    # replaced
+    # has no kernel, refit the table pairs of the draw an LP bootstrap on its
+    # kernel path left under their key, and leave that draw cached
     pair = _bound_pair("NOUR", _kernel_bound("NOUR") + 1) if method == "NOUR" else MEADOW_VOLES
     ref = _fresh(pair, method, scheme="nonparametric", b=20, seed=5)
     calls = _counted_draws(monkeypatch)
-    poisoned = np.zeros((20, 6))
-    poisoned.flags.writeable = False
-    memo = ((pair.a, pair.b, 20, 5), poisoned)
-    boot._last_draw = memo
+    bootstrap(pair, "LP", scheme="nonparametric", b=20, seed=5)
+    shared = boot._nonparametric_counts(pair.a, pair.b, 20, 5)
     res = bootstrap(pair, method, scheme="nonparametric", b=20, seed=5)
-    assert boot._last_draw is memo and calls == []
+    assert len(calls) == 1 and boot._nonparametric_counts.cache_info().hits == 2
+    assert boot._nonparametric_counts(pair.a, pair.b, 20, 5) is shared
     _assert_same_bits(res, ref)
