@@ -13,9 +13,11 @@ Two resampling schemes are provided:
   empirical proportions.
 
 Resample ``i`` draws from the stream that is, bit for bit,
-``np.random.default_rng(np.random.SeedSequence(seed).spawn(b)[i])``,
-computed without building either object, so the collection of resamples
-does not depend on evaluation order.
+``np.random.default_rng(np.random.SeedSequence(seed).spawn(b)[i])``, so
+the collection of resamples does not depend on evaluation order.  As for a
+study's replicates, numpy computes the seed's entropy pool and
+:mod:`dualrec.sim` computes the rest: the spawn-key mix, the output hash
+and the PCG64 seeding.
 
 Either scheme draws all ``b`` resample tables into one read-only ``(b, 6)``
 int64 count array.  The closed-form methods (LP, NOUR, MME-I, MME-II)

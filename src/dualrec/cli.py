@@ -168,8 +168,14 @@ def _estimate_csv(rows) -> str:
 
 def _check_shared_flags(args) -> None:
     """Check the flags both subcommands take, before any work runs."""
-    if args.out is not None and Path(args.out).suffix.lower() not in (".json", ".csv"):
-        raise _CliError(f"--out must end in .json or .csv, got {args.out!r}")
+    if args.out is not None:
+        out = Path(args.out)
+        if out.suffix.lower() not in (".json", ".csv"):
+            raise _CliError(f"--out must end in .json or .csv, got {args.out!r}")
+        if out.is_dir():
+            raise _CliError(f"cannot write {args.out}: it is a directory")
+        if not out.parent.is_dir():
+            raise _CliError(f"cannot write {args.out}: no directory {str(out.parent)!r}")
     if args.seed < 0:
         raise _CliError(f"--seed must be nonnegative, got {args.seed}")
 
@@ -180,7 +186,7 @@ def _write_out(path: str, rows, csv_table: str) -> None:
     text = json.dumps(rows, indent=2, sort_keys=True) + "\n" if is_json else csv_table
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as e:  # a missing directory, a directory in the way, no permission
+    except OSError as e:  # no permission, or the directory changed since the check
         raise _CliError(f"cannot write {path}: {e}")
 
 

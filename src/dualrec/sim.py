@@ -11,8 +11,10 @@ lists (``alpha = 0``); under Model II both strata share the design's alpha.
 
 Replicate ``i`` of a seeded study draws from the stream that is, bit for
 bit, ``np.random.default_rng(np.random.SeedSequence(seed).spawn(replicates)[i])``,
-computed without building either object, so results are bit-identical
-whether replicates run serially or across worker processes.
+so results are bit-identical whether replicates run serially or across worker
+processes.  numpy computes the seed's entropy pool; the package mixes each
+child's spawn key into it, hashes the output words and seeds PCG64 from
+them, a block of children at a time, building no child object.
 
 A study still draws and refits one replicate at a time: each pair comes from
 :func:`generate_pair`, and each refit goes through :func:`apply_method`,
@@ -313,18 +315,13 @@ _BLOCK = 1024  # child seeds hashed per pass
 
 def _hasher(hc: int, mult: int):
     """SeedSequence's hashmix with hash constant ``hc``, advanced by ``mult``
-    on every call.  ``hashmix(v)`` hashes a Python int; ``hashmix(v, calls)``
-    makes ``calls`` calls at once on uint32 words, whose products wrap at
-    2**32 as SeedSequence's do: row ``j`` of the ``(calls, k)`` result is
-    call ``j`` on ``v``, or on row ``j`` of ``v``."""
+    on every call: ``hashmix(v, calls)`` makes ``calls`` calls at once on
+    uint32 words, whose products wrap at 2**32 as SeedSequence's do: row
+    ``j`` of the ``(calls, k)`` result is call ``j`` on ``v``, or on row
+    ``j`` of ``v``."""
 
-    def hashmix(v, calls=0):
+    def hashmix(v, calls):
         nonlocal hc
-        if not calls:
-            v = v ^ hc
-            hc = hc * mult & _M32
-            v = v * hc & _M32
-            return v ^ v >> 16
         consts = [hc]
         for _ in range(calls):
             consts.append(consts[-1] * mult & _M32)
@@ -337,30 +334,23 @@ def _hasher(hc: int, mult: int):
 
 
 def _mix(x, y):
-    """SeedSequence's mix of pool word ``x`` with hashed word ``y``: Python
-    ints, or uint32 arrays."""
-    r = _MIX_L * x - _MIX_R * y & _M32
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``, uint32
+    arrays whose products wrap at 2**32."""
+    r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
 
 
 def _child_words(seed: int, idx: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).spawn(count)[i].generate_state(4, np.uint64)``
-    for each uint64 index ``i`` of ``idx``, one row per index: the spawn
-    key ``(i,)`` is one 32-bit word, or two from ``i = 2**32`` on."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
+    for each uint64 index ``i`` of ``idx``, one row per index.  numpy gives
+    the parent's entropy pool; a child's pool is that pool with its spawn
+    key ``(i,)`` mixed in, one 32-bit word, or two from ``i = 2**32`` on."""
     seed = int(seed)  # a numpy integer has no bit_length
-    # the seed's words, zero-padded to the pool size 4 since a child has a key
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
+    # the parent made four hash calls per seed word, over at least four words
+    calls = 4 * max(4, (seed.bit_length() + 31) // 32)
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, calls, 1 << 32) & _M32, _MULT_A)
     # the index words go into all four pool words at once, a (4, k) array
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.random.SeedSequence(seed).pool[:, None]
     pool = _mix(pool, hashmix(idx.astype(np.uint32), 4))  # the low word
     high = (idx >> 32).astype(np.uint32)
     if high.any():

@@ -274,7 +274,7 @@ def _stream_draws(rng):
     return state, rng.multinomial(240, (0.3, 0.2, 0.1, 0.4)).tolist(), rng.multinomial(200, (0.5, 0.5)).tolist()
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**200 + 12345])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200 + 12345])
 def test_replicate_streams_are_spawned_default_rng_streams(seed):
     # replicate i draws exactly what default_rng(SeedSequence(seed).spawn(n)[i])
     # draws, over a range longer than one hashing block and over the halves
