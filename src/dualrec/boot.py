@@ -15,9 +15,9 @@ Two resampling schemes are provided:
 Resample ``i`` draws from the stream that is, bit for bit,
 ``np.random.default_rng(np.random.SeedSequence(seed).spawn(b)[i])``, so
 the collection of resamples does not depend on evaluation order.  As for a
-study's replicates, numpy computes the seed's entropy pool and
-:mod:`dualrec.sim` computes the rest: the spawn-key mix, the output hash
-and the PCG64 seeding.
+study's replicates, numpy computes the seed's entropy pool and the PCG64
+seeding of each resample's generator, and :mod:`dualrec.sim` computes the
+words in between: the spawn-key mix and the output hash.
 
 Either scheme draws all ``b`` resample tables into one read-only ``(b, 6)``
 int64 count array.  The closed-form methods (LP, NOUR, MME-I, MME-II)

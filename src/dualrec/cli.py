@@ -273,7 +273,7 @@ def _design_fields(doc: dict, where: str) -> DesignPoint:
 
 def _load_config(path: str, default_estimators: list[str]):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a BOM is allowed
     except OSError as e:
         raise _CliError(f"cannot read {path}: {e}")
     except UnicodeDecodeError as e:

@@ -9,10 +9,12 @@ files under ``data/``:
 * ``MEADOW_VOLES`` — two trapping lists over a small-mammal population,
   stratified by sex.
 
-Dataset files are UTF-8 CSV with header ``stratum,x11,x10,x01`` and exactly
-two rows, or an equivalent JSON document with the same keys.  The stratum
-named by ``dependent`` becomes stratum A (default: the first row).  Stratum
-labels are one-line report names.
+Dataset files are UTF-8 CSV, a leading byte-order mark allowed, with header
+``stratum,x11,x10,x01`` and exactly two rows, none longer than the header,
+or an equivalent JSON document with the same keys.  The stratum named by
+``dependent`` becomes stratum A (default: the first row); it is compared as
+text, as labels are read, so a JSON ``"dependent": 5`` names the stratum
+``5``.  Stratum labels are one-line report names.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ _COLUMNS = ("stratum", "x11", "x10", "x01")
 
 
 def _row_to_entry(row: dict, where: str) -> tuple[str, DrsTable]:
+    if None in row:  # csv.DictReader's key for fields past the header's
+        raise DomainError(f"{where}: {len(row[None])} field(s) more than the header has")
     missing = [c for c in _COLUMNS if row.get(c) in (None, "")]
     if missing:
         raise DomainError(f"{where}: missing column(s) {', '.join(missing)}")
@@ -72,6 +76,7 @@ def _pair_from_entries(
     if labels[0] == labels[1]:
         raise DomainError(f"{path}: stratum labels must differ, both are {labels[0]!r}")
     if dependent is not None:
+        dependent = str(dependent)  # as text, as the labels are read
         if dependent not in labels:
             raise DomainError(
                 f"{path}: dependent stratum {dependent!r} not found; strata are {labels}"
@@ -91,7 +96,7 @@ def load_stratum_pair(path: str | Path, dependent: str | None = None) -> Stratum
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # with or without a BOM
     except UnicodeDecodeError as e:
         raise DomainError(f"{path}: not UTF-8 text: {e}")
     if path.suffix.lower() == ".json":
@@ -101,8 +106,8 @@ def load_stratum_pair(path: str | Path, dependent: str | None = None) -> Stratum
             raise DomainError(f"{path}: invalid JSON: {e}")
         if isinstance(doc, dict):
             rows = doc.get("strata")
-            if dependent is None and isinstance(doc.get("dependent"), str):
-                dependent = doc["dependent"]
+            if dependent is None:
+                dependent = doc.get("dependent")
         else:
             rows = doc
         if not isinstance(rows, list):

@@ -12,9 +12,9 @@ lists (``alpha = 0``); under Model II both strata share the design's alpha.
 Replicate ``i`` of a seeded study draws from the stream that is, bit for
 bit, ``np.random.default_rng(np.random.SeedSequence(seed).spawn(replicates)[i])``,
 so results are bit-identical whether replicates run serially or across worker
-processes.  numpy computes the seed's entropy pool; the package mixes each
-child's spawn key into it, hashes the output words and seeds PCG64 from
-them, a block of children at a time, building no child object.
+processes.  numpy computes the seed's entropy pool and seeds each replicate's
+own ``default_rng``; the package mixes each child's spawn key into the pool
+and hashes the output words, a block of children at a time.
 
 A study still draws and refits one replicate at a time: each pair comes from
 :func:`generate_pair`, and each refit goes through :func:`apply_method`,
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -306,10 +307,9 @@ def _fit_values(fit: EstimateResult) -> tuple[float, float, float]:
     return d["n_a_unrounded"], d["n_b_unrounded"], fit.estimates.get("alpha", math.nan)
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+# numpy's SeedSequence hash constants
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 _BLOCK = 1024  # child seeds hashed per pass
 
 
@@ -355,28 +355,31 @@ def _child_words(seed: int, idx: np.ndarray) -> np.ndarray:
     high = (idx >> 32).astype(np.uint32)
     if high.any():
         pool = np.where(high > 0, _mix(pool, hashmix(high, 4)), pool)
-    # the eight output words, each uint64 two of them, low word first
+    # the eight output words, each native uint64 two of them, low word first
     out = _hasher(_INIT_B, _MULT_B)(np.concatenate((pool, pool)), 8)
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _seed_words():
+    """A minimal ``ISeedSequence`` that hands PCG64 a child's words as its
+    seed, built on first use: subclassing it imports ``numpy.random``."""
+
+    @dataclass
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=None):
+            return self.words
+
+    return SeedWords
 
 
 def _streams(seed: int, lo: int, hi: int):
-    """One generator, set in turn to replicate ``i``'s stream for ``i`` in
-    ``[lo, hi)``: the PCG64 state that ``np.random.default_rng(child)``
-    seeds from the child's words ``(s0, s1, i0, i1)``."""
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    """Replicate ``i``'s own ``np.random.default_rng`` for ``i`` in ``[lo, hi)``."""
     for start in range(lo, hi, _BLOCK):
         idx = np.arange(start, min(start + _BLOCK, hi), dtype=np.uint64)
-        for s0, s1, i0, i1 in _child_words(seed, idx).tolist():
-            # PCG64's seeding: state 0, inc = 2*initseq + 1, step, add, step
-            inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-            pcg["inc"] = inc
-            bits.state = state
-            yield rng
+        yield from map(np.random.default_rng, map(_seed_words(), _child_words(seed, idx)))
 
 
 def _replicate_values(pairs, ratios: dict, fit_config):

@@ -530,6 +530,9 @@ def test_simulate_config_file(capsys, tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("demo,LP,")
     assert lines[2].startswith("demo,MME-I,")
+    # a leading byte-order mark, as spreadsheet programs write, is allowed
+    cfg.write_text(json.dumps({"designs": [design]}), encoding="utf-8-sig")
+    assert run(capsys, "simulate", "--config", str(cfg))[:2] == (0, out)
 
 
 def test_simulate_config_errors(capsys, tmp_path):

@@ -83,9 +83,12 @@ _ROWS = [
         ("pair.json", json.dumps({"strata": _ROWS[0]}), "expected a list of strata"),
         ("pair.json", json.dumps({"dependent": "C", "strata": _ROWS}),
          "dependent stratum 'C' not found; strata are ['A', 'B']"),
+        ("pair.csv", "stratum,x11,x10,x01\nA,1,2,3\nB,20,8,6,7\n",
+         "row 3: 1 field(s) more than the header has"),
     ],
     ids=["negative-csv", "negative-json", "non-integer", "three-strata", "same-labels",
-         "missing-column", "invalid-json", "strata-not-a-list", "unknown-dependent"],
+         "missing-column", "invalid-json", "strata-not-a-list", "unknown-dependent",
+         "extra-field"],
 )
 def test_format_errors_are_domain_errors_naming_the_file(tmp_path, name, text, message):
     path = tmp_path / name
@@ -104,3 +107,20 @@ def test_json_bare_list_and_dependent_key(tmp_path):
     assert load_stratum_pair(path) == StratumPair(b, a, label_a="B", label_b="A")
     # the argument takes precedence over the document's key
     assert load_stratum_pair(path, "A") == StratumPair(a, b, label_a="A", label_b="B")
+    # labels are read as text, and so is the key: 5 names the stratum 5, and
+    # null names none
+    strata = [{**_ROWS[0], "stratum": 4}, {**_ROWS[1], "stratum": 5}]
+    path.write_text(json.dumps({"strata": strata, "dependent": 5}), encoding="utf-8")
+    assert load_stratum_pair(path) == StratumPair(b, a, label_a="5", label_b="4")
+    path.write_text(json.dumps({"strata": strata, "dependent": None}), encoding="utf-8")
+    assert load_stratum_pair(path) == StratumPair(a, b, label_a="4", label_b="5")
+
+
+def test_byte_order_mark_is_allowed(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a leading BOM
+    pair = StratumPair(DrsTable(1, 2, 3), DrsTable(4, 5, 6), label_a="A", label_b="B")
+    for name, text in (("pair.csv", pair_to_csv(pair)), ("pair.json", json.dumps(_ROWS))):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_stratum_pair(path) == pair

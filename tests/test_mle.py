@@ -461,10 +461,11 @@ def test_nothing_imports_scipy():
 
 def test_bare_import_loads_neither_scipy_nor_a_process_pool():
     # a study imports concurrent.futures (and with it multiprocessing) only
-    # when it starts worker processes
+    # when it starts worker processes, and numpy.random only when it draws
     code = (
         "import sys, dualrec, dualrec.cli\n"
-        "print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        "print([m for m in ('scipy', 'numpy.random', 'concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules])"
     )
     assert _run_with_src(code).stdout.strip() == "[]"
 

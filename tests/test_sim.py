@@ -284,6 +284,10 @@ def test_replicate_streams_are_spawned_default_rng_streams(seed):
     half = math.ceil(n / 2)
     for lo, hi in ((0, n), (0, half), (half, n)):
         assert [_stream_draws(rng) for rng in sim._streams(seed, lo, hi)] == expected[lo:hi]
+    # each replicate's generator is its own: collected before any draw, each
+    # still follows its replicate's stream
+    collected = list(sim._streams(seed, 0, n))
+    assert [_stream_draws(rng) for rng in collected] == expected
     # from index 2**32 on, numpy's spawn key is two 32-bit words; a child's
     # key is its index, so these are reached without spawning 2**32 children
     lo, hi = 2**32 - 2, 2**32 + 2
