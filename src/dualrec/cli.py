@@ -10,22 +10,30 @@ Two subcommands:
   preset or each design of a JSON config), emitting one CSV/JSON row per
   (design, estimator).
 
-Exit codes: 0 success; 1 I/O, parse, or usage errors; 2 estimation
-infeasibility (an infeasible method in a multi-method run is reported
-inline without aborting the others).
+:mod:`dualrec.datasets` reads every input file: a dataset, or a config, a
+list of designs or ``{"designs": [...]}``.  A design's fields are
+:class:`~dualrec.sim.DesignPoint`'s, read by their annotations (integers as
+a dataset's counts are read); a field with a default may be omitted, and
+``name`` and ``estimators`` (method tokens) may be added.  Any other key is
+refused.  The flags and designs are checked by the library's own checks.
+
+Exit codes: 0 success; 1 I/O, parse, or usage errors, every
+:class:`~dualrec.core.DualrecError` that reaches :func:`main` included; 2
+estimation infeasibility (an infeasible method in a multi-method run is
+reported inline without aborting the others).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from .boot import _SCHEMES, bootstrap
-from .core import AllReplicatesFailed, DomainError, DualrecError
-from .datasets import csv_text, load_stratum_pair, pair_to_csv
+from .core import AllReplicatesFailed, DualrecError, check_integer, check_real
+from .datasets import _integer, _read_json, csv_text, load_stratum_pair, pair_to_csv
 from .sim import ESTIMATORS, DesignPoint, apply_method, design_from_preset, run_study
 
 METHOD_TOKENS = {spec.token: name for name, spec in ESTIMATORS.items()}
@@ -176,8 +184,7 @@ def _check_shared_flags(args) -> None:
             raise _CliError(f"cannot write {args.out}: it is a directory")
         if not out.parent.is_dir():
             raise _CliError(f"cannot write {args.out}: no directory {str(out.parent)!r}")
-    if args.seed < 0:
-        raise _CliError(f"--seed must be nonnegative, got {args.seed}")
+    check_integer("--seed", args.seed, 0)
 
 
 def _write_out(path: str, rows, csv_table: str) -> None:
@@ -194,16 +201,12 @@ def cmd_estimate(args) -> int:
     _check_shared_flags(args)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise _CliError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
-    if args.ratio is not None and not math.isfinite(args.ratio):
-        raise _CliError(f"--ratio must be finite, got {args.ratio}")
-    if args.ratio is not None and args.ratio <= 0:
-        raise _CliError(f"--ratio must be positive, got {args.ratio}")
+    if args.ratio is not None:
+        check_real("--ratio", args.ratio, "(0,inf)")
     try:
         pair = load_stratum_pair(args.data, dependent=args.dependent)
     except OSError as e:
         raise _CliError(f"cannot read {args.data}: {e}")
-    except DomainError as e:
-        raise _CliError(str(e))
     if args.dump:
         sys.stdout.write(pair_to_csv(pair))
         if args.method is None:
@@ -229,40 +232,27 @@ _STUDY_CSV_COLUMNS = (
 )
 
 
-def _integer(value) -> int:
-    """An integer field's value; a fractional or non-finite number, or a
-    JSON boolean, is refused rather than truncated or read as 0 or 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-# JSON design field -> converter
+# DesignPoint's fields, in order: each one's reader, by its annotation, and
+# whether it is required (a field with a default may be omitted)
+_READERS = {"float": float, "int": _integer, "str": str}
 _DESIGN_FIELDS = {
-    "p1dot_a": float,
-    "pdot1_a": float,
-    "p1dot_b": float,
-    "pdot1_b": float,
-    "alpha": float,
-    "n_a": _integer,
-    "n_b": _integer,
-    "model": str,
-    "replicates": _integer,
-    "seed": _integer,
+    f.name: (_READERS[f.type], f.default is dataclasses.MISSING)
+    for f in dataclasses.fields(DesignPoint) if f.init
 }
-# fields a design may omit, taking DesignPoint's defaults
-_OPTIONAL_FIELDS = ("model", "replicates")
 
 
 def _design_fields(doc: dict, where: str) -> DesignPoint:
-    missing = [f for f in _DESIGN_FIELDS if f not in doc and f not in _OPTIONAL_FIELDS]
+    unknown = sorted(doc.keys() - _DESIGN_FIELDS.keys() - {"name", "estimators"})
+    if unknown:
+        raise _CliError(f"{where}: unknown field(s) {', '.join(unknown)}")
+    missing = [f for f, (_, required) in _DESIGN_FIELDS.items() if required and f not in doc]
     if missing:
         raise _CliError(f"{where}: missing field(s) {', '.join(missing)}")
     values = {}
-    for f, convert in _DESIGN_FIELDS.items():
+    for f, (read, _) in _DESIGN_FIELDS.items():
         if f in doc:
             try:
-                values[f] = convert(doc[f])
+                values[f] = read(doc[f])
             except (TypeError, ValueError, OverflowError) as e:  # an int with no float
                 raise _CliError(f"{where}: {f}: {e}")
     try:
@@ -273,13 +263,12 @@ def _design_fields(doc: dict, where: str) -> DesignPoint:
 
 def _load_config(path: str, default_estimators: list[str]):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a BOM is allowed
+        doc = _read_json(path)
     except OSError as e:
         raise _CliError(f"cannot read {path}: {e}")
-    except UnicodeDecodeError as e:
-        raise _CliError(f"{path}: not UTF-8 text: {e}")
-    except json.JSONDecodeError as e:
-        raise _CliError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    unknown = sorted(doc.keys() - {"designs"}) if isinstance(doc, dict) else []
+    if unknown:
+        raise _CliError(f"{path}: unknown key(s) {', '.join(unknown)}")
     designs = doc.get("designs") if isinstance(doc, dict) else doc
     if not isinstance(designs, list) or not designs:
         raise _CliError(f"{path}: expected a nonempty list of designs")
@@ -303,25 +292,21 @@ def _load_config(path: str, default_estimators: list[str]):
 def cmd_simulate(args) -> int:
     _check_shared_flags(args)
     default_methods = _parse_methods(args.estimators)
-    if args.threads < 1:
-        raise _CliError(f"--threads must be at least 1, got {args.threads}")
+    check_integer("--threads", args.threads, 1)
     if (args.preset is None) == (args.config is None):
         raise _CliError("exactly one of --preset or --config is required")
     if args.preset is not None:
         if args.na is None or args.nb is None or args.alpha is None:
             raise _CliError("--preset requires --na, --nb and --alpha")
-        try:
-            design = design_from_preset(
-                args.preset,
-                model=args.model,
-                n_a=args.na,
-                n_b=args.nb,
-                alpha=args.alpha,
-                replicates=args.replicates,
-                seed=args.seed,
-            )
-        except DualrecError as e:
-            raise _CliError(str(e))
+        design = design_from_preset(
+            args.preset,
+            model=args.model,
+            n_a=args.na,
+            n_b=args.nb,
+            alpha=args.alpha,
+            replicates=args.replicates,
+            seed=args.seed,
+        )
         jobs = [(args.preset, design, default_methods)]
     else:
         jobs = _load_config(args.config, default_methods)
@@ -412,7 +397,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as e:
+    except (_CliError, DualrecError) as e:  # every input error, the library's included
         print(f"error: {e}", file=sys.stderr)
         return 1
 

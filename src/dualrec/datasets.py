@@ -11,10 +11,16 @@ files under ``data/``:
 
 Dataset files are UTF-8 CSV, a leading byte-order mark allowed, with header
 ``stratum,x11,x10,x01`` and exactly two rows, none longer than the header,
-or an equivalent JSON document with the same keys.  The stratum named by
-``dependent`` becomes stratum A (default: the first row); it is compared as
-text, as labels are read, so a JSON ``"dependent": 5`` names the stratum
-``5``.  Stratum labels are one-line report names.
+or an equivalent JSON document: a list of strata with the same keys, or an
+object with only the keys ``strata`` and ``dependent``.  The stratum named
+by ``dependent`` becomes stratum A (default: the first row); it is compared
+as text, as labels are read, so a JSON ``"dependent": 5`` names the stratum
+``5``.  Stratum labels are one-line report names.  A count is an int, an
+integral float (``46.0``) or integer text; a bool, a fraction or a
+non-finite number is refused.
+
+This module reads every input file of the package: the CLI's ``simulate
+--config`` files go through the same text and JSON reader and integer rule.
 """
 
 from __future__ import annotations
@@ -45,6 +51,31 @@ DATASETS = {
 _COLUMNS = ("stratum", "x11", "x10", "x01")
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the file ``path``, less a leading byte-order mark; a
+    DomainError if it is not UTF-8.  An OSError passes through, for the caller."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")  # with or without a BOM
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path}: not UTF-8 text: {e}")
+
+
+def _read_json(path):
+    """The JSON document in the text of ``path``; a DomainError if it is not JSON."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise DomainError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+
+
+def _integer(value) -> int:
+    """``value`` (an int, an integral float or integer text) as an int; a
+    ValueError for a bool, a fraction or a non-finite number."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _row_to_entry(row: dict, where: str) -> tuple[str, DrsTable]:
     if None in row:  # csv.DictReader's key for fields past the header's
         raise DomainError(f"{where}: {len(row[None])} field(s) more than the header has")
@@ -54,7 +85,7 @@ def _row_to_entry(row: dict, where: str) -> tuple[str, DrsTable]:
     counts = []
     for c in _COLUMNS[1:]:
         try:
-            counts.append(int(str(row[c]).strip()))
+            counts.append(_integer(row[c]))
         except (TypeError, ValueError):
             raise DomainError(f"{where}: column {c} is not an integer: {row[c]!r}")
     label = str(row["stratum"])
@@ -95,16 +126,12 @@ def load_stratum_pair(path: str | Path, dependent: str | None = None) -> Stratum
     :class:`DomainError` with the offending row or field named.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")  # with or without a BOM
-    except UnicodeDecodeError as e:
-        raise DomainError(f"{path}: not UTF-8 text: {e}")
     if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise DomainError(f"{path}: invalid JSON: {e}")
+        doc = _read_json(path)
         if isinstance(doc, dict):
+            unknown = sorted(doc.keys() - {"strata", "dependent"})
+            if unknown:  # a misspelt "dependent" would leave the first stratum as A
+                raise DomainError(f"{path}: unknown key(s) {', '.join(unknown)}")
             rows = doc.get("strata")
             if dependent is None:
                 dependent = doc.get("dependent")
@@ -117,7 +144,7 @@ def load_stratum_pair(path: str | Path, dependent: str | None = None) -> Stratum
             for i, row in enumerate(rows)
         ]
     else:
-        reader = csv.DictReader(io.StringIO(text))
+        reader = csv.DictReader(io.StringIO(_read_text(path)))
         fields = reader.fieldnames or []
         missing = [c for c in _COLUMNS if c not in fields]
         if missing:

@@ -147,7 +147,7 @@ def test_estimate_out_extension_checked(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--seed", "-1")
         assert code == 1
         assert out == ""
-        assert "--seed must be nonnegative, got -1" in err
+        assert "--seed must be at least 0, got -1" in err
 
 
 def test_bootstrap_with_one_success_is_an_infeasible_row(capsys, tmp_path):
@@ -291,7 +291,7 @@ def test_ratio_methods_require_ratio_flag(capsys):
         )
         assert code == 1
         assert out == ""
-        assert f"--ratio must be finite, got {ratio}" in err
+        assert f"--ratio must be in (0,inf) and the float range, got {ratio}" in err
     # so is a nonpositive one, rather than an error reported by each method
     for ratio in ("0", "-1"):
         code, out, err = run(
@@ -299,7 +299,7 @@ def test_ratio_methods_require_ratio_flag(capsys):
         )
         assert code == 1
         assert out == ""
-        assert f"--ratio must be positive, got {float(ratio)}" in err
+        assert f"--ratio must be in (0,inf) and the float range, got {float(ratio)}" in err
 
 
 def test_ratio_that_no_method_can_use_is_an_inline_row(capsys):
@@ -539,11 +539,11 @@ def test_simulate_config_errors(capsys, tmp_path):
     cfg = tmp_path / "designs.json"
 
     design = _base_design()
-    del design["seed"]
+    del design["n_b"]
     cfg.write_text(json.dumps([design]), encoding="utf-8")
     code, _, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1
-    assert "design 1: missing field(s) seed" in err
+    assert "design 1: missing field(s) n_b" in err
 
     cfg.write_text("{nope", encoding="utf-8")
     code, _, err = run(capsys, "simulate", "--config", str(cfg))
@@ -594,6 +594,61 @@ def test_simulate_config_errors(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"error: {cfg}: design 1: p1dot_a: int too large to convert to float\n"
+
+
+def test_simulate_config_refuses_unknown_keys(capsys, tmp_path):
+    # a misspelt field is refused, not left at its default
+    cfg = tmp_path / "designs.json"
+    design = {**_base_design(), "replicate": 20, "modle": "II"}
+    for doc, message in (
+        ([design], "design 1: unknown field(s) modle, replicate"),
+        ({"designs": [_base_design()], "design": []}, "unknown key(s) design"),
+    ):
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}: {message}\n"
+
+
+def test_simulate_config_design_takes_designpoint_defaults(capsys, tmp_path):
+    # seed, like model and replicates, may be omitted; it is then DesignPoint's 0
+    cfg = tmp_path / "designs.json"
+    design = _base_design()
+    del design["seed"]
+    outs = []
+    for doc in ([{**design, "seed": 0}], [design]):
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        outs.append(run(capsys, "simulate", "--config", str(cfg)))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_readme_config_runs(capsys):
+    # demos/designs.json, the config of README's simulate --config example
+    config = Path(__file__).resolve().parents[1] / "demos" / "designs.json"
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert (code, err) == (0, "")
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["small-I", "MME-I"], ["small-II", "MME-I"], ["small-II", "LP"]
+    ]
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_failed_write_is_an_input_error(capsys, monkeypatch, tmp_path, command):
+    # a write refused after the checks (no permission, say) is reported, not a traceback
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "x.csv"
+    argv = {
+        "estimate": ("--data", VOLES, "--method", "lp"),
+        "simulate": ("--preset", "P1", "--na", "40", "--nb", "40", "--alpha", "0.2",
+                     "--replicates", "20"),
+    }[command]
+    code, _, err = run(capsys, command, *argv, "--out", str(out))
+    assert code == 1
+    assert err == f"error: cannot write {out}: [Errno 13] Permission denied: '{out}'\n"
 
 
 def test_simulate_out_rerun_identical(capsys, tmp_path):

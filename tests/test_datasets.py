@@ -85,10 +85,16 @@ _ROWS = [
          "dependent stratum 'C' not found; strata are ['A', 'B']"),
         ("pair.csv", "stratum,x11,x10,x01\nA,1,2,3\nB,20,8,6,7\n",
          "row 3: 1 field(s) more than the header has"),
+        ("pair.json", json.dumps({"strata": _ROWS, "dependant": "B"}),
+         "unknown key(s) dependant"),
+        ("pair.csv", "stratum,x11,x10,x01\nA,1,2,3\nB,20,8\n", "row 3: missing column(s) x01"),
+        ("pair.json", json.dumps([_ROWS[0], {"stratum": "B", "x11": 4, "x10": 5}]),
+         "stratum 2: missing column(s) x01"),
+        ("pair.json", "[\n{nope", "invalid JSON at line 2: Expecting property name"),
     ],
     ids=["negative-csv", "negative-json", "non-integer", "three-strata", "same-labels",
          "missing-column", "invalid-json", "strata-not-a-list", "unknown-dependent",
-         "extra-field"],
+         "extra-field", "unknown-key", "short-row", "stratum-missing-key", "json-line"],
 )
 def test_format_errors_are_domain_errors_naming_the_file(tmp_path, name, text, message):
     path = tmp_path / name
@@ -96,6 +102,20 @@ def test_format_errors_are_domain_errors_naming_the_file(tmp_path, name, text, m
     with pytest.raises(DomainError) as err:
         load_stratum_pair(path)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_json_counts_are_read_as_integers(tmp_path):
+    # an integral float is a count, as DrsTable(46.0, ...) is; a fraction
+    # or a bool is refused, not truncated or read as 1
+    path = tmp_path / "pair.json"
+    rows = [{**_ROWS[0], "x11": 46.0}, _ROWS[1]]
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    assert load_stratum_pair(path).a == DrsTable(46, 2, 3)
+    for value, shown in (("46.5", "46.5"), ("true", "True"), ("1e400", "inf")):
+        path.write_text(json.dumps(rows).replace("46.0", value), encoding="utf-8")
+        with pytest.raises(DomainError) as err:
+            load_stratum_pair(path)
+        assert str(err.value) == f"{path}: stratum 1: column x11 is not an integer: {shown}"
 
 
 def test_json_bare_list_and_dependent_key(tmp_path):
