@@ -13,9 +13,10 @@ Two subcommands:
 :mod:`dualrec.datasets` reads every input file: a dataset, or a config, a
 list of designs or ``{"designs": [...]}``.  A design's fields are
 :class:`~dualrec.sim.DesignPoint`'s, read by their annotations (integers as
-a dataset's counts are read); a field with a default may be omitted, and
-``name`` and ``estimators`` (method tokens) may be added.  Any other key is
-refused.  The flags and designs are checked by the library's own checks.
+a dataset's counts are read, reals from numbers, text from strings); a field
+with a default may be omitted, and ``name`` (a string) and ``estimators`` (a
+list of method tokens) may be added.  Any other key is refused.  The flags
+and designs are checked by the library's own checks.
 
 Exit codes: 0 success; 1 I/O, parse, or usage errors, every
 :class:`~dualrec.core.DualrecError` that reaches :func:`main` included; 2
@@ -232,9 +233,24 @@ _STUDY_CSV_COLUMNS = (
 )
 
 
+def _real(value) -> float:
+    """``value`` (a JSON number) as a float; a ValueError for anything else,
+    a bool or text included, which ``float`` would take."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    """``value`` unchanged; a ValueError where it is not a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 # DesignPoint's fields, in order: each one's reader, by its annotation, and
 # whether it is required (a field with a default may be omitted)
-_READERS = {"float": float, "int": _integer, "str": str}
+_READERS = {"float": _real, "int": _integer, "str": _string}
 _DESIGN_FIELDS = {
     f.name: (_READERS[f.type], f.default is dataclasses.MISSING)
     for f in dataclasses.fields(DesignPoint) if f.init
@@ -277,12 +293,18 @@ def _load_config(path: str, default_estimators: list[str]):
         where = f"{path}: design {i + 1}"
         if not isinstance(entry, dict):
             raise _CliError(f"{where}: expected an object")
-        name = str(entry.get("name", f"design{i + 1}"))
+        try:
+            name = _string(entry.get("name", f"design{i + 1}"))
+        except ValueError as e:
+            raise _CliError(f"{where}: name: {e}")
         estimators = entry.get("estimators")
         if estimators is not None:
             if not isinstance(estimators, list):
                 raise _CliError(f"{where}: estimators must be a list of method tokens")
-            methods = _parse_methods(",".join(str(t) for t in estimators))
+            try:
+                methods = _parse_methods(",".join(map(_string, estimators)))
+            except (ValueError, _CliError) as e:
+                raise _CliError(f"{where}: estimators: {e}")
         else:
             methods = default_estimators
         out.append((name, _design_fields(entry, where), methods))

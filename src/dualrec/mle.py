@@ -28,8 +28,9 @@ is stationary, and the face maximises over every coordinate but alpha,
 whose component is scaled by ``alpha = 0``.
 
 Every other fit is ``"numeric"``: a derivative-free Nelder-Mead simplex
-(:func:`minimize`, whose iterates are scipy 1.17.1's to the bit), run once per
-start on an unconstrained transform of the parameter space:
+(:func:`minimize`, scipy 1.17.1's Nelder-Mead with a stable vertex order, to
+the bit), run once per start on an unconstrained transform of the parameter
+space:
 
 * population sizes enter as ``n = (x0 - 1) + exp(u)``, which keeps the
   feasibility boundary open while letting the optimiser roam freely (past
@@ -75,10 +76,10 @@ stops there instead of sliding away.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from operator import add, lt
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -113,19 +114,24 @@ class _Exhausted(Exception):
     """The evaluation budget ran out before a call."""
 
 
+def _rank(v: float) -> tuple[bool, float]:
+    """A vertex value's place in the order: by value, NaN last."""
+    return v != v, v
+
+
 def _sort(sim: list, fsim: list) -> tuple[list, list]:
-    """The vertices in ``np.argsort`` order of their values, as scipy sorts
-    them: numpy's float sort is not stable, so it alone places ties and NaN.
-    ``np.argsort`` of a list makes this same array call, after a dispatch
-    that costs more than the sort of seven values."""
-    order = np.array(fsim).argsort().tolist()
+    """The vertices in stable order of their values, NaN last: tied values,
+    ``-0.0`` with ``0.0`` and NaN with NaN, keep their order."""
+    order = sorted(range(len(fsim)), key=lambda i: _rank(fsim[i]))
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def minimize(fun, x0, method: str, options: dict) -> _Simplex:
     """scipy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
-    options=options)``, non-adaptive, reproduced on lists of floats: the same
-    iterates, so the same ``x``, ``fun``, ``nit``, ``nfev`` and ``success``.
+    options=options)``, non-adaptive, with a stable vertex order, reproduced
+    on lists of floats: the same iterates as scipy's with ``np.argsort``
+    made stable, so the same ``x``, ``fun``, ``nit``, ``nfev`` and
+    ``success``.
     ``options`` holds ``maxiter``, ``maxfev``, ``fatol`` and ``xatol``;
     ``fun`` takes a vertex as a list, which it must not change.  Every fit
     calls the simplex through this one name, which the bench's tracer wraps
@@ -138,14 +144,12 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
     inf and NaN without raising, so a simplex on the wall (+inf) computes
     ``inf - inf`` quietly.
 
-    The vertices are kept in ``np.argsort`` order of their values, as scipy
-    keeps them.  Where a step replaced only the worst vertex, the other
-    ``n`` values are strictly increasing and the new value is a number
-    distinct from each of them, that order is unique, so one ``bisect``
-    insertion gives it.  Every other case (the start simplex, a shrink, a
-    call refused mid-step, any tie, ``-0.0`` against ``0.0`` and two
-    infinities included, and any NaN) takes :func:`_sort`, where numpy's
-    unstable sort alone places the tied and NaN values.
+    The vertices are kept in :func:`_sort`'s stable order, so ties are
+    broken as Lagarias, Reeds, Wright and Wright (SIAM J. Optim. 9, 1998)
+    break them, and the iterates depend on no sort's tie order.  The start
+    simplex is sorted once; a reflect, expand or contract step inserts its
+    new vertex after every kept vertex it ties, and only a shrink, or a step
+    that the budget cut short, sorts again.
     """
     maxiter, maxfev = options["maxiter"], options["maxfev"]
     fatol, xatol = options["fatol"], options["xatol"]
@@ -172,9 +176,6 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
     except _Exhausted:
         pass
     sim, fsim = _sort(sim, fsim)
-    sim, fsim = _sort(sim, fsim)  # scipy sorts twice here
-    # the values a step keeps are strictly increasing: none tied, none NaN
-    ordered = all(map(lt, fsim[: n - 1], fsim[1:n]))
 
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
@@ -222,18 +223,14 @@ def minimize(fun, x0, method: str, options: dict) -> _Simplex:
             iterations += 1
         except _Exhausted:
             pass
-        if new is not None:
+        if new is None:
+            sim, fsim = _sort(sim, fsim)
+        else:
             x, f = new
-            k = bisect_left(fsim, f, 0, n)
-            # a number tied with no kept value has one place in the order
-            if ordered and f == f and (k == n or fsim[k] != f):
-                del sim[-1], fsim[-1]
-                sim.insert(k, x)
-                fsim.insert(k, f)
-                continue
-            sim[-1], fsim[-1] = x, f
-        sim, fsim = _sort(sim, fsim)
-        ordered = all(map(lt, fsim[: n - 1], fsim[1:n]))
+            k = bisect_right(fsim, _rank(f), 0, n, key=_rank)
+            del sim[-1], fsim[-1]
+            sim.insert(k, x)
+            fsim.insert(k, f)
 
     f_min = fsim[0] if fsim[-1] == fsim[-1] else math.nan  # np.min(fsim)
     return _Simplex(sim[0], f_min, iterations, nfev, nfev < maxfev and iterations < maxiter)

@@ -610,6 +610,29 @@ def test_simulate_config_refuses_unknown_keys(capsys, tmp_path):
         assert err == f"error: {cfg}: {message}\n"
 
 
+def test_simulate_config_fields_keep_their_json_types(capsys, tmp_path):
+    # a real field takes only a number, a text field and name only a string
+    # and each estimators entry only a string, named with its design: none
+    # is coerced (false to alpha 0, "0.6" to 0.6, null to the name "None")
+    cfg = tmp_path / "designs.json"
+    for field, value, message in (
+        ("alpha", False, "alpha: expected a real number, got False"),
+        ("alpha", True, "alpha: expected a real number, got True"),
+        ("p1dot_a", "0.6", "p1dot_a: expected a real number, got '0.6'"),
+        ("p1dot_a", None, "p1dot_a: expected a real number, got None"),
+        ("model", None, "model: expected a string, got None"),
+        ("name", None, "name: expected a string, got None"),
+        ("name", 5, "name: expected a string, got 5"),
+        ("estimators", [1], "estimators: expected a string, got 1"),
+        ("estimators", ["lp", "nope"], "estimators: unknown method 'nope'; valid: "),
+    ):
+        cfg.write_text(json.dumps([_base_design(), {**_base_design(), field: value}]),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {cfg}: design 2: {message}")
+
+
 def test_simulate_config_design_takes_designpoint_defaults(capsys, tmp_path):
     # seed, like model and replicates, may be omitted; it is then DesignPoint's 0
     cfg = tmp_path / "designs.json"

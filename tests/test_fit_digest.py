@@ -66,20 +66,20 @@ def _sweep() -> list[tuple[str, str]]:
             for label, model, pair, config in (*_bench_tables(), *_dataset_fits())]
 
 
-_SWEEP_SHA256 = "eb3066d4ec57eefd6ac6232969e1d4905b42ef9b3687c7fae7492bf9a252dcfd"
+_SWEEP_SHA256 = "7685c24f70dacc5e362af16ca885f2a4a1cf703014893060a049b543acfbcf5d"
 _FIT_SHA256_PREFIXES = (
-    "6369cd32b3a6", "d9ef0e9cdabe", "55cd1fb055ea", "5f09c29b9e1c", "b24e8cef7825", "1ee497daa1d6",
-    "d8a387b9b87d", "425635adf2d3", "1243177c76e3", "045d268d0755", "9eea633f13d7", "7f905e3ed6ca",
-    "11febea183a5", "f692133a4f42", "2ddd3f19c308", "6df59202a427", "88ca24c87bc7", "3cb172f4279b",
-    "6bfbf9e86ada", "039a06ed2d79", "c84a60cfa2bc", "4c37d9fc2aa8", "89e8214e3a26", "cf7d7c62ef05",
-    "48ca240b09e3", "121cbb78e772", "3cadf0416a72", "af073a095db9", "52be60f57512", "6779819d5c45",
-    "13d9b3bd1c19", "3d7de8e63608", "1959976b625d", "3c1ca9c113d9", "f9639a325554", "c09d13b80b77",
-    "3383b44be5ec", "dddce99a14ac", "009e3434ab58", "f766cfb58244", "10611be97b1f", "828429e5829e",
-    "7f20271c086f", "15476ea45d4f", "112cab9f04d8", "ad45f2c85e9c", "8ad55d61ee70", "238deee44eb0",
-    "c6c36781cd6d", "80087e42d005", "78a7ddbc9a7c", "0cacaa6b63ac", "134b9bed354d", "df92f8d535f3",
-    "f7a1a95a0679", "592e771389b7", "e0c8201d440e", "ce17114b767a", "c30d29254ead", "2f8de298c4de",
-    "90b1aa78deda", "0eb3dbc04c66", "a4b7bbed7452", "5b85ea8ad273", "69178896a142", "565f77bfc250",
-    "56a6967470bd", "77be5e3ff1e8", "a7722122373c", "69c7b5918a1c", "229c5718736c", "48bc779b9c31",
+    "6369cd32b3a6", "36afd53e06c9", "55cd1fb055ea", "580ce0a4e77c", "b24e8cef7825", "0000f0a624c7",
+    "d8a387b9b87d", "cc1836d2d482", "1243177c76e3", "dea07b797483", "9eea633f13d7", "2cb0c249f1f9",
+    "11febea183a5", "315957cd8162", "2ddd3f19c308", "69fd1e3cdeba", "88ca24c87bc7", "cd12bda30423",
+    "6bfbf9e86ada", "52497f0b47a8", "c84a60cfa2bc", "9260c00fd686", "89e8214e3a26", "cf7d7c62ef05",
+    "48ca240b09e3", "6d901a2c1ad6", "3cadf0416a72", "a78ce9421b40", "52be60f57512", "1f66f44999f0",
+    "13d9b3bd1c19", "6e5ad5417981", "1959976b625d", "7b92d0929bd2", "f9639a325554", "edbf6ccd8fa4",
+    "3383b44be5ec", "76f7fbb3048a", "009e3434ab58", "09e095822f7c", "10611be97b1f", "88863f60a041",
+    "7f20271c086f", "b5654e523d83", "112cab9f04d8", "80944b1e5456", "8ad55d61ee70", "81d9c675647b",
+    "c6c36781cd6d", "436647b55897", "78a7ddbc9a7c", "94c326b36d9b", "134b9bed354d", "4e9943aaa0ae",
+    "416f1b7dfdd3", "27545caa82f9", "f9acae601e4e", "5a9b762d33b7", "dd3124f89cb2", "42b1e55e5262",
+    "ca3b037cab64", "c4db2675c73d", "968748163213", "a3b042ca851b", "c70d5380eb96", "2b3f61796400",
+    "ebb3d0cf544c", "bb382d3537fc", "dc6e03744877", "49002aa5758b", "c71e6afbb8d5", "853c7f6e2176",
 )
 
 

@@ -1,9 +1,12 @@
 """The package's Nelder-Mead simplex against scipy's, iterate for iterate.
 
 ``dualrec.mle.minimize`` reproduces scipy 1.17.1's
-``minimize(method="Nelder-Mead")`` on lists of floats.  Each case runs both
-on one objective and requires the same ``x`` (to the bit), ``fun``, ``nit``,
-``nfev`` and ``success``.
+``minimize(method="Nelder-Mead")`` with a stable vertex order on lists of
+floats.  scipy orders its vertices with ``np.argsort``, whose default sort is
+not stable and places tied values by numpy's SIMD dispatch, so here scipy
+runs with ``np.argsort`` made stable.  Each case runs both on one objective
+and requires the same ``x`` (to the bit), ``fun``, ``nit``, ``nfev`` and
+``success``.
 """
 
 import math
@@ -29,8 +32,12 @@ def _outcome(res) -> tuple:
 def _same(fun, x0, options):
     """The package's simplex, after checking it against scipy's."""
     ours = minimize(fun, list(x0), method="Nelder-Mead", options=options)
-    theirs = scipy_minimize(lambda u: fun(u.tolist()), np.asarray(x0, dtype=float),
-                            method="Nelder-Mead", options=options)
+    with pytest.MonkeyPatch.context() as mp:
+        # scipy's simplex sorts its vertices by np.argsort(fsim) alone
+        argsort = np.argsort
+        mp.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
+        theirs = scipy_minimize(lambda u: fun(u.tolist()), np.asarray(x0, dtype=float),
+                                method="Nelder-Mead", options=options)
     assert _outcome(ours) == _outcome(theirs)
     return ours
 
@@ -124,8 +131,7 @@ _CASES = [
     (wall, [1.0] * 6),
     (nan_beyond, [0.0, 1.0, 0.5, 0.3, 0.0, 2.0]),
     (nan_corner, [0.0, 0.2, 0.5, 0.3, 0.0, 2.0]),
-    # a new vertex that ties an old one, where one bisect insertion would
-    # place it other than np.argsort does
+    # a new vertex that ties an old one, which goes after it
     (rounded, [3.0, 0.2, 3.0, -4.0, 0.1, 5.0]),
     (signed_zero, [3.0, 0.2, 3.0, -4.0, 0.1, 5.0]),
     (box, [1.9, -1.95, -1.95, -1.95, -1.95, 1.9]),
@@ -181,10 +187,10 @@ _NAN = math.nan
     [5.0],
 ])
 def test_sort_orders_vertices_as_argsort_does(fsim):
-    # the vertices and their values, labelled, in np.argsort's order, which
-    # is not stable: ties and NaN are where another sort would differ
+    # the vertices and their values, labelled, in stable np.argsort order:
+    # ties and NaN keep their order, NaN last
     labels = [f"v{i}" for i in range(len(fsim))]
     sim, values = dualrec.mle._sort(labels, list(fsim))
-    order = np.argsort(fsim)
+    order = np.argsort(fsim, kind="stable")
     assert sim == [labels[i] for i in order]
     assert [float.hex(v) for v in values] == [float.hex(fsim[i]) for i in order]
