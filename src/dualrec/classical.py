@@ -164,6 +164,5 @@ def lincoln_petersen_kernel(counts: np.ndarray):
 
 def nour_kernel(counts: np.ndarray):
     """:func:`nour` on both strata of each count row."""
-    return _stratum_kernel(
-        _nour_size, lambda x11, x10, x01: (x11 > 0) & (x11 * x11 > x10 * x01), counts
-    )
+    # x11^2 > x10*x01 >= 0 also rules out x11 = 0
+    return _stratum_kernel(_nour_size, lambda x11, x10, x01: x11 * x11 > x10 * x01, counts)

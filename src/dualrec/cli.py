@@ -12,11 +12,11 @@ Two subcommands:
 
 :mod:`dualrec.datasets` reads every input file: a dataset, or a config, a
 list of designs or ``{"designs": [...]}``.  A design's fields are
-:class:`~dualrec.sim.DesignPoint`'s, read by their annotations (integers as
-a dataset's counts are read, reals from numbers, text from strings); a field
-with a default may be omitted, and ``name`` (a string) and ``estimators`` (a
-list of method tokens) may be added.  Any other key is refused.  The flags
-and designs are checked by the library's own checks.
+:class:`~dualrec.sim.DesignPoint`'s, integers read as a dataset's counts
+are and each field checked by ``DesignPoint`` itself; a field with a default
+may be omitted, and ``name`` (a string) and ``estimators`` (a list of method
+tokens) may be added.  Any other key is refused.  The flags and designs are
+checked by the library's own checks.
 
 Exit codes: 0 success; 1 I/O, parse, or usage errors, every
 :class:`~dualrec.core.DualrecError` that reaches :func:`main` included; 2
@@ -233,14 +233,6 @@ _STUDY_CSV_COLUMNS = (
 )
 
 
-def _real(value) -> float:
-    """``value`` (a JSON number) as a float; a ValueError for anything else,
-    a bool or text included, which ``float`` would take."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a real number, got {value!r}")
-    return float(value)
-
-
 def _string(value) -> str:
     """``value`` unchanged; a ValueError where it is not a string."""
     if not isinstance(value, str):
@@ -248,11 +240,10 @@ def _string(value) -> str:
     return value
 
 
-# DesignPoint's fields, in order: each one's reader, by its annotation, and
-# whether it is required (a field with a default may be omitted)
-_READERS = {"float": _real, "int": _integer, "str": _string}
+# DesignPoint's fields, in order: whether each is an int (read as a dataset's
+# count) and whether it is required (a field with a default may be omitted)
 _DESIGN_FIELDS = {
-    f.name: (_READERS[f.type], f.default is dataclasses.MISSING)
+    f.name: (f.type == "int", f.default is dataclasses.MISSING)
     for f in dataclasses.fields(DesignPoint) if f.init
 }
 
@@ -265,11 +256,11 @@ def _design_fields(doc: dict, where: str) -> DesignPoint:
     if missing:
         raise _CliError(f"{where}: missing field(s) {', '.join(missing)}")
     values = {}
-    for f, (read, _) in _DESIGN_FIELDS.items():
+    for f, (integer, _) in _DESIGN_FIELDS.items():
         if f in doc:
             try:
-                values[f] = read(doc[f])
-            except (TypeError, ValueError, OverflowError) as e:  # an int with no float
+                values[f] = _integer(doc[f]) if integer else doc[f]
+            except (TypeError, ValueError) as e:
                 raise _CliError(f"{where}: {f}: {e}")
     try:
         return DesignPoint(**values)

@@ -108,15 +108,16 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     Solves the six moment equations in closed form.  The closed form is
     often infeasible — a probability escaping (0, 1), a nonpositive or
     impossible size — in which case :class:`Infeasible` names the violated
-    condition.  Even when feasible the estimator is high-variance, so the
-    result is flagged as not recommended relative to the likelihood fit.
+    condition; a zero ``x10`` in either stratum puts that stratum's ``p2``
+    at 1.  Even when feasible the estimator is high-variance, so the result
+    is flagged as not recommended relative to the likelihood fit.
     """
     A, B = validate_pair(data)
     a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
     if a01 * b10 == a10 * b01:
         raise DivisionByZero("x01A*x10B - x10A*x01B is zero")
-    if a11 + a10 == 0 or b11 + b10 == 0 or a10 == 0:
-        raise DivisionByZero("a required margin (x1dotA, x1dotB, x10A) is zero")
+    if a11 + a10 == 0 or b11 + b10 == 0:
+        raise DivisionByZero("a required margin (x1dotA, x1dotB) is zero")
 
     p2a, p2b = _model_ii_p2(a11, a10, a01, b11, b10, b01)
     if not 0.0 < p2a < 1.0:
@@ -183,7 +184,7 @@ def _model_ii_p2(a11, a10, a01, b11, b10, b01):
 
 def _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a):
     """Model II's ``alpha0``, ``p1``, ``n_a`` and ``n_b`` from ``p2a``; ints
-    need ``p2a`` in (0, 1) and nonzero x10A and x1dotA."""
+    need ``p2a`` in (0, 1), which rules out x10A = 0, and nonzero x1dotA."""
     a1 = a11 + a10
     alpha0 = 1.0 - (a10 / a1) / (1.0 - p2a)
     p1 = 1.0 / (1.0 + (a01 / a10) * (1.0 / p2a - 1.0))
@@ -206,11 +207,9 @@ def mme_model_ii_kernel(counts: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         p2a, p2b = _model_ii_p2(a11, a10, a01, b11, b10, b01)
         alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a)
-    # x01A*x10B != x10A*x01B also rules out an empty table; a NaN fails
-    # every comparison
+    # a zero denominator makes p2a or p2b inf or NaN; x10A = 0 makes p2a 1
     ok = (
-        (a01 * b10 != a10 * b01) & (a11 + a10 > 0) & (b11 + b10 > 0) & (a10 > 0)
-        & (0.0 < p2a) & (p2a < 1.0) & (0.0 < p2b) & (p2b < 1.0)
+        (0.0 < p2a) & (p2a < 1.0) & (0.0 < p2b) & (p2b < 1.0)
         & (0.0 <= alpha0) & (alpha0 <= 1.0) & (0.0 < p1) & (p1 < 1.0)
         & (n_a >= a11 + a10 + a01) & (n_b >= b11 + b10 + b01)
     )

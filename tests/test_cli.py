@@ -588,12 +588,13 @@ def test_simulate_config_errors(capsys, tmp_path):
         assert f"design 1: {field}: expected an integer" in err
 
     # a real field given an integer with no float is a usage error, not a traceback
+    big = "1" + "0" * 400
     design = {**_base_design(), "p1dot_a": "@"}
-    cfg.write_text(json.dumps([design]).replace('"@"', "1" + "0" * 400), encoding="utf-8")
+    cfg.write_text(json.dumps([design]).replace('"@"', big), encoding="utf-8")
     code, out, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1
     assert out == ""
-    assert err == f"error: {cfg}: design 1: p1dot_a: int too large to convert to float\n"
+    assert err == f"error: {cfg}: design 1: p1dot_a must be in (0,1), got {big}\n"
 
 
 def test_simulate_config_refuses_unknown_keys(capsys, tmp_path):
@@ -611,16 +612,17 @@ def test_simulate_config_refuses_unknown_keys(capsys, tmp_path):
 
 
 def test_simulate_config_fields_keep_their_json_types(capsys, tmp_path):
-    # a real field takes only a number, a text field and name only a string
-    # and each estimators entry only a string, named with its design: none
-    # is coerced (false to alpha 0, "0.6" to 0.6, null to the name "None")
+    # a real field takes only a number and model only "I" or "II", as
+    # DesignPoint words it; name and each estimators entry take only a
+    # string, named with its design: none is coerced (false to alpha 0, "0.6"
+    # to 0.6, null to the name "None")
     cfg = tmp_path / "designs.json"
     for field, value, message in (
-        ("alpha", False, "alpha: expected a real number, got False"),
-        ("alpha", True, "alpha: expected a real number, got True"),
-        ("p1dot_a", "0.6", "p1dot_a: expected a real number, got '0.6'"),
-        ("p1dot_a", None, "p1dot_a: expected a real number, got None"),
-        ("model", None, "model: expected a string, got None"),
+        ("alpha", False, "alpha must be a real number, got False"),
+        ("alpha", True, "alpha must be a real number, got True"),
+        ("p1dot_a", "0.6", "p1dot_a must be a real number, got '0.6'"),
+        ("p1dot_a", None, "p1dot_a must be a real number, got None"),
+        ("model", None, "unknown model None; valid: I, II"),
         ("name", None, "name: expected a string, got None"),
         ("name", 5, "name: expected a string, got 5"),
         ("estimators", [1], "estimators: expected a string, got 1"),
@@ -642,6 +644,20 @@ def test_simulate_config_design_takes_designpoint_defaults(capsys, tmp_path):
     for doc in ([{**design, "seed": 0}], [design]):
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         outs.append(run(capsys, "simulate", "--config", str(cfg)))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_simulate_config_integer_reals_run_as_floats(capsys, tmp_path):
+    # a real field given a JSON integer runs the study its float runs
+    cfg = tmp_path / "designs.json"
+    outs = []
+    for alpha, pdot1 in ((0.0, 1.0), (0, 1)):
+        design = {**_base_design(), "model": "II", "alpha": alpha, "pdot1_a": pdot1,
+                  "estimators": ["mme1", "lp", "mle1"]}
+        cfg.write_text(json.dumps([design]), encoding="utf-8")
+        outs.append(run(capsys, "simulate", "--config", str(cfg)))
+    assert '"alpha": 0, ' in cfg.read_text(encoding="utf-8")
     assert outs[0] == outs[1]
     assert outs[0][0] == 0
 

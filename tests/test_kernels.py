@@ -1,6 +1,8 @@
 """The closed-form kernels against their scalar estimators, bit for bit, and
 the bootstrap's choice between a kernel and the per-resample refit."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ HAND_TABLES = (
     ((1, 1, 1), (1, 1, 1)),  # MME-II: x01A*x10B = x10A*x01B
     ((0, 0, 1), (1, 1, 2)),  # MME-II: x1dotA = 0
     ((1, 1, 2), (0, 0, 1)),  # MME-II: x1dotB = 0
-    ((1, 0, 1), (1, 1, 2)),  # MME-II: x10A = 0
+    ((1, 0, 1), (1, 1, 2)),  # MME-II: x10A = 0, so p2a = 1
     ((0, 1, 0), (0, 1, 1)),  # MME-II: p2a <= 0
     ((0, 1, 1), (1, 0, 1)),  # MME-II: p2a >= 1
     ((1, 1, 1), (0, 1, 0)),  # MME-II: p2b <= 0
@@ -84,6 +86,11 @@ def _seeded_counts(rows: int = 10_000) -> np.ndarray:
     return np.vstack((small, large)).astype(float)
 
 
+def _grid_counts() -> np.ndarray:
+    """Every row with cells 0-3: each zero pattern of the six cells."""
+    return np.array(list(product(range(4), repeat=6)), dtype=float)
+
+
 def _scalar_rows(method: str, counts: np.ndarray):
     """Per row: the hex of apply_method's unrounded sizes and alpha, or the
     failure message."""
@@ -114,7 +121,8 @@ def test_kernels_are_registered_for_the_closed_forms():
 
 @pytest.mark.parametrize("method", KERNEL_METHODS)
 def test_kernel_equals_scalar_estimator_bit_for_bit(method):
-    counts = np.vstack((_hand_counts(), _seeded_counts()))
+    grid = _grid_counts()
+    counts = np.vstack((_hand_counts(), _seeded_counts(), grid))
     scalar = _scalar_rows(method, counts)
     kernel = _kernel_rows(method, counts)
     mismatches = [
@@ -127,7 +135,7 @@ def test_kernel_equals_scalar_estimator_bit_for_bit(method):
     messages = [s for s in scalar[: len(HAND_TABLES)] if isinstance(s, str)]
     for start in FAILURES[method]:
         assert any(m.startswith(start) for m in messages), start
-    seeded = kernel[len(HAND_TABLES):]
+    seeded = kernel[len(HAND_TABLES): -len(grid)]
     assert None in seeded and sum(k is not None for k in seeded) > len(seeded) // 10
 
 
