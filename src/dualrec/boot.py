@@ -20,14 +20,14 @@ seeding of each resample's generator, and :mod:`dualrec.sim` computes the
 words in between: the spawn-key mix and the output hash.
 
 Either scheme draws all ``b`` resample tables into one read-only ``(b, 6)``
-int64 count array.  The closed-form methods (LP, NOUR, MME-I, MME-II)
-refit it at once with their :class:`~dualrec.sim.Kernel`, in float64.
-That is exact, and equal bit for bit to refitting each table with Python
-ints, while every integer the formulas form stays below 2**53.  Each count
-is at most its stratum's size, so the kernel runs while the larger size
-squared (LP, MME-I), cubed (MME-II) or to the fourth power (NOUR) is below
-2**53; past that, and for the other methods, :func:`apply_method` refits
-the table pair of each row.
+int64 count array (:func:`dualrec.sim._replicate_counts`, which refuses a
+size past int64).  The closed-form methods refit it at once with their
+:class:`~dualrec.sim.Kernel`, in float64.  That is exact, and equal bit for
+bit to refitting each table with Python ints, while every integer the
+formulas form stays below 2**53.  Each count is at most its stratum's size,
+so the kernel runs while the larger size squared (LP, MME-I), cubed (MME-II)
+or to the fourth power (NOUR) is below 2**53; past that, and for the other
+methods, :func:`apply_method` refits the table pair of each row.
 
 A nonparametric draw depends only on the observed tables, ``b`` and the
 seed, so the last one is cached: a nonparametric bootstrap of any method
@@ -52,7 +52,6 @@ import numpy as np
 from .core import (
     AllResamplesFailed,
     BbmParams,
-    DomainError,
     DrsTable,
     EstimateResult,
     StratumPair,
@@ -83,8 +82,6 @@ def _generating_cells(method: str, data: StratumPair, point: EstimateResult):
 def _independence_cells(table: DrsTable, n_hat: float):
     """Independent-list cell probabilities at the fitted stratum size."""
     n = max(int(round(n_hat)), table.x0)
-    if n >= 2**63:  # the multinomial draw takes sizes as int64, as in BbmParams
-        raise DomainError(f"n must be positive and below 2**63, got {n_hat}")
     # the model's cells at alpha = 0; the observed List 1 margin may be all n
     return np.array(_cells(table.x1dot / n, table.xdot1 / n, 0.0)), n
 
@@ -94,11 +91,7 @@ def _nonparametric_counts(table_a: DrsTable, table_b: DrsTable, b: int, seed: in
     """The nonparametric resample tables: each stratum's ``x0`` individuals
     spread over its three observed cells with their observed proportions.
     The point fit has checked that neither ``x0`` is 0."""
-    gens = []
-    for label, t in (("A", table_a), ("B", table_b)):
-        if t.x0 >= 2**63:  # the multinomial draw takes sizes as int64, as in BbmParams
-            raise DomainError(f"stratum {label}'s x0 must be below 2**63 to resample, got {t.x0}")
-        gens.append((np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0))
+    gens = [(np.array([t.x11 / t.x0, t.x10 / t.x0, t.x01 / t.x0]), t.x0) for t in (table_a, table_b)]
     return _replicate_counts(*gens, seed, 0, b)
 
 

@@ -109,8 +109,9 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     often infeasible — a probability escaping (0, 1), a nonpositive or
     impossible size — in which case :class:`Infeasible` names the violated
     condition; a zero ``x10`` in either stratum puts that stratum's ``p2``
-    at 1.  Even when feasible the estimator is high-variance, so the result
-    is flagged as not recommended relative to the likelihood fit.
+    at 1, and ``alpha0`` is one exact quotient, so a table and its stratum
+    swap fail alike.  Even when feasible the estimator is high-variance, so
+    the result is flagged as not recommended relative to the likelihood fit.
     """
     A, B = validate_pair(data)
     a11, a10, a01, b11, b10, b01 = A.x11, A.x10, A.x01, B.x11, B.x10, B.x01
@@ -119,13 +120,13 @@ def mme_model_ii(data: StratumPair) -> EstimateResult:
     if a11 + a10 == 0 or b11 + b10 == 0:
         raise DivisionByZero("a required margin (x1dotA, x1dotB) is zero")
 
-    p2a, p2b = _model_ii_p2(a11, a10, a01, b11, b10, b01)
+    p2a, p2b, shared_den, cross = _model_ii_p2(a11, a10, a01, b11, b10, b01)
     if not 0.0 < p2a < 1.0:
         raise Infeasible(f"p2a = {p2a} outside (0, 1)")
     if not 0.0 < p2b < 1.0:
         raise Infeasible(f"p2b = {p2b} outside (0, 1)")
 
-    alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a)
+    alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a, shared_den, cross)
     if not 0.0 <= alpha0 <= 1.0:
         raise Infeasible(f"alpha0 = {alpha0} outside [0, 1]")
     # once p2a, p2b and alpha0 pass, the checks on p1, n_a and n_b hold in
@@ -174,19 +175,21 @@ def _model_i_terms(a11, a10, a01, b11, b10, b01):
 
 
 def _model_ii_p2(a11, a10, a01, b11, b10, b01):
-    """Model II's ``p2a`` and ``p2b``; ints need x01A*x10B != x10A*x01B and
-    nonzero x1dotA and x1dotB."""
+    """Model II's ``p2a``, ``p2b`` and their terms ``D = x01A*x10B - x10A*x01B`` and
+    ``C = x1dotA*x10B - x1dotB*x10A``; ints need D != 0 and nonzero x1dotA, x1dotB."""
     a1, b1 = a11 + a10, b11 + b10
     shared_den = a01 * b10 - a10 * b01
     cross = a1 * b10 - b1 * a10
-    return a01 * cross / (a1 * shared_den), b01 * cross / (b1 * shared_den)
+    return a01 * cross / (a1 * shared_den), b01 * cross / (b1 * shared_den), shared_den, cross
 
 
-def _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a):
-    """Model II's ``alpha0``, ``p1``, ``n_a`` and ``n_b`` from ``p2a``; ints
-    need ``p2a`` in (0, 1), which rules out x10A = 0, and nonzero x1dotA."""
+def _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a, shared_den, cross):
+    """Model II's ``alpha0``, ``p1``, ``n_a`` and ``n_b`` from ``p2a``, ``D`` and ``C``;
+    ints need ``p2a`` in (0, 1), which rules out x10A = 0 and a zero ``alpha0``
+    denominator.  ``alpha0`` is one quotient: |D|, |C| <= s**2 for the larger
+    size s, so both its terms are at most ``x0A * s**2 <= s**3``."""
     a1 = a11 + a10
-    alpha0 = 1.0 - (a10 / a1) / (1.0 - p2a)
+    alpha0 = (a11 * shared_den - a01 * cross) / (a1 * shared_den - a01 * cross)
     p1 = 1.0 / (1.0 + (a01 / a10) * (1.0 / p2a - 1.0))
     return alpha0, p1, a1 / p1, (b11 + b10) / p1
 
@@ -205,12 +208,12 @@ def mme_model_ii_kernel(counts: np.ndarray):
     """:func:`mme_model_ii` on each count row (see :class:`~dualrec.sim.Kernel`)."""
     a11, a10, a01, b11, b10, b01 = counts.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        p2a, p2b = _model_ii_p2(a11, a10, a01, b11, b10, b01)
-        alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a)
-    # a zero denominator makes p2a or p2b inf or NaN; x10A = 0 makes p2a 1
+        p2a, p2b, shared_den, cross = _model_ii_p2(a11, a10, a01, b11, b10, b01)
+        alpha0, p1, n_a, n_b = _model_ii_given_p2a(a11, a10, a01, b11, b10, p2a, shared_den, cross)
+    # no p2a terms: a p2a of 1 or more makes the exact alpha0 exceed 1 or divide by 0,
+    # and one of 0 or less, or inf or NaN from a zero denominator, puts p1 out of (0, 1)
     ok = (
-        (0.0 < p2a) & (p2a < 1.0) & (0.0 < p2b) & (p2b < 1.0)
-        & (0.0 <= alpha0) & (alpha0 <= 1.0) & (0.0 < p1) & (p1 < 1.0)
+        (0.0 < p2b) & (p2b < 1.0) & (0.0 <= alpha0) & (alpha0 <= 1.0) & (0.0 < p1) & (p1 < 1.0)
         & (n_a >= a11 + a10 + a01) & (n_b >= b11 + b10 + b01)
     )
     return n_a, n_b, alpha0, ok

@@ -415,8 +415,11 @@ def _replicate_counts(gen_a, gen_b, seed: int, lo: int, hi: int) -> np.ndarray:
     """The tables :func:`generate_pair` draws from the ``(cells, size)``
     generators ``gen_a``, ``gen_b`` and replicate streams [lo, hi) of ``seed``,
     as a read-only ``(hi - lo, 6)`` int64 array of rows (x11A, x10A, x01A,
-    x11B, x10B, x01B), exact since no size reaches 2**63."""
+    x11B, x10B, x01B); a DomainError names a stratum whose size is past int64."""
     (cells_a, size_a), (cells_b, size_b) = gen_a, gen_b
+    for label, size in (("A", size_a), ("B", size_b)):
+        if size >= 2**63:
+            raise DomainError(f"stratum {label}'s size must be below 2**63 to draw, got {size}")
     rows = [
         rng.multinomial(size_a, cells_a).tolist()[:3]
         + rng.multinomial(size_b, cells_b).tolist()[:3]

@@ -190,18 +190,22 @@ def test_parametric_resamples_follow_the_fitted_model():
 
 def test_parametric_size_past_int64_is_refused():
     # LP sizes stratum A at 1.6e19, more than the multinomial can draw; the
-    # classical branch refuses it as the model branch's BbmParams does
+    # draw refuses it as the model branch's BbmParams does
     pair = StratumPair(DrsTable(1, 4 * 10**9, 4 * 10**9), DrsTable(5, 3, 2))
-    with pytest.raises(DomainError, match=r"^n must be positive and below 2\*\*63"):
+    message = r"^stratum A's size must be below 2\*\*63 to draw, got 16000000008000000000$"
+    with pytest.raises(DomainError, match=message):
         bootstrap(pair, "LP", b=5)
 
 
+@pytest.mark.parametrize("stratum", ["A", "B"])
 @pytest.mark.parametrize("method", ["LP", "NOUR", "MME-I", "MLE-I"])
-def test_nonparametric_stratum_of_2_63_individuals_is_refused(method):
-    # each cell is below 2**63, as DrsTable allows, but stratum A's x0 is
+def test_nonparametric_stratum_of_2_63_individuals_is_refused(method, stratum):
+    # each cell is below 2**63, as DrsTable allows, but the stratum's x0 is
     # not, and the multinomial draw takes it as an int64
-    pair = StratumPair(DrsTable(2**63 - 1, 2**63 - 1, 1), DrsTable(5, 3, 2))
-    with pytest.raises(DomainError, match=r"^stratum A's x0 must be below 2\*\*63"):
+    huge, small = DrsTable(2**63 - 1, 2**63 - 1, 1), DrsTable(5, 3, 2)
+    pair = StratumPair(huge, small) if stratum == "A" else StratumPair(small, huge)
+    message = rf"^stratum {stratum}'s size must be below 2\*\*63 to draw, got {2**64 - 1}$"
+    with pytest.raises(DomainError, match=message):
         bootstrap(pair, method, scheme="nonparametric", b=3)
 
 

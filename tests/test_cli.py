@@ -172,7 +172,7 @@ def test_bootstrap_size_past_int64_is_an_infeasible_row(capsys, tmp_path):
     code, out, err = run(capsys, "estimate", *argv)
     assert code == 2
     assert err == ""
-    assert "LP: infeasible - DomainError: n must be positive and below 2**63" in out
+    assert "LP: infeasible - DomainError: stratum A's size must be below 2**63 to draw" in out
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])

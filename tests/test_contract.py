@@ -11,6 +11,11 @@ generator of the wrong type, raise ``DomainError``, never a bare
 ``AttributeError``.  A name argument that is not one of its strings (a list,
 ``None``, an int, an array) raises a ``DomainError`` that lists the valid
 names, never a bare ``TypeError`` or ``ValueError``.
+
+The closed forms that keep their domains (LP and NOUR on any table, MME-II
+on any pair, with counts up to 10**9) either return finite estimates in
+their domains, with every size at least its stratum's observed count, or
+raise a ``DualrecError``.
 """
 
 import math
@@ -18,6 +23,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrec.boot import bootstrap
 from dualrec.classical import lincoln_petersen, nour, wolter_model1, wolter_model2
@@ -25,6 +32,7 @@ from dualrec.core import (
     BbmParams,
     CellProbabilities,
     DomainError,
+    DrsTable,
     DualrecError,
     MtbParams,
     StratumPair,
@@ -306,3 +314,35 @@ def test_log_factorial_checks_its_mode_at_zero(n):
     # n == 0 returned 0.0 before the mode was looked at
     with pytest.raises(DomainError, match=f"^unknown log-factorial mode 'bogus'; valid: {_LOGFAC_NAMES}$"):
         log_factorial(n, "bogus")
+
+
+_TABLES = st.tuples(*[st.integers(0, 10**9)] * 3).map(lambda cells: DrsTable(*cells))
+
+
+def _returns_in_domain_or_raises(fn, data, x0s: dict) -> None:
+    """``fn(data)`` raises a DualrecError, or returns finite estimates whose
+    sizes, rounded and unrounded, are at least the counts ``x0s`` names, with
+    each p in (0, 1) and alpha in [0, 1]."""
+    try:
+        fit = fn(data)
+    except DualrecError:
+        return
+    est = fit.estimates
+    assert all(math.isfinite(v) for v in est.values())
+    for key, x0 in x0s.items():
+        assert est[key] >= x0 and fit.diagnostics[f"{key}_unrounded"] >= x0
+    assert all(0.0 < est[key] < 1.0 for key in ("p1", "p2a", "p2b") if key in est)
+    assert 0.0 <= est.get("alpha", 0.0) <= 1.0
+
+
+@pytest.mark.parametrize("fn", [lincoln_petersen, nour], ids=["LP", "NOUR"])
+@given(table=_TABLES)
+@settings(max_examples=150, deadline=None)
+def test_single_stratum_closed_form_returns_in_its_domain_or_raises(fn, table):
+    _returns_in_domain_or_raises(fn, table, {"n": table.x0})
+
+
+@given(a=_TABLES, b=_TABLES)
+@settings(max_examples=150, deadline=None)
+def test_moment_model_ii_returns_in_its_domain_or_raises(a, b):
+    _returns_in_domain_or_raises(mme_model_ii, StratumPair(a, b), {"n_a": a.x0, "n_b": b.x0})

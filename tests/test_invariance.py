@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dualrec.core import DrsTable, DualrecError, Infeasible, StratumPair
+from dualrec.core import DrsTable, DualrecError, StratumPair
 from dualrec.mle import FitConfig, _start
 from dualrec.mme import mme_model_ii
 from dualrec.sim import apply_method, design_from_preset, generate_pair
@@ -136,33 +136,22 @@ def test_moment_model_ii_sizes_swap_with_the_strata():
     assert compared == 41
 
 
-# Ordered pairs (A, B) with cells 0-4 on which MME-II returns and raises
-# on StratumPair(B, A), or the reverse.  The side that raises has an alpha0
-# of exactly 0 that rounds to -2**-52, since 1 - (x10A / x1dotA) / (1 - p2a)
-# takes three roundings; the count falls to 0 when alpha0 is one exact
-# quotient.
-PINNED_SWAP_ROUNDING = 56
-
-
 def _moment_ii_error(pair: StratumPair):
-    """MME-II's error on ``pair``, or None where it returns."""
+    """MME-II's error class on ``pair``, or None where it returns."""
     try:
         mme_model_ii(pair)
     except DualrecError as e:
-        return e
+        return type(e)
     return None
 
 
 def test_moment_model_ii_outcome_class_swaps_on_every_small_pair():
     tables = [DrsTable(*cells) for cells in product(range(5), repeat=3)]
-    differ = []
-    for a, b in product(tables, repeat=2):
-        errors = _moment_ii_error(StratumPair(a, b)), _moment_ii_error(StratumPair(b, a))
-        if type(errors[0]) is not type(errors[1]):
-            differ.append(next(e for e in errors if e is not None))
-    assert len(differ) == PINNED_SWAP_ROUNDING
-    for e in differ:
-        assert isinstance(e, Infeasible) and str(e).startswith(f"alpha0 = {-2**-52} outside")
+    differ = [
+        (a, b) for a, b in product(tables, repeat=2)
+        if _moment_ii_error(StratumPair(a, b)) is not _moment_ii_error(StratumPair(b, a))
+    ]
+    assert differ == []
 
 
 # The default MLE-II fit's violations on the 18 seed-0 tables: fits whose

@@ -1,6 +1,7 @@
 """The closed-form kernels against their scalar estimators, bit for bit, and
 the bootstrap's choice between a kernel and the per-resample refit."""
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -86,9 +87,9 @@ def _seeded_counts(rows: int = 10_000) -> np.ndarray:
     return np.vstack((small, large)).astype(float)
 
 
-def _grid_counts() -> np.ndarray:
-    """Every row with cells 0-3: each zero pattern of the six cells."""
-    return np.array(list(product(range(4), repeat=6)), dtype=float)
+def _grid_counts(top: int = 3) -> np.ndarray:
+    """Every row with cells 0 to ``top``: each zero pattern of the six cells."""
+    return np.array(list(product(range(top + 1), repeat=6)), dtype=float)
 
 
 def _scalar_rows(method: str, counts: np.ndarray):
@@ -121,7 +122,9 @@ def test_kernels_are_registered_for_the_closed_forms():
 
 @pytest.mark.parametrize("method", KERNEL_METHODS)
 def test_kernel_equals_scalar_estimator_bit_for_bit(method):
-    grid = _grid_counts()
+    # MME-II's mask has no p2a terms, which its alpha0 and p1 terms decide:
+    # the grid with cells 0-4 checks that directly
+    grid = _grid_counts(4 if method == "MME-II" else 3)
     counts = np.vstack((_hand_counts(), _seeded_counts(), grid))
     scalar = _scalar_rows(method, counts)
     kernel = _kernel_rows(method, counts)
@@ -137,6 +140,27 @@ def test_kernel_equals_scalar_estimator_bit_for_bit(method):
         assert any(m.startswith(start) for m in messages), start
     seeded = kernel[len(HAND_TABLES): -len(grid)]
     assert None in seeded and sum(k is not None for k in seeded) > len(seeded) // 10
+
+
+def _exact_model_ii_alpha(a11, a10, a01, b11, b10, b01) -> Fraction:
+    """MME-II's alpha0 as the moment formula ``1 - (x10A / x1dotA) / (1 -
+    p2a)`` gives it, in exact arithmetic: an oracle that shares no code with
+    the package's quotient."""
+    a1, b1 = a11 + a10, b11 + b10
+    p2a = Fraction(a01 * (a1 * b10 - b1 * a10), a1 * (a01 * b10 - a10 * b01))
+    return 1 - Fraction(a10, a1) / (1 - p2a)
+
+
+def test_moment_model_ii_alpha_is_the_correctly_rounded_exact_value():
+    returned = 0
+    for row in _grid_counts(4).astype(int).tolist():
+        try:
+            fit = apply_method("MME-II", StratumPair(DrsTable(*row[:3]), DrsTable(*row[3:])))
+        except DualrecError:
+            continue
+        assert fit.estimates["alpha"] == float(_exact_model_ii_alpha(*row)), row
+        returned += 1
+    assert returned == 1336
 
 
 def _bound_pair(method: str, size: int) -> StratumPair:
